@@ -497,21 +497,6 @@ def image_subobject(f: ConcreteMorphism) -> Subobject:
     return Subobject(f.cod, tuple(sorted(f.image)))
 
 
-def restrict_to_subobject(f: ConcreteMorphism, sub: Subobject) -> ConcreteMorphism:
-    """Restriction of f: A -> B along the inclusion of a subobject of A."""
-    if sub.ambient != f.dom:
-        raise CompositionMismatch("subobject does not live in dom(f)")
-    return ConcreteMorphism(sub.object(), f.cod, tuple(f.table[e] for e in sub.elems))
-
-
-def corestrict(f: ConcreteMorphism, sub: Subobject) -> ConcreteMorphism:
-    """f with codomain cut down to a subobject containing its image."""
-    if sub.ambient != f.cod or not f.image <= set(sub.elems):
-        raise CompositionMismatch("image does not land in the subobject")
-    pos = {e: i for i, e in enumerate(sub.elems)}
-    return ConcreteMorphism(f.dom, sub.object(), tuple(pos[v] for v in f.table))
-
-
 # ---------------------------------------------------------------------------
 # Hom enumeration
 # ---------------------------------------------------------------------------
@@ -614,39 +599,8 @@ def enumerate_monos(A: FiniteObject, B: FiniteObject) -> tuple[ConcreteMorphism,
 
 
 # ---------------------------------------------------------------------------
-# Backend registry and JSON descriptors
+# JSON descriptors
 # ---------------------------------------------------------------------------
-
-class Backend:
-    """An object registry for one of the three concrete backends."""
-
-    def __init__(self, kind: str, size_bound: int | None = None):
-        if kind not in BACKENDS:
-            raise InvalidObject(f"unknown backend kind {kind!r}")
-        self.kind = kind
-        self.size_bound = size_bound or DEFAULT_SIZE_BOUNDS[kind]
-        self.objects: dict[str, FiniteObject] = {}
-        self.register(zero_object(kind))
-
-    @property
-    def zero(self) -> FiniteObject:
-        return self.objects["0"]
-
-    def register(self, obj: FiniteObject) -> FiniteObject:
-        if obj.backend != self.kind:
-            raise BackendMismatch(f"{obj.id} belongs to backend {obj.backend}")
-        if obj.size > self.size_bound:
-            raise BoundExceeded(
-                f"{obj.id}: size {obj.size} exceeds bound {self.size_bound}")
-        known = self.objects.get(obj.id)
-        if known is not None and known != obj:
-            raise InvalidObject(f"conflicting registration for id {obj.id!r}")
-        self.objects[obj.id] = obj
-        return obj
-
-    def registered(self) -> list[FiniteObject]:
-        return [self.objects[k] for k in sorted(self.objects)]
-
 
 def object_from_descriptor(desc: dict, backend: str | None = None) -> FiniteObject:
     """Build an object from a JSON descriptor.

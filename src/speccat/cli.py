@@ -63,7 +63,6 @@ class RunConfig:
     universe: str | None = None
     inputs: list[str] = field(default_factory=list)
     bound_size: int | None = None
-    bound_probe: int = 8
     fmt: str = "json"
     out: str | None = None
     seed: int = 0
@@ -144,10 +143,7 @@ def cmd_spec(config: RunConfig) -> int:
     division = [end_spec_division_check(A, spec).to_json() for A in objects]
     preservation = None
     if config.universe:
-        try:
-            cospans = registry.registered_cospans(config.universe)
-        except PreconditionViolation:
-            cospans = []
+        cospans = registry.registered_cospans(config.universe)
         if cospans:
             preservation = [r.to_json()
                             for r in verify_limit_preservation(spec, cospans)]
@@ -399,11 +395,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--backend", choices=sorted(BACKENDS), default=None)
         p.add_argument("--universe", default=None,
-                       help=f"named universe: {', '.join(registry.UNIVERSE_NAMES)}")
+                       help=f"named universe: {', '.join(registry.UNIVERSES)}")
         p.add_argument("--input", action="append", default=[],
                        metavar="FILE", help="JSON object-descriptor file")
         p.add_argument("--bound-size", type=int, default=None)
-        p.add_argument("--bound-probe", type=int, default=8)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=0)
@@ -420,11 +415,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, backend=args.backend,
                     universe=args.universe, inputs=list(args.input),
-                    bound_size=args.bound_size, bound_probe=args.bound_probe,
+                    bound_size=args.bound_size,
                     fmt=args.format, out=args.out, seed=args.seed,
                     item=getattr(args, "item", None))
-    if cfg.bound_probe <= 0 or (cfg.bound_size is not None
-                                and cfg.bound_size <= 0):
+    if cfg.bound_size is not None and cfg.bound_size <= 0:
         raise PreconditionViolation("bounds must be positive")
     return cfg
 

@@ -17,7 +17,7 @@ from .catcore import (
     subalgebras,
 )
 from .errors import CompositionMismatch, PreconditionViolation
-from .limits import pullback
+from .limits import preimage, pullback
 from .monoclasses import MonoFamily
 
 
@@ -137,9 +137,10 @@ def fraction_equal(s: Span | NormalizedSpan, t: Span | NormalizedSpan,
     nt = t if isinstance(t, NormalizedSpan) else normalize(t)
     if ns.src != nt.src or ns.dst != nt.dst:
         raise CompositionMismatch("fractions must share both endpoints")
-    if not (M.contains(ns.sub.inclusion()) and M.contains(nt.sub.inclusion())):
-        raise PreconditionViolation("both left legs must belong to M")
     A = ns.src
+    if not (M.contains_image(A, frozenset(ns.sub.elems))
+            and M.contains_image(A, frozenset(nt.sub.elems))):
+        raise PreconditionViolation("both left legs must belong to M")
     x, xp = ns.sub.inclusion(), nt.sub.inclusion()
     pb = pullback(x, xp)
     f_p = compose(ns.right, pb.proj_left)
@@ -153,13 +154,14 @@ def fraction_equal(s: Span | NormalizedSpan, t: Span | NormalizedSpan,
     for ysub in sorted(subalgebras(eq_obj), key=lambda s_: -s_.size):
         apex_elems = tuple(eq_sub.elems[e] for e in ysub.elems)
         u_table = tuple(pb.proj_left.table[e] for e in apex_elems)
-        v_table = tuple(pb.proj_right.table[e] for e in apex_elems)
-        through = ConcreteMorphism(ysub.object(), A,
-                                   tuple(x.table[e] for e in u_table))
-        if M.contains(through):
-            u = ConcreteMorphism(ysub.object(), x.dom, u_table)
-            v = ConcreteMorphism(ysub.object(), xp.dom, v_table)
-            return True, Diamond(u, v, through)
+        through_table = tuple(x.table[e] for e in u_table)
+        # x.u is injective, so its membership is that of its image
+        if M.contains_image(A, frozenset(through_table)):
+            Y = ysub.object()
+            v_table = tuple(pb.proj_right.table[e] for e in apex_elems)
+            return True, Diamond(ConcreteMorphism(Y, x.dom, u_table),
+                                 ConcreteMorphism(Y, xp.dom, v_table),
+                                 ConcreteMorphism(Y, A, through_table))
     return False, None
 
 
@@ -180,8 +182,7 @@ class ConditionReport:
 
 
 def _family_monos(M: MonoFamily, X: FiniteObject, Y: FiniteObject):
-    return [m for m in enumerate_hom(X, Y)
-            if m.is_injective and M.contains(m)]
+    return [m for m in enumerate_hom(X, Y) if M.contains(m)]
 
 
 def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionReport]:
@@ -211,12 +212,14 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
                 for Z in universe:
                     for s0 in _family_monos(M, Y, Z):
                         checked += 1
-                        comp = compose(s0, s1)
+                        comp = tuple(s0.table[e] for e in s1.table)
                         # f = id works whenever M is composition closed
-                        found = M.contains(comp)
+                        found = M.contains_image(Z, frozenset(comp))
                         for W in universe if not found else []:
                             for f in enumerate_hom(W, X):
-                                if M.contains(compose(comp, f)):
+                                # comp.f is a mono exactly when f is one
+                                if f.is_injective and M.contains_image(
+                                        Z, frozenset(comp[e] for e in f.table)):
                                     found = True
                                     break
                             if found:
@@ -260,12 +263,6 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
     # F3 / Ore: pairs coequalized by a member are equalized by a member.
     # All family members are monos, so a coequalizing member forces f = g.
     checked, witness = 0, None
-    non_mono = None
-    for X in universe:
-        for Y in universe:
-            for m in enumerate_hom(X, Y):
-                if M.contains(m) and not m.is_injective:
-                    non_mono = m
     for X in universe:
         # f = g forced by left cancellation: an equalizing member is any
         # member with codomain X
@@ -280,8 +277,6 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
                 break
         if witness:
             break
-    if non_mono is not None:
-        witness = jw(non_mono_member=non_mono)
     for cond in ("F3", "Ore-d"):
         reports.append(ConditionReport(cond, "fail" if witness else "pass",
                                        checked, witness))
@@ -291,11 +286,8 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
 def _f2_square_exists(M: MonoFamily, universe, s: ConcreteMorphism,
                       f: ConcreteMorphism) -> bool:
     W = f.dom
-    image = s.image
-    # fast path: the pullback of s along f, i.e. the preimage inclusion
-    preim = tuple(sorted(e for e in W.elements if f.table[e] in image))
-    incl = Subobject(W, preim).inclusion()
-    if M.contains(incl):
+    # fast path: the pullback of s along f
+    if M.contains_image(W, preimage(f, s.image)):
         return True
     # exhaustive fallback
     for V in universe:

@@ -12,7 +12,6 @@ from .catcore import (
     FiniteObject,
     Subobject,
     _short_hash,
-    compose,
     enumerate_hom,
     image_subobject,
     normal_closure,
@@ -80,6 +79,21 @@ def pullback(f: ConcreteMorphism, g: ConcreteMorphism) -> PullbackResult:
     return PullbackResult(apex, proj_left, proj_right, pairs)
 
 
+def preimage(x: ConcreteMorphism, image) -> frozenset[int]:
+    """The pullback along x: X -> A of a mono with the given image in A, up
+    to canonical iso: the x-preimage of the image, as a subobject of X.
+
+    A mono is determined up to canonical iso by its codomain and image, and
+    every mono class here decides membership from exactly that pair.  In the
+    pullback of a mono m along x the apex pairs each e of X with the unique
+    m-preimage of x(e) when x(e) lies in the image of m, so the right
+    projection is injective with image this preimage.  Membership of the
+    pullback is therefore decided by (X, preimage(x, image(m))), without
+    building the apex.
+    """
+    return frozenset(e for e, v in enumerate(x.table) if v in image)
+
+
 def product(A: FiniteObject, B: FiniteObject):
     """Binary product with its two projections."""
     res = pullback(ConcreteMorphism(A, _zero_like(A), (0,) * A.size),
@@ -103,16 +117,6 @@ def zero_of(backend: str) -> FiniteObject:
 
 def _zero_like(A: FiniteObject) -> FiniteObject:
     return zero_of(A.backend)
-
-
-def product_morphism(f: ConcreteMorphism, g: ConcreteMorphism):
-    """f x g between canonical products, returned with both product data."""
-    P, p1, p2 = product(f.dom, g.dom)
-    Q, q1, q2 = product(f.cod, g.cod)
-    qidx = {(q1.table[i], q2.table[i]): i for i in Q.elements}
-    table = tuple(qidx[(f.table[p1.table[i]], g.table[p2.table[i]])]
-                  for i in P.elements)
-    return ConcreteMorphism(P, Q, table), (P, p1, p2), (Q, q1, q2)
 
 
 def equalizer(f: ConcreteMorphism, g: ConcreteMorphism) -> Subobject:
@@ -221,17 +225,6 @@ class Congruence:
             inv = tuple(table[A.inv[reps[i]]] for i in range(n))
             Q = FiniteObject(id=name, backend=A.backend, size=n, op=op, inv=inv)
         return Q, ConcreteMorphism(A, Q, table)
-
-    def as_relation(self):
-        """The relation as a subobject of A x A with its two projections."""
-        A = self.on
-        P, p1, p2 = product(A, A)
-        wanted = self.pairs
-        elems = tuple(i for i in P.elements
-                      if (p1.table[i], p2.table[i]) in wanted)
-        sub = Subobject(P, elems)
-        incl = sub.inclusion()
-        return sub, compose(p1, incl), compose(p2, incl)
 
 
 def congruence_from_partition(A: FiniteObject, blocks) -> Congruence:

@@ -140,7 +140,7 @@ def psets() -> tuple[FiniteObject, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Universes
+# Universes and their registered cospans
 # ---------------------------------------------------------------------------
 
 def subgroup_universe(G: FiniteObject) -> list[FiniteObject]:
@@ -148,46 +148,6 @@ def subgroup_universe(G: FiniteObject) -> list[FiniteObject]:
     return [sub.object()
             for sub in sorted(subalgebras(G), key=lambda s: (s.size, s.elems))]
 
-
-@cache
-def _universes() -> dict[str, tuple[FiniteObject, ...]]:
-    return {
-        "s3-subgroups": tuple(subgroup_universe(s3())),
-        "s4-subgroups": tuple(subgroup_universe(s4())),
-        "z4-chain": (ab_zero(), zab(2), zab(4)),
-        "a5-chain": (trivial_group(), z(2), s3(), a5()),
-        "order-le-24": group_catalog(),
-        "pointed-le-4": psets(),
-    }
-
-
-UNIVERSE_NAMES = ("s3-subgroups", "s4-subgroups", "z4-chain", "a5-chain",
-                  "order-le-24", "pointed-le-4")
-
-_UNIVERSE_BACKEND = {
-    "s3-subgroups": GRP, "s4-subgroups": GRP, "z4-chain": AB,
-    "a5-chain": GRP, "order-le-24": GRP, "pointed-le-4": PSET,
-}
-
-
-def universe(name: str) -> list[FiniteObject]:
-    table = _universes()
-    if name not in table:
-        raise PreconditionViolation(
-            f"unknown universe {name!r}; choose from {', '.join(UNIVERSE_NAMES)}")
-    return list(table[name])
-
-
-def universe_backend(name: str) -> str:
-    if name not in _UNIVERSE_BACKEND:
-        raise PreconditionViolation(
-            f"unknown universe {name!r}; choose from {', '.join(UNIVERSE_NAMES)}")
-    return _UNIVERSE_BACKEND[name]
-
-
-# ---------------------------------------------------------------------------
-# Registered cospans
-# ---------------------------------------------------------------------------
 
 def inclusion_cospans(G: FiniteObject) -> list[tuple[ConcreteMorphism,
                                                      ConcreteMorphism]]:
@@ -202,21 +162,49 @@ def inclusion_cospans(G: FiniteObject) -> list[tuple[ConcreteMorphism,
             for i in range(len(incls)) for j in range(i, len(incls))]
 
 
+def _pointed_cospans():
+    P2, P3 = psets()[1], psets()[2]
+    return [(ConcreteMorphism(P2, P3, (0, 1)),
+             ConcreteMorphism(P2, P3, (0, 2)))]
+
+
+#: name -> (backend, objects builder, registered cospans builder); a universe
+#: is built only when its name is asked for
+UNIVERSES = {
+    "s3-subgroups": (GRP, lambda: subgroup_universe(s3()),
+                     lambda: inclusion_cospans(s3())),
+    "s4-subgroups": (GRP, lambda: subgroup_universe(s4()),
+                     lambda: inclusion_cospans(s4())),
+    "z4-chain": (AB, lambda: [ab_zero(), zab(2), zab(4)],
+                 lambda: inclusion_cospans(zab(4))
+                 + [(soc_z2_z4(), soc_z2_z4())]),
+    "a5-chain": (GRP, lambda: [trivial_group(), z(2), s3(), a5()],
+                 lambda: inclusion_cospans(s3())),
+    "order-le-24": (GRP, lambda: list(group_catalog()), lambda: []),
+    "pointed-le-4": (PSET, lambda: list(psets()), _pointed_cospans),
+}
+
+
+def _entry(name: str):
+    if name not in UNIVERSES:
+        raise PreconditionViolation(
+            f"unknown universe {name!r}; choose from {', '.join(UNIVERSES)}")
+    return UNIVERSES[name]
+
+
+def universe(name: str) -> list[FiniteObject]:
+    return _entry(name)[1]()
+
+
+def universe_backend(name: str) -> str:
+    return _entry(name)[0]
+
+
 def registered_cospans(name: str) -> list[tuple[ConcreteMorphism,
                                                 ConcreteMorphism]]:
-    if name == "s3-subgroups":
-        return inclusion_cospans(s3())
-    if name == "s4-subgroups":
-        return inclusion_cospans(s4())
-    if name == "z4-chain":
-        return inclusion_cospans(zab(4)) + [(soc_z2_z4(), soc_z2_z4())]
-    if name == "a5-chain":
-        return inclusion_cospans(s3())
-    if name == "pointed-le-4":
-        P3 = psets()[2]
-        return [(ConcreteMorphism(psets()[1], P3, (0, 1)),
-                 ConcreteMorphism(psets()[1], P3, (0, 2)))]
-    raise PreconditionViolation(f"no registered cospans for universe {name!r}")
+    """The cospans whose pullbacks the limit-preservation check covers; empty
+    for a universe with none registered."""
+    return _entry(name)[2]()
 
 
 # ---------------------------------------------------------------------------

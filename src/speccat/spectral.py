@@ -48,7 +48,7 @@ def minimal_M_subobject(A: FiniteObject, M: MonoFamily,
     for sub in msubs:
         elems &= set(sub.elems)
     amin = Subobject(A, tuple(sorted(elems)))
-    if not M.contains(amin.inclusion()):
+    if not M.contains_image(A, frozenset(elems)):
         raise ConsistencyError(
             f"intersection of M-subobjects of {A.id} is not an M-subobject; "
             "the family is not intersection-closed as the theory requires")
@@ -326,7 +326,7 @@ def is_uniform(A: FiniteObject, M: MonoFamily) -> UniformReport:
     for sub in subalgebras(A):
         if sub.size == 1:
             continue
-        if not M.contains(sub.inclusion()):
+        if not M.contains_image(A, frozenset(sub.elems)):
             return UniformReport(A.id, False,
                                  {"subobject": sub.inclusion().to_json()})
     return UniformReport(A.id, True)

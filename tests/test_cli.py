@@ -137,7 +137,7 @@ def test_backend_universe_mismatch(capsys):
 
 def test_nonpositive_bound_rejected(capsys):
     code, _, err = run(capsys, "classify", "--universe", "z4-chain",
-                       "--bound-probe", "0")
+                       "--bound-size", "0")
     assert code == 2
 
 

@@ -121,6 +121,31 @@ def test_distinct_fractions_of_z4(se_family_ab):
     assert not eq
 
 
+@pytest.mark.parametrize("name,family", [("z4-chain", "se_family_ab"),
+                                         ("s3-subgroups", "se_family_grp"),
+                                         ("s3-subgroups", "ess_family")])
+def test_returned_diamonds_commute(name, family, request):
+    M = request.getfixturevalue(family)
+    objects = registry.universe(name)
+    diamonds = 0
+    for A in objects:
+        for B in objects:
+            spans = [NormalizedSpan(sub, f) for sub in M.m_subobjects(A)
+                     for f in enumerate_hom(sub.object(), B)]
+            for s in spans:
+                for t in spans:
+                    equal, d = fraction_equal(s, t, M)
+                    if not equal:
+                        continue
+                    diamonds += 1
+                    x, xp = s.sub.inclusion(), t.sub.inclusion()
+                    assert compose(x, d.u) == compose(xp, d.v)
+                    assert compose(s.right, d.u) == compose(t.right, d.v)
+                    assert d.through == compose(x, d.u)
+                    assert M.contains(d.through)
+    assert diamonds
+
+
 def test_fraction_equal_is_equivalence(se_family_ab):
     z4 = registry.zab(4)
     spans = [NormalizedSpan(sub, f)

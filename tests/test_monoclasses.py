@@ -25,7 +25,19 @@ from speccat import (
     stable_essential_family,
 )
 from speccat import registry
-from speccat.catcore import GRP, subalgebras
+from speccat.catcore import GRP, enumerate_hom, subalgebras
+from speccat.limits import pullback
+from speccat.monoclasses import (
+    ALL_FAMILY,
+    ESSENTIAL_FAMILY,
+    EXPLICIT,
+    EXPLICIT_FAMILY,
+    ISO_FAMILY,
+    SE_FAMILY,
+    STABILIZED_FAMILY,
+    MonoFamily,
+    monos_between,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -206,3 +218,41 @@ def test_m_subobjects(se_family_ab):
     z4 = registry.zab(4)
     subs = se_family_ab.m_subobjects(z4)
     assert sorted(s.elems for s in subs) == [(0, 1, 2, 3), (0, 2)]
+
+
+@pytest.mark.parametrize("kind", [ALL_MONOS, NORMAL_MONOS])
+def test_refuting_pullbacks_are_pullbacks(kind, s3_universe):
+    S = MonoClassSpec(kind)
+    refuted = 0
+    for ms in monos_between(s3_universe).values():
+        for m in ms:
+            if not S.contains(m):
+                continue
+            w = is_stable_essential(m, S, s3_universe).witness
+            if w is None:
+                continue
+            refuted += 1
+            assert w.pulled == pullback(m, w.along).proj_right
+            assert not (S.contains(w.pulled)
+                        and is_essential(w.pulled, S, s3_universe).value)
+    assert refuted
+
+
+def test_no_class_contains_a_non_injective_map(S_all, s3_universe):
+    homs = [f for X in s3_universe for Y in s3_universe
+            for f in enumerate_hom(X, Y)]
+    images = frozenset((f.cod, f.image) for f in homs)
+    classes = [MonoClassSpec(ALL_MONOS), MonoClassSpec(NORMAL_MONOS),
+               MonoClassSpec(EXPLICIT, images)]
+    classes += [MonoFamily(name=kind, kind=kind)
+                for kind in (ALL_FAMILY, ISO_FAMILY, SE_FAMILY,
+                             ESSENTIAL_FAMILY)]
+    classes += [MonoFamily(name="explicit-images", kind=EXPLICIT_FAMILY,
+                           members=images),
+                MonoFamily(name="stabilized-s3", kind=STABILIZED_FAMILY,
+                           exact=False, S=S_all,
+                           universe=tuple(s3_universe))]
+    non_injective = [f for f in homs if not f.is_injective]
+    assert non_injective
+    for cls in classes:
+        assert not any(cls.contains(f) for f in non_injective), cls

@@ -16,8 +16,9 @@ from speccat import (
     pointed_set,
     pullback,
 )
-from speccat.catcore import closure, subalgebras
+from speccat.catcore import closure, enumerate_monos, subalgebras
 from speccat.fractions import NormalizedSpan, fraction_equal
+from speccat.limits import preimage
 from speccat import registry
 
 LIGHT = settings(max_examples=25, deadline=None)
@@ -110,3 +111,16 @@ def test_subobjects_restricted_to_divisors(n):
     for s in subalgebras(A):
         assert s.inclusion().is_injective
         assert Subobject(A, s.elems).elems == s.elems
+
+
+@LIGHT
+@given(name=st.sampled_from(["s3-subgroups", "z4-chain", "pointed-le-4"]),
+       data=st.data())
+def test_preimage_is_the_pullback_of_a_mono(name, data):
+    objects = registry.universe(name)
+    X, A, W = data.draw(st.sampled_from(
+        [(X, A, W) for X in objects for A in objects for W in objects
+         if enumerate_monos(X, A)]), label="objects")
+    m = data.draw(st.sampled_from(enumerate_monos(X, A)), label="mono")
+    x = data.draw(st.sampled_from(enumerate_hom(W, A)), label="along")
+    assert preimage(x, m.image) == pullback(m, x).proj_right.image

@@ -191,6 +191,15 @@ def test_limit_preservation_ab(spec_ab):
     assert all(r.cones_checked > 0 for r in reports)
 
 
+def test_registry_lookups_by_universe_name():
+    assert registry.universe_backend("pointed-le-4") == "pset"
+    assert registry.registered_cospans("order-le-24") == []
+    for lookup in (registry.universe, registry.universe_backend,
+                   registry.registered_cospans):
+        with pytest.raises(PreconditionViolation):
+            lookup("nonsense")
+
+
 # ---------------------------------------------------------------------------
 # Uniform objects and division monoids
 # ---------------------------------------------------------------------------
