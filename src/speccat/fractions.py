@@ -132,6 +132,16 @@ def fraction_equal(s: Span | NormalizedSpan, t: Span | NormalizedSpan,
     Any such diamond factors through the equalizer of the two composites out
     of the pullback of the left legs, so the search runs over subobjects of
     that equalizer, largest first.
+
+    Both left legs are subobject inclusions into A, so their pullback is the
+    intersection of the two element sets, and the equalizer is the part of
+    it on which the right legs agree.  The search therefore runs over the
+    subobjects of A inside that set; a hit Y gives u and v as the position
+    maps of Y in the two subobjects and x.u as the inclusion of Y.  The
+    pullback apex pairs are sorted by the left element, so apex order is the
+    order of A and the subobjects of the equalizer correspond to these
+    subobjects of A in the same (size, elements) order: the first hit is the
+    one found by searching the equalizer object.
     """
     ns = s if isinstance(s, NormalizedSpan) else normalize(s)
     nt = t if isinstance(t, NormalizedSpan) else normalize(t)
@@ -141,27 +151,24 @@ def fraction_equal(s: Span | NormalizedSpan, t: Span | NormalizedSpan,
     if not (M.contains_image(A, frozenset(ns.sub.elems))
             and M.contains_image(A, frozenset(nt.sub.elems))):
         raise PreconditionViolation("both left legs must belong to M")
-    x, xp = ns.sub.inclusion(), nt.sub.inclusion()
-    pb = pullback(x, xp)
-    f_p = compose(ns.right, pb.proj_left)
-    fp_pp = compose(nt.right, pb.proj_right)
-    eq_elems = tuple(e for e in pb.apex.elements
-                     if f_p.table[e] == fp_pp.table[e])
-    if 0 not in eq_elems:
-        return False, None
-    eq_sub = Subobject(pb.apex, eq_elems)
-    eq_obj = eq_sub.object()
-    for ysub in sorted(subalgebras(eq_obj), key=lambda s_: -s_.size):
-        apex_elems = tuple(eq_sub.elems[e] for e in ysub.elems)
-        u_table = tuple(pb.proj_left.table[e] for e in apex_elems)
-        through_table = tuple(x.table[e] for e in u_table)
-        # x.u is injective, so its membership is that of its image
-        if M.contains_image(A, frozenset(through_table)):
+    pos_s = {e: i for i, e in enumerate(ns.sub.elems)}
+    pos_t = {e: i for i, e in enumerate(nt.sub.elems)}
+    f, fp = ns.right.table, nt.right.table
+    # both right legs preserve the basepoint, so 0 is always in here
+    eq_elems = {e for e, i in pos_s.items()
+                if e in pos_t and f[i] == fp[pos_t[e]]}
+    for ysub in sorted(subalgebras(A), key=lambda s_: -s_.size):
+        if not eq_elems.issuperset(ysub.elems):
+            continue
+        # x.u is the inclusion of Y, so its membership is that of its image
+        if M.contains_image(A, frozenset(ysub.elems)):
             Y = ysub.object()
-            v_table = tuple(pb.proj_right.table[e] for e in apex_elems)
-            return True, Diamond(ConcreteMorphism(Y, x.dom, u_table),
-                                 ConcreteMorphism(Y, xp.dom, v_table),
-                                 ConcreteMorphism(Y, A, through_table))
+            return True, Diamond(
+                ConcreteMorphism(Y, ns.sub.object(),
+                                 tuple(pos_s[e] for e in ysub.elems)),
+                ConcreteMorphism(Y, nt.sub.object(),
+                                 tuple(pos_t[e] for e in ysub.elems)),
+                ConcreteMorphism(Y, A, ysub.elems))
     return False, None
 
 

@@ -5,7 +5,9 @@ objects, and division-monoid reports.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .catcore import (
     ConcreteMorphism,
@@ -86,6 +88,20 @@ class SpecClass:
         return {"index": self.index, **self.rep.to_json()}
 
 
+def _no_class(A: FiniteObject, B: FiniteObject,
+              label: tuple[int, ...]) -> ConsistencyError:
+    return ConsistencyError(
+        f"no class of hom({A.id},{B.id}) carries label {label}")
+
+
+def _reader(positions: list[int]):
+    """The function reading a label at the given positions, as a tuple."""
+    if len(positions) == 1:
+        i, = positions
+        return lambda label: (label[i],)
+    return itemgetter(*positions)
+
+
 class SpectralCategory:
     """The category of fractions of a backend at a family M of monos.
 
@@ -102,6 +118,7 @@ class SpectralCategory:
         self.objects = tuple(objects)
         self.exact = M.exact
         self._amin: dict[FiniteObject, Subobject] = {}
+        self._apos: dict[FiniteObject, dict[int, int]] = {}
         self._homs: dict[tuple, tuple[SpecClass, ...]] = {}
         self._index: dict[tuple, dict[tuple, int]] = {}
 
@@ -112,7 +129,21 @@ class SpectralCategory:
         if sub is None:
             sub = minimal_M_subobject(A, self.M)
             self._amin[A] = sub
+            self._apos[A] = {e: i for i, e in enumerate(sub.elems)}
         return sub
+
+    def _restriction(self, c1: SpecClass) -> list[int]:
+        """Positions in the minimal M-subobject of c1.dst of c1's label: a
+        class c2 out of c1.dst composes with c1 to the label read off c2's
+        label at these positions."""
+        self.amin(c1.dst)
+        bpos = self._apos[c1.dst]
+        for v in c1.label:
+            if v not in bpos:
+                raise ConsistencyError(
+                    f"class label value {v} of hom({c1.src.id},{c1.dst.id}) "
+                    f"leaves the minimal M-subobject of {c1.dst.id}")
+        return [bpos[v] for v in c1.label]
 
     def hom(self, A: FiniteObject, B: FiniteObject) -> tuple[SpecClass, ...]:
         key = (A, B)
@@ -134,8 +165,7 @@ class SpectralCategory:
         homs = self.hom(A, B)
         idx = self._index[(A, B)].get(label)
         if idx is None:
-            raise ConsistencyError(
-                f"no class of hom({A.id},{B.id}) carries label {label}")
+            raise _no_class(A, B, label)
         return homs[idx]
 
     def class_of_span(self, span: NormalizedSpan) -> SpecClass:
@@ -168,16 +198,8 @@ class SpectralCategory:
         """
         if c1.dst != c2.src:
             raise PreconditionViolation("classes are not composable")
-        bmin = self.amin(c1.dst)
-        bpos = {e: i for i, e in enumerate(bmin.elems)}
-        label = []
-        for v in c1.label:
-            if v not in bpos:
-                raise ConsistencyError(
-                    f"class label value {v} of hom({c1.src.id},{c1.dst.id}) "
-                    f"leaves the minimal M-subobject of {c1.dst.id}")
-            label.append(c2.label[bpos[v]])
-        return self.class_of_label(c1.src, c2.dst, tuple(label))
+        return self.class_of_label(
+            c1.src, c2.dst, _reader(self._restriction(c1))(c2.label))
 
     def is_invertible(self, c: SpecClass) -> bool:
         ida, idb = self.identity_class(c.src), self.identity_class(c.dst)
@@ -194,10 +216,17 @@ class SpectralCategory:
             homs.append({"dom": A.id, "cod": B.id,
                          "classes": [c.to_json() for c in self.hom(A, B)]})
         for A, B in pairs:
+            readers = [_reader(self._restriction(c1))
+                       for c1 in self.hom(A, B)]
             for C in self.objects:
-                table = [[self.compose(c2, c1).index
-                          for c2 in self.hom(B, C)]
-                         for c1 in self.hom(A, B)]
+                self.hom(A, C)
+                index = self._index[(A, C)]
+                labels = [c2.label for c2 in self.hom(B, C)]
+                try:
+                    table = [[index[read(lab)] for lab in labels]
+                             for read in readers]
+                except KeyError as err:
+                    raise _no_class(A, C, err.args[0]) from None
                 comp.append({"dom": A.id, "mid": B.id, "cod": C.id,
                              "table": table})
         return {"objects": [A.id for A in self.objects],
@@ -268,19 +297,22 @@ def verify_limit_preservation(spec: SpectralCategory,
         pr = canonical_functor(pb.proj_right, spec)
         checked, witness = 0, None
         for W in spec.objects:
-            mediators_of = {}
-            for p in spec.hom(W, f.dom):
-                for q in spec.hom(W, g.dom):
-                    if spec.compose(pf, p) != spec.compose(pg, q):
+            ps, qs = spec.hom(W, f.dom), spec.hom(W, g.dom)
+            # classes of one hom set are equal exactly when their indices are
+            pf_p = [spec.compose(pf, p).index for p in ps]
+            pg_q = [spec.compose(pg, q).index for q in qs]
+            mediators = Counter(
+                (spec.compose(pl, h).index, spec.compose(pr, h).index)
+                for h in spec.hom(W, pb.apex))
+            for p in ps:
+                for q in qs:
+                    if pf_p[p.index] != pg_q[q.index]:
                         continue
                     checked += 1
-                    mediators = [h for h in spec.hom(W, pb.apex)
-                                 if spec.compose(pl, h) == p
-                                 and spec.compose(pr, h) == q]
-                    if len(mediators) != 1:
+                    n = mediators[(p.index, q.index)]
+                    if n != 1:
                         witness = {"probe": W.id, "p": p.to_json(),
-                                   "q": q.to_json(),
-                                   "mediators": len(mediators)}
+                                   "q": q.to_json(), "mediators": n}
                         break
                 if witness:
                     break

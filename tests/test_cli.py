@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, exit codes, output routing."""
 
+import hashlib
 import json
 
 import pytest
@@ -157,3 +158,20 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# golden output
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("universe,digest", [
+    ("s3-subgroups",
+     "d516f36087a9124b113ada425dbbd9a5a8982af98280a8876b7f45631a8bd509"),
+    ("z4-chain",
+     "a76b3213ccd8e6cfc649e04ed8dccdfc13250f3b0d2d6a31b9080db6caf03da0"),
+])
+def test_spec_export_is_byte_identical(universe, digest, tmp_path):
+    out = tmp_path / "spec.json"
+    assert main(["spec", "--universe", universe, "--format", "json",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

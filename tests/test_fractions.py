@@ -5,6 +5,7 @@ import pytest
 
 from speccat import (
     CompositionMismatch,
+    ConcreteMorphism,
     MonoFamily,
     NormalizedSpan,
     PreconditionViolation,
@@ -12,6 +13,8 @@ from speccat import (
     Subobject,
     check_focal,
     compose,
+    cyclic_group,
+    direct_product,
     enumerate_hom,
     fraction_equal,
     identity,
@@ -19,12 +22,13 @@ from speccat import (
     poincare_hom,
     poincare_hom_zigzag,
     span_compose,
+    subalgebras,
 )
 from speccat import registry
-from speccat.catcore import zero_morphism
+from speccat.catcore import AB, zero_morphism
 from speccat.fractions import identity_span
-from speccat.limits import congruence_from_normal_subobject
-from speccat.monoclasses import ESSENTIAL_FAMILY, ISO_FAMILY
+from speccat.limits import congruence_from_normal_subobject, pullback
+from speccat.monoclasses import ESSENTIAL_FAMILY, EXPLICIT_FAMILY, ISO_FAMILY
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +148,80 @@ def test_returned_diamonds_commute(name, family, request):
                     assert d.through == compose(x, d.u)
                     assert M.contains(d.through)
     assert diamonds
+
+
+def _reference_fraction_equal(ns, nt, M):
+    """Fraction equality through the pullback apex: the pullback of the two
+    inclusions, the equalizer of the two composites out of it, then the
+    subobjects of the equalizer object, largest first.  Returns the verdict
+    and the u, v and x.u tables and the domain's op table of the first hit."""
+    A = ns.src
+    x, xp = ns.sub.inclusion(), nt.sub.inclusion()
+    pb = pullback(x, xp)
+    f_p = compose(ns.right, pb.proj_left)
+    fp_pp = compose(nt.right, pb.proj_right)
+    eq_sub = Subobject(pb.apex, tuple(e for e in pb.apex.elements
+                                      if f_p.table[e] == fp_pp.table[e]))
+    for ysub in sorted(subalgebras(eq_sub.object()), key=lambda s_: -s_.size):
+        apex_elems = tuple(eq_sub.elems[e] for e in ysub.elems)
+        u = tuple(pb.proj_left.table[e] for e in apex_elems)
+        through = tuple(x.table[e] for e in u)
+        if M.contains(ConcreteMorphism(ysub.object(), A, through)):
+            v = tuple(pb.proj_right.table[e] for e in apex_elems)
+            return True, (u, v, through, ysub.object().op)
+    return False, None
+
+
+def _same_as_reference(s, t, M) -> bool:
+    got, d = fraction_equal(s, t, M)
+    want, tables = _reference_fraction_equal(s, t, M)
+    assert got == want
+    if got:
+        assert (d.u.table, d.v.table, d.through.table, d.u.dom.op) == tables
+        assert d.v.dom == d.through.dom == d.u.dom
+    return got
+
+
+@pytest.mark.parametrize("name,family", [("z4-chain", "se_family_ab"),
+                                         ("s3-subgroups", "se_family_grp"),
+                                         ("s3-subgroups", "ess_family")])
+def test_fraction_equal_matches_pullback_reference(name, family, request):
+    """The apex-free diamond search finds the same first diamond as the
+    search over the pullback apex, on every span pair poincare_hom forms
+    (and on each span paired with itself)."""
+    M = request.getfixturevalue(family)
+    objects = registry.universe(name)
+    pairs = equal = 0
+    for A in objects:
+        msubs = sorted(M.m_subobjects(A), key=lambda s_: (-s_.size, s_.elems))
+        for B in objects:
+            spans = [NormalizedSpan(sub, f) for sub in msubs
+                     for f in enumerate_hom(sub.object(), B)]
+            for i, s in enumerate(spans):
+                for t in spans[i:]:
+                    pairs += 1
+                    equal += _same_as_reference(s, t, M)
+    assert 0 < equal < pairs
+
+
+def test_fraction_equal_takes_the_first_subobject_of_a_size():
+    """In Z2^3 with the order-4 subgroups left out of M, two different maps
+    to Z2 agree on a Klein four-group outside M that holds three order-2
+    members; the search must pick the same one as the pullback reference."""
+    z2 = cyclic_group(2, backend=AB)
+    A = direct_product(direct_product(z2, z2), z2)
+    M = MonoFamily(name="no-order-4", kind=EXPLICIT_FAMILY,
+                   members=frozenset((A, frozenset(sub.elems))
+                                     for sub in subalgebras(A)
+                                     if sub.size != 4))
+    spans = [NormalizedSpan(sub, f) for sub in M.m_subobjects(A)
+             for f in enumerate_hom(sub.object(), z2)]
+    ties = 0
+    for s in spans:
+        for t in spans:
+            if _same_as_reference(s, t, M):
+                ties += s.sub.is_full and t.sub.is_full and s != t
+    assert ties
 
 
 def test_fraction_equal_is_equivalence(se_family_ab):

@@ -10,8 +10,10 @@ from speccat import (
     NORMAL_MONOS,
     ConsistencyError,
     MonoClassSpec,
+    MonoFamily,
     NormalizedSpan,
     PreconditionViolation,
+    SpectralCategory,
     Subobject,
     build_spec,
     canonical_functor,
@@ -23,10 +25,12 @@ from speccat import (
     is_uniform,
     minimal_M_subobject,
     poincare_hom,
+    pullback,
     verify_limit_preservation,
 )
 from speccat import registry
 from speccat.catcore import AB, GRP
+from speccat.monoclasses import ESSENTIAL_FAMILY, ISO_FAMILY
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +195,71 @@ def test_limit_preservation_ab(spec_ab):
     assert all(r.cones_checked > 0 for r in reports)
 
 
+def _reference_limit_preservation(spec, cospans):
+    """The per-pair check: for each commuting cone, scan hom(W, apex) for
+    mediators.  Returns (cospan, status, cones_checked, witness) tuples."""
+    out = []
+    for f, g in cospans:
+        pb = pullback(f, g)
+        pf, pg = canonical_functor(f, spec), canonical_functor(g, spec)
+        pl = canonical_functor(pb.proj_left, spec)
+        pr = canonical_functor(pb.proj_right, spec)
+        checked, witness = 0, None
+        for W in spec.objects:
+            for p in spec.hom(W, f.dom):
+                for q in spec.hom(W, g.dom):
+                    if spec.compose(pf, p) != spec.compose(pg, q):
+                        continue
+                    checked += 1
+                    mediators = [h for h in spec.hom(W, pb.apex)
+                                 if spec.compose(pl, h) == p
+                                 and spec.compose(pr, h) == q]
+                    if len(mediators) != 1:
+                        witness = {"probe": W.id, "p": p.to_json(),
+                                   "q": q.to_json(),
+                                   "mediators": len(mediators)}
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+        out.append(((f"{f.dom.id}->{f.cod.id}", f"{g.dom.id}->{g.cod.id}"),
+                    "fail" if witness else "pass", checked, witness))
+    return out
+
+
+def _spec_over(family, name):
+    backend = registry.universe_backend(name)
+    objects = registry.universe(name)
+    if family == "se":
+        return build_spec(backend, MonoClassSpec(ALL_MONOS), objects,
+                          verify=False)
+    return SpectralCategory(backend, MonoFamily(name=family, kind=family),
+                            objects)
+
+
+@pytest.mark.parametrize("family", ["se", ISO_FAMILY])
+@pytest.mark.parametrize("name", ["s3-subgroups", "z4-chain"])
+def test_limit_preservation_matches_per_pair_reference(name, family):
+    spec = _spec_over(family, name)
+    cospans = registry.registered_cospans(name)
+    got = [(r.cospan, r.status, r.cones_checked, r.witness)
+           for r in verify_limit_preservation(spec, cospans)]
+    assert got == _reference_limit_preservation(_spec_over(family, name),
+                                                cospans)
+    assert all(checked > 0 for _, _, checked, _ in got)
+
+
+def test_limit_preservation_refuses_an_inconsistent_family():
+    """The essential monos of S3 are not pullback stable: a class out of an
+    order-2 subgroup leaves the minimal M-subobject A3 of S3, and both the
+    fast check and the per-pair reference stop with a ConsistencyError."""
+    cospans = registry.registered_cospans("s3-subgroups")
+    for check in (verify_limit_preservation, _reference_limit_preservation):
+        with pytest.raises(ConsistencyError, match="leaves the minimal"):
+            check(_spec_over(ESSENTIAL_FAMILY, "s3-subgroups"), cospans)
+
+
 def test_registry_lookups_by_universe_name():
     assert registry.universe_backend("pointed-le-4") == "pset"
     assert registry.registered_cospans("order-le-24") == []
@@ -257,3 +326,18 @@ def test_export_schema_and_determinism(z4_universe):
         assert n_dom == len(next(
             h for h in a["homs"]
             if h["dom"] == block["dom"] and h["cod"] == block["mid"])["classes"])
+
+
+@pytest.mark.parametrize("name", ["s3-subgroups", "z4-chain"])
+def test_export_composition_tables_match_compose(name):
+    spec = _spec_over("se", name)
+    by_id = {A.id: A for A in spec.objects}
+    entries = 0
+    for block in spec.to_json()["composition"]:
+        A, B, C = by_id[block["dom"]], by_id[block["mid"]], by_id[block["cod"]]
+        assert len(block["table"]) == len(spec.hom(A, B))
+        for c1, row in zip(spec.hom(A, B), block["table"]):
+            assert row == [spec.compose(c2, c1).index
+                           for c2 in spec.hom(B, C)]
+            entries += len(row)
+    assert entries
