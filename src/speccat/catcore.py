@@ -182,8 +182,19 @@ def group_from_permutations(name: str, degree: int,
                         labels=labels)
 
 
+def _is_int(v) -> bool:
+    # JSON true/false decode to bool, which is an int subclass
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def group_from_cayley(name: str, table: list[list[int]], backend: str = GRP) -> FiniteObject:
+    if not isinstance(table, (list, tuple)) or not table:
+        raise InvalidObject(f"{name}: Cayley table must be a non-empty list of rows")
     n = len(table)
+    if any(not isinstance(row, (list, tuple)) or len(row) != n for row in table):
+        raise InvalidObject(f"{name}: Cayley table is not {n}x{n}")
+    if not all(_is_int(v) and 0 <= v < n for row in table for v in row):
+        raise InvalidObject(f"{name}: Cayley table entry is not an element 0..{n - 1}")
     op = tuple(tuple(row) for row in table)
     inv = []
     for a in range(n):
@@ -393,23 +404,28 @@ def _subobject_as_object(ambient: FiniteObject, elems: tuple[int, ...]) -> Finit
 
 
 def closure(A: FiniteObject, seed) -> tuple[int, ...]:
-    """Smallest subalgebra of A containing the seed elements."""
+    """Smallest subalgebra of A containing the seed elements.
+
+    For groups this is the set of all products of seed elements: in a finite
+    group every element has finite order, so each inverse is a positive
+    power and the products already form the generated subgroup.  A
+    breadth-first search right-multiplies by the seed elements only, which
+    costs O(|H| * |seed|) table lookups for a closure H.
+    """
     got = {0} | set(seed)
     if A.op is None:
         return tuple(sorted(got))
-    frontier = list(got)
+    gens = tuple(got - {0})
+    frontier = list(gens)
     while frontier:
         nxt = []
         for a in frontier:
-            for b in list(got):
-                for c in (A.op[a][b], A.op[b][a]):
-                    if c not in got:
-                        got.add(c)
-                        nxt.append(c)
-            c = A.inv[a]
-            if c not in got:
-                got.add(c)
-                nxt.append(c)
+            row = A.op[a]
+            for g in gens:
+                c = row[g]
+                if c not in got:
+                    got.add(c)
+                    nxt.append(c)
         frontier = nxt
     return tuple(sorted(got))
 
@@ -417,8 +433,31 @@ def closure(A: FiniteObject, seed) -> tuple[int, ...]:
 _SUBALGEBRA_CACHE: dict[FiniteObject, tuple[Subobject, ...]] = {}
 
 
+def _cyclic_representatives(A: FiniteObject) -> list[int]:
+    """One generator per nontrivial cyclic subgroup of A: the first element,
+    in canonical order, that generates it."""
+    seen: set[tuple[int, ...]] = set()
+    reps = []
+    for g in A.elements:
+        cyc = closure(A, (g,))
+        if len(cyc) > 1 and cyc not in seen:
+            seen.add(cyc)
+            reps.append(g)
+    return reps
+
+
 def subalgebras(A: FiniteObject) -> tuple[Subobject, ...]:
-    """All subobjects of A, sorted by (size, element tuple)."""
+    """All subobjects of A, sorted by (size, element tuple).
+
+    Groups use cyclic extension.  Each subgroup is recorded with a
+    generating tuple; layer k + 1 adjoins every cyclic representative r
+    outside a layer-k subgroup H and closes ``gens(H) + (r,)``.  Complete:
+    every subgroup H is generated by the cyclic subgroups inside it, hence
+    by the representatives r_1, ..., r_k it contains.  Adjoining them one at
+    a time and skipping any already inside gives a strictly growing chain
+    from the trivial subgroup to H, and each link is reached from the one
+    before, because the recorded generators of a subgroup generate it.
+    """
     cached = _SUBALGEBRA_CACHE.get(A)
     if cached is not None:
         return cached
@@ -431,21 +470,23 @@ def subalgebras(A: FiniteObject) -> tuple[Subobject, ...]:
             for extra in itertools.combinations(rest, r):
                 subs.append(tuple(sorted((0,) + extra)))
     else:
-        found = {closure(A, ())}
-        frontier = list(found)
-        while frontier:
+        reps = _cyclic_representatives(A)
+        gens_of: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
+        layer = [(0,)]
+        while layer:
             nxt = []
-            for sub in frontier:
+            for sub in layer:
                 inside = set(sub)
-                for g in A.elements:
-                    if g in inside:
+                gens = gens_of[sub]
+                for r in reps:
+                    if r in inside:
                         continue
-                    bigger = closure(A, sub + (g,))
-                    if bigger not in found:
-                        found.add(bigger)
+                    bigger = closure(A, gens + (r,))
+                    if bigger not in gens_of:
+                        gens_of[bigger] = gens + (r,)
                         nxt.append(bigger)
-            frontier = nxt
-        subs = sorted(found)
+            layer = nxt
+        subs = list(gens_of)
     result = tuple(Subobject(A, s) for s in sorted(subs, key=lambda s: (len(s), s)))
     _SUBALGEBRA_CACHE[A] = result
     return result
@@ -612,21 +653,35 @@ def object_from_descriptor(desc: dict, backend: str | None = None) -> FiniteObje
         {"kind": "group", "name": "C4", "cayley": [[...], ...]}
         {"kind": "pointed_set", "name": "P3", "size": 3}
     """
+    if not isinstance(desc, dict):
+        raise InvalidObject(
+            f"descriptor must be a JSON object, not {type(desc).__name__}")
     kind = desc.get("kind")
     name = desc.get("name")
     if not isinstance(name, str) or not name:
         raise InvalidObject("descriptor needs a non-empty 'name'")
     if kind == "pointed_set":
         size = desc.get("size")
-        if not isinstance(size, int) or size < 1:
+        if not _is_int(size) or size < 1:
             raise InvalidObject(f"{name}: bad pointed set size {size!r}")
         return pointed_set(name, size)
     if kind == "group":
         target = backend or GRP
         if "presentation" in desc:
             pres = desc["presentation"]
-            return group_from_permutations(name, pres["degree"],
-                                           pres["permutations"], backend=target)
+            if not isinstance(pres, dict):
+                pres = {}
+            degree, perms = pres.get("degree"), pres.get("permutations")
+            if not _is_int(degree) or degree < 1:
+                raise InvalidObject(
+                    f"{name}: presentation needs a positive integer 'degree'")
+            if not isinstance(perms, list) or not all(
+                    isinstance(p, list) and len(p) == degree
+                    and all(_is_int(v) for v in p) for p in perms):
+                raise InvalidObject(
+                    f"{name}: presentation needs 'permutations', "
+                    f"a list of integer lists of length {degree}")
+            return group_from_permutations(name, degree, perms, backend=target)
         if "cayley" in desc:
             return group_from_cayley(name, desc["cayley"], backend=target)
         raise InvalidObject(f"{name}: group descriptor needs 'presentation' or 'cayley'")
@@ -637,4 +692,6 @@ def load_objects(text: str, backend: str | None = None) -> list[FiniteObject]:
     data = json.loads(text)
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise InvalidObject("input must be a descriptor object or a list of them")
     return [object_from_descriptor(d, backend) for d in data]

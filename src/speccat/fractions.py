@@ -269,21 +269,18 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
 
     # F3 / Ore: pairs coequalized by a member are equalized by a member.
     # All family members are monos, so a coequalizing member forces f = g.
+    # Every pair (f, f) out of X counts as checked; the first one fails when
+    # no member has codomain X.
     checked, witness = 0, None
     for X in universe:
         # f = g forced by left cancellation: an equalizing member is any
         # member with codomain X
-        has_incoming = any(_family_monos(M, W, X) for W in universe)
-        for Y in universe:
-            for f in enumerate_hom(X, Y):
-                checked += 1
-                if not has_incoming:
-                    witness = jw(parallel_pair=f)
-                    break
-            if witness:
-                break
-        if witness:
+        if not any(_family_monos(M, W, X) for W in universe):
+            checked += 1
+            witness = jw(parallel_pair=next(
+                f for Y in universe for f in enumerate_hom(X, Y)))
             break
+        checked += sum(len(enumerate_hom(X, Y)) for Y in universe)
     for cond in ("F3", "Ore-d"):
         reports.append(ConditionReport(cond, "fail" if witness else "pass",
                                        checked, witness))

@@ -725,12 +725,14 @@ class MonoFamily:
                 if self.contains_image(A, frozenset(sub.elems))]
 
 
+#: keyed on what the verdict depends on: the class S, the probe universe and
+#: the (codomain, image) pair; the family name is the same for every S
 _STABILIZED_CACHE: dict[tuple, bool] = {}
 
 
 def _stabilized_member(family: MonoFamily, cod: FiniteObject,
                        image: frozenset[int]) -> bool:
-    key = (family.name, cod, image)
+    key = (family.S, family.universe, cod, image)
     hit = _STABILIZED_CACHE.get(key)
     if hit is None:
         verdict = is_stable_essential(_inclusion(cod, image), family.S,

@@ -4,10 +4,14 @@ Hom counts are pinned against an independent brute-force oracle that checks
 every possible map table.
 """
 
+import functools
 import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speccat import (
     ConcreteMorphism,
@@ -20,6 +24,7 @@ from speccat import (
     direct_product,
     enumerate_hom,
     enumerate_monos,
+    group_from_cayley,
     group_from_permutations,
     identity,
     load_objects,
@@ -208,6 +213,89 @@ def test_subobject_inclusion_is_mono(s3):
     for sub in subalgebras(s3):
         assert sub.inclusion().is_injective
         assert sub.inclusion().image == frozenset(sub.elems)
+
+
+def reference_closure(A, seed):
+    """Oracle: multiply every new element by every element found so far."""
+    got = {0} | set(seed)
+    if A.op is None:
+        return tuple(sorted(got))
+    frontier = list(got)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(got):
+                for c in (A.op[a][b], A.op[b][a]):
+                    if c not in got:
+                        got.add(c)
+                        nxt.append(c)
+            c = A.inv[a]
+            if c not in got:
+                got.add(c)
+                nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(got))
+
+
+@functools.cache
+def reference_subalgebras(A):
+    """Oracle: adjoin every outside element to every subgroup found so far;
+    element tuples sorted by (size, elements)."""
+    found = {reference_closure(A, ())}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for g in A.elements:
+                if g not in sub:
+                    bigger = reference_closure(A, sub + (g,))
+                    if bigger not in found:
+                        found.add(bigger)
+                        nxt.append(bigger)
+        frontier = nxt
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def relabelled(A, seed):
+    """A copy of A with its non-identity elements permuted from the seed."""
+    rest = list(range(1, A.size))
+    random.Random(f"{seed}:{A.id}").shuffle(rest)
+    p = [0] + rest
+    table = [[0] * A.size for _ in A.elements]
+    for a in A.elements:
+        for b in A.elements:
+            table[p[a]][p[b]] = p[A.op[a][b]]
+    return group_from_cayley(f"{A.id}~{seed}", table, backend=A.backend)
+
+
+@functools.cache
+def lattice_groups():
+    """Every catalog group, A5 and its subgroups, S4, the z4-chain objects
+    and seed-relabelled copies of the catalog groups."""
+    catalog = registry.group_catalog()
+    a5 = registry.a5()
+    groups = list(catalog) + [a5, registry.s4()]
+    groups += [Subobject(a5, elems).object()
+               for elems in reference_subalgebras(a5)]
+    groups += registry.universe("z4-chain")
+    groups += [relabelled(A, seed) for seed in (1, 2) for A in catalog
+               if A.size > 2]
+    return tuple(groups)
+
+
+def test_subalgebras_match_reference():
+    for A in lattice_groups():
+        assert [s.elems for s in subalgebras(A)] == \
+            reference_subalgebras(A), A.id
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_closure_matches_reference(data):
+    A = data.draw(st.sampled_from(lattice_groups()), label="A")
+    seed = data.draw(st.lists(st.integers(0, A.size - 1), max_size=4),
+                     label="seed")
+    assert closure(A, seed) == reference_closure(A, seed)
 
 
 # ---------------------------------------------------------------------------

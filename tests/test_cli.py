@@ -154,6 +154,24 @@ def test_input_descriptor_roundtrip(tmp_path, capsys):
     assert json.loads(out)["reports"]
 
 
+@pytest.mark.parametrize("backend,descriptors", [
+    ("grp", [{"kind": "group", "name": "R", "cayley": [[0, 1], [1]]}]),
+    ("grp", [{"kind": "group", "name": "P",
+              "presentation": {"degree": 3}}]),
+    ("grp", [1]),
+    ("pset", [{"kind": "pointed_set", "name": "T", "size": True}]),
+], ids=["ragged-cayley", "presentation-without-permutations",
+        "non-object-entry", "boolean-size"])
+def test_malformed_descriptor_is_an_input_error(tmp_path, capsys, backend,
+                                                descriptors):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(descriptors))
+    code, out, err = run(capsys, "classify", "--backend", backend,
+                         "--input", str(bad))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidObject"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -174,4 +192,18 @@ def test_spec_export_is_byte_identical(universe, digest, tmp_path):
     out = tmp_path / "spec.json"
     assert main(["spec", "--universe", universe, "--format", "json",
                  "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# the subgroup lattice of A5 feeds both; the digests are those of the same
+# jobs in perfbench/expected.json
+@pytest.mark.parametrize("argv,digest", [
+    (["classify", "--universe", "a5-chain"],
+     "732b7d458f6bd9bc04f0d86f9c3a967b455d0d462f8868902efb980090e5c248"),
+    (["reproduce", "remark-6.7-search"],
+     "ce6ef9e5fa3a513f4b5f48bd39d01e2b88e01b3d188fd5992bbe0768dcc40e47"),
+], ids=["classify-a5-chain", "reproduce-remark-6.7-search"])
+def test_lattice_outputs_are_byte_identical(argv, digest, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

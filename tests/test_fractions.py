@@ -22,10 +22,11 @@ from speccat import (
     poincare_hom,
     poincare_hom_zigzag,
     span_compose,
+    stable_essential_family,
     subalgebras,
 )
 from speccat import registry
-from speccat.catcore import AB, zero_morphism
+from speccat.catcore import AB, GRP, zero_morphism
 from speccat.fractions import identity_span
 from speccat.limits import congruence_from_normal_subobject, pullback
 from speccat.monoclasses import ESSENTIAL_FAMILY, EXPLICIT_FAMILY, ISO_FAMILY
@@ -285,6 +286,51 @@ def test_essential_family_fails_square_completion(ess_family, s3_universe,
     assert f2.status == "fail" and f2.witness is not None
     assert set(f2.witness["s"]["map"]) == set(s3_named["A3"].elems)
     assert len(set(f2.witness["f"]["map"])) == 2
+
+
+def _reference_f3(M, universe):
+    """The per-hom F3/Ore-d loop that check_focal replaced by hom counts."""
+    checked, witness = 0, None
+    for X in universe:
+        has_incoming = any(M.contains(m) for W in universe
+                           for m in enumerate_hom(W, X))
+        for Y in universe:
+            for f in enumerate_hom(X, Y):
+                checked += 1
+                if not has_incoming:
+                    witness = {"parallel_pair": f.to_json()}
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    return checked, witness
+
+
+@pytest.mark.parametrize("universe_name,family", [
+    ("s3-subgroups", "se"), ("s4-subgroups", "se"),
+    ("s3-subgroups", "no-members"), ("s4-subgroups", "no-members"),
+    ("s3-subgroups", "identities-but-last"),
+    ("s4-subgroups", "identities-but-last"),
+])
+def test_f3_reports_match_per_hom_loop(universe_name, family, S_all):
+    universe = registry.universe(universe_name)
+    if family == "se":
+        M = stable_essential_family(GRP, S_all, universe)
+    else:
+        # no member reaches the last object (or any object), so F3 fails
+        # there after counting the homs out of every earlier object
+        keep = universe[:-1] if family == "identities-but-last" else []
+        M = MonoFamily(name=family, kind=EXPLICIT_FAMILY,
+                       members=frozenset((X, frozenset(X.elements))
+                                         for X in keep))
+    checked, witness = _reference_f3(M, universe)
+    reports = {r.condition: r for r in check_focal(M, universe)}
+    for cond in ("F3", "Ore-d"):
+        r = reports[cond]
+        assert (r.checked, r.witness) == (checked, witness)
+        assert r.status == ("fail" if witness else "pass")
+    assert (witness is None) == (family == "se")
 
 
 # ---------------------------------------------------------------------------

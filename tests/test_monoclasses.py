@@ -24,7 +24,7 @@ from speccat import (
     stabilize,
     stable_essential_family,
 )
-from speccat import registry
+from speccat import monoclasses, registry
 from speccat.catcore import GRP, enumerate_hom, subalgebras
 from speccat.limits import pullback
 from speccat.monoclasses import (
@@ -203,6 +203,46 @@ def test_stable_essential_family_kinds(S_all, s3_universe):
     pset_fam = stable_essential_family(
         "pset", S_all, registry.universe("pointed-le-4"))
     assert not pset_fam.exact
+
+
+def _answers(families, cod, image):
+    """Ask each family about (cod, image) in turn, from an empty cache."""
+    monoclasses._STABILIZED_CACHE.clear()
+    answers = []
+    for fam in families:
+        try:
+            answers.append(fam.contains_image(cod, image))
+        except PreconditionViolation:
+            answers.append("not in S")
+    return answers
+
+
+def test_stabilized_families_differing_in_S_do_not_share_answers():
+    universe = registry.universe("pointed-le-4")
+    isos = MonoClassSpec.explicit([identity(P) for P in universe])
+    by_isos = stable_essential_family("pset", isos, universe)
+    by_all = stable_essential_family("pset", MonoClassSpec(ALL_MONOS),
+                                     universe)
+    assert by_isos.name == by_all.name
+    P3, image = universe[2], frozenset({0, 1})
+    assert _answers([by_isos, by_all], P3, image) == ["not in S", False]
+    assert _answers([by_all, by_isos], P3, image) == [False, "not in S"]
+
+
+def test_stabilized_families_differing_in_universe_do_not_share_answers():
+    # S holds the socle of Z/4 and the identities of 0 and Z/2.  With Z/4 in
+    # the probe universe, its identity refutes S-essentiality of the socle
+    # (it composes with the socle into S but is not in S); without it
+    # nothing does.
+    zero, z2, z4 = registry.universe("z4-chain")
+    S = MonoClassSpec.explicit([registry.soc_z2_z4(), identity(zero),
+                                identity(z2)])
+    wide = stable_essential_family("ab", S, [zero, z2, z4])
+    narrow = stable_essential_family("ab", S, [zero, z2])
+    assert wide.name == narrow.name
+    socle = frozenset({0, 2})
+    assert _answers([wide, narrow], z4, socle) == [False, True]
+    assert _answers([narrow, wide], z4, socle) == [True, False]
 
 
 def test_family_membership_matches_decisions(se_family_grp, S_all,
