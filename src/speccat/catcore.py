@@ -543,6 +543,8 @@ def image_subobject(f: ConcreteMorphism) -> Subobject:
 # ---------------------------------------------------------------------------
 
 _HOM_CACHE: dict[tuple, tuple[ConcreteMorphism, ...]] = {}
+#: map tables keyed on content: (backend, |A|, |B|, A.op, B.op)
+_HOM_TABLES: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
 
 def element_order(A: FiniteObject, a: int) -> int:
@@ -586,21 +588,34 @@ def _element_words(A: FiniteObject, gens: tuple[int, ...]) -> list[tuple[int, ..
 
 
 def enumerate_hom(A: FiniteObject, B: FiniteObject) -> tuple[ConcreteMorphism, ...]:
-    """All morphisms A -> B, duplicate-free, sorted by map table."""
+    """All morphisms A -> B, duplicate-free, sorted by map table.
+
+    The map tables depend only on the content of the two ends (backend,
+    sizes, op tables), so they are searched once per content pair and
+    shared by objects with other ids, e.g. every pullback apex with the op
+    table of a universe object.  Morphisms are built per (A, B).
+    """
     if A.backend != B.backend:
         raise BackendMismatch(f"hom({A.id},{B.id}): backends differ")
     key = (A, B)
     cached = _HOM_CACHE.get(key)
     if cached is not None:
         return cached
+    content = (A.backend, A.size, B.size, A.op, B.op)
+    tables = _HOM_TABLES.get(content)
+    if tables is None:
+        tables = _HOM_TABLES[content] = _hom_tables(A, B)
+    homs = tuple(ConcreteMorphism(A, B, t) for t in tables)
+    _HOM_CACHE[key] = homs
+    return homs
+
+
+def _hom_tables(A: FiniteObject, B: FiniteObject) -> tuple[tuple[int, ...], ...]:
+    """The sorted map tables of all morphisms A -> B."""
     if A.op is None:
-        tables = [
+        return tuple(sorted(
             (0,) + rest
-            for rest in itertools.product(B.elements, repeat=A.size - 1)
-        ]
-        homs = tuple(ConcreteMorphism(A, B, t) for t in sorted(tables))
-        _HOM_CACHE[key] = homs
-        return homs
+            for rest in itertools.product(B.elements, repeat=A.size - 1)))
     gens = generating_sequence(A)
     words = _element_words(A, gens)
     gen_orders = [element_order(A, g) for g in gens]
@@ -630,9 +645,7 @@ def enumerate_hom(A: FiniteObject, B: FiniteObject) -> tuple[ConcreteMorphism, .
                 break
         if ok:
             tables.append(tuple(table))
-    homs = tuple(ConcreteMorphism(A, B, t) for t in sorted(set(tables)))
-    _HOM_CACHE[key] = homs
-    return homs
+    return tuple(sorted(set(tables)))
 
 
 def enumerate_monos(A: FiniteObject, B: FiniteObject) -> tuple[ConcreteMorphism, ...]:

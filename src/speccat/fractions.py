@@ -5,6 +5,7 @@ connected-component construction of localized hom sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 from .catcore import (
     ConcreteMorphism,
@@ -201,11 +202,18 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
         return {k: (v.to_json() if hasattr(v, "to_json") else v)
                 for k, v in kw.items()}
 
+    # member lists and "some member reaches X", each built once per call
+    members = cache(partial(_family_monos, M))
+
+    @cache
+    def reached(X):
+        return any(members(W, X) for W in universe)
+
     # F0: every object receives some member of M
     checked, witness = 0, None
     for X in universe:
         checked += 1
-        if not any(_family_monos(M, W, X) for W in universe):
+        if not reached(X):
             witness = jw(object=X.id)
             break
     reports.append(ConditionReport("F0", "fail" if witness else "pass",
@@ -215,9 +223,9 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
     checked, witness = 0, None
     for X in universe:
         for Y in universe:
-            for s1 in _family_monos(M, X, Y):
+            for s1 in members(X, Y):
                 for Z in universe:
-                    for s0 in _family_monos(M, Y, Z):
+                    for s0 in members(Y, Z):
                         checked += 1
                         comp = tuple(s0.table[e] for e in s1.table)
                         # f = id works whenever M is composition closed
@@ -249,11 +257,11 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
     checked, witness = 0, None
     for A in universe:
         for sX in universe:
-            for s in _family_monos(M, sX, A):
+            for s in members(sX, A):
                 for W in universe:
                     for f in enumerate_hom(W, A):
                         checked += 1
-                        if not _f2_square_exists(M, universe, s, f):
+                        if not _f2_square_exists(M, members, universe, s, f):
                             witness = jw(s=s, f=f)
                             break
                     if witness:
@@ -275,7 +283,7 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
     for X in universe:
         # f = g forced by left cancellation: an equalizing member is any
         # member with codomain X
-        if not any(_family_monos(M, W, X) for W in universe):
+        if not reached(X):
             checked += 1
             witness = jw(parallel_pair=next(
                 f for Y in universe for f in enumerate_hom(X, Y)))
@@ -287,7 +295,7 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
     return reports
 
 
-def _f2_square_exists(M: MonoFamily, universe, s: ConcreteMorphism,
+def _f2_square_exists(M: MonoFamily, members, universe, s: ConcreteMorphism,
                       f: ConcreteMorphism) -> bool:
     W = f.dom
     # fast path: the pullback of s along f
@@ -295,7 +303,7 @@ def _f2_square_exists(M: MonoFamily, universe, s: ConcreteMorphism,
         return True
     # exhaustive fallback
     for V in universe:
-        for sp in _family_monos(M, V, W):
+        for sp in members(V, W):
             for fp in enumerate_hom(V, s.dom):
                 if all(s.table[fp.table[e]] == f.table[sp.table[e]]
                        for e in V.elements):

@@ -370,6 +370,51 @@ def monos_between(universe: list[FiniteObject]) -> dict[tuple, tuple]:
             if (ms := enumerate_monos(X, Y))}
 
 
+def _composable(monos: dict[tuple, tuple]):
+    """The (inner, outer) mono lists with inner X -> Y and outer Y -> Z, in
+    the order of a scan over ``monos`` for the inner list and, for each, a
+    second scan for the outer lists out of Y."""
+    outer_from: dict[FiniteObject, list[tuple]] = {}
+    for (Y, _), outer in monos.items():
+        outer_from.setdefault(Y, []).append(outer)
+    for (_, Y), inner in monos.items():
+        for outer in outer_from.get(Y, ()):
+            yield inner, outer
+
+
+def _pullback_stable_law(monos: dict[tuple, tuple], universe: list[FiniteObject],
+                         member) -> tuple[int, dict | None]:
+    """Pull every member mono back along every morphism into its codomain;
+    return (checked, witness) for the first pullback that is not a member.
+
+    ``member`` is asked about (codomain, image) keys.  The pullbacks of a
+    mono depend only on its key, so each key is decided once: a key that
+    passed adds its count again, and the first failing key is met for the
+    first time, giving the same count and witness as one pass per mono.
+    """
+    passed: dict[tuple, int] = {}
+    checked = 0
+    for (_, Y), ms in monos.items():
+        for m in ms:
+            key = canonical_mono(m)
+            if not member(key):
+                continue
+            n = passed.get(key)
+            if n is None:
+                n, image = 0, m.image
+                for W in universe:
+                    for x in enumerate_hom(W, Y):
+                        n += 1
+                        pre = preimage(x, image)
+                        if not member((W, pre)):
+                            return checked + n, {
+                                "mono": m.to_json(), "along": x.to_json(),
+                                "pulled": _inclusion(W, pre).to_json()}
+                passed[key] = n
+            checked += n
+    return checked, None
+
+
 def _mono_flags(universe, S):
     """Membership tests of the essential, subobject-essential and pullback
     stable essential classes, on the (codomain, image) key of a mono."""
@@ -445,24 +490,22 @@ def closure_law_suite(universe: list[FiniteObject],
         ("subobject-essential-left-cancellation", lambda p, m, c: in_se(c), lambda p, m, c: in_se(p)),
     ]
     results = {law_id: [0, None] for law_id, _, _ in comp_laws}
-    for (X, Y), inner in monos.items():
-        for (Y2, Z), outer in monos.items():
-            if Y2 != Y:
-                continue
-            for mp in inner:          # m': X -> Y
-                kp = (Y, mp.image)
-                for m in outer:       # m : Y -> Z
-                    km = (Z, m.image)
-                    kc = (Z, frozenset(m.table[e] for e in mp.table))
-                    for law_id, premise, conclusion in comp_laws:
-                        slot = results[law_id]
-                        if slot[1] is not None:
-                            continue
-                        if premise(kp, km, kc):
-                            slot[0] += 1
-                            if not conclusion(kp, km, kc):
-                                slot[1] = w(inner=mp, outer=m,
-                                            composite=compose(m, mp))
+    for inner, outer in _composable(monos):
+        for mp in inner:          # m': X -> Y
+            kp = canonical_mono(mp)
+            for m in outer:       # m : Y -> Z
+                Z = m.cod
+                km = (Z, m.image)
+                kc = (Z, frozenset(m.table[e] for e in mp.table))
+                for law_id, premise, conclusion in comp_laws:
+                    slot = results[law_id]
+                    if slot[1] is not None:
+                        continue
+                    if premise(kp, km, kc):
+                        slot[0] += 1
+                        if not conclusion(kp, km, kc):
+                            slot[1] = w(inner=mp, outer=m,
+                                        composite=compose(m, mp))
     for law_id, _, _ in comp_laws:
         checked, witness = results[law_id]
         reports.append(LawReport(law_id, "fail" if witness else "pass",
@@ -491,26 +534,7 @@ def closure_law_suite(universe: list[FiniteObject],
 
     # -- pullback stability ----------------------------------------------
     for law_id, member in (("stabilization-pullback-stable", in_st), ("stable-essential-pullback-stable", in_st), ("subobject-essential-pullback-stable", in_se)):
-        checked, witness = 0, None
-        for (X, Y), ms in monos.items():
-            for m in ms:
-                if not member(canonical_mono(m)):
-                    continue
-                image = m.image
-                for W in universe:
-                    for x in enumerate_hom(W, Y):
-                        checked += 1
-                        pre = preimage(x, image)
-                        if not member((W, pre)):
-                            witness = w(mono=m, along=x,
-                                        pulled=_inclusion(W, pre))
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+        checked, witness = _pullback_stable_law(monos, universe, member)
         reports.append(LawReport(law_id, "fail" if witness else "pass",
                                  checked, witness))
 
@@ -596,46 +620,24 @@ def s_class_report(S: MonoClassSpec, universe: list[FiniteObject]) -> list[LawRe
     reports.append(LawReport("S-isos", "fail" if witness else "pass",
                              checked, witness))
 
-    checked, witness = 0, None
-    for (X, Y), ms in monos.items():
-        for m in ms:
-            if not S.contains(m):
-                continue
-            image = m.image
-            for W in universe:
-                for x in enumerate_hom(W, Y):
-                    checked += 1
-                    pre = preimage(x, image)
-                    if not S.contains_image(W, pre):
-                        witness = w(mono=m, along=x, pulled=_inclusion(W, pre))
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    checked, witness = _pullback_stable_law(
+        monos, universe, lambda key: S.contains_image(*key))
     reports.append(LawReport("S-pullback-stable", "fail" if witness else "pass",
                              checked, witness))
 
     checked, witness = 0, None
-    for (X, Y), inner in monos.items():
-        for (Y2, Z), outer in monos.items():
-            if Y2 != Y:
+    for inner, outer in _composable(monos):
+        for mp in inner:
+            if not S.contains(mp):
                 continue
-            for mp in inner:
-                if not S.contains(mp):
+            for m in outer:
+                if not S.contains(m):
                     continue
-                for m in outer:
-                    if not S.contains(m):
-                        continue
-                    checked += 1
-                    if not S.contains_image(Z, frozenset(
-                            m.table[e] for e in mp.table)):
-                        witness = w(inner=mp, outer=m,
-                                    composite=compose(m, mp))
-                        break
-                if witness:
+                checked += 1
+                if not S.contains_image(m.cod, frozenset(
+                        m.table[e] for e in mp.table)):
+                    witness = w(inner=mp, outer=m,
+                                composite=compose(m, mp))
                     break
             if witness:
                 break
@@ -645,21 +647,16 @@ def s_class_report(S: MonoClassSpec, universe: list[FiniteObject]) -> list[LawRe
                              checked, witness))
 
     checked, witness = 0, None
-    for (X, Y), inner in monos.items():
-        for (Y2, Z), outer in monos.items():
-            if Y2 != Y:
-                continue
-            for mp in inner:
-                for m in outer:
-                    if S.contains_image(Z, frozenset(
-                            m.table[e] for e in mp.table)):
-                        checked += 1
-                        if not S.contains(mp):
-                            witness = w(inner=mp, outer=m,
-                                        composite=compose(m, mp))
-                            break
-                if witness:
-                    break
+    for inner, outer in _composable(monos):
+        for mp in inner:
+            for m in outer:
+                if S.contains_image(m.cod, frozenset(
+                        m.table[e] for e in mp.table)):
+                    checked += 1
+                    if not S.contains(mp):
+                        witness = w(inner=mp, outer=m,
+                                    composite=compose(m, mp))
+                        break
             if witness:
                 break
         if witness:

@@ -289,6 +289,19 @@ def verify_limit_preservation(spec: SpectralCategory,
     universe and every commuting cone of classes over the image cospan, a
     mediating class through the image apex exists and is unique."""
     reports = []
+    # classes of one hom set are equal exactly when their indices are
+    after: dict[tuple, list[int]] = {}
+
+    def composites(c: SpecClass, W: FiniteObject) -> list[int]:
+        """Indices of c.p for the classes p of hom(W, c.src), in order;
+        computed once per (class, probe), since cospans share legs."""
+        key = (c.src, c.dst, c.index, W)
+        idx = after.get(key)
+        if idx is None:
+            idx = after[key] = [spec.compose(c, p).index
+                                for p in spec.hom(W, c.src)]
+        return idx
+
     for f, g in cospans:
         pb: PullbackResult = pullback(f, g)
         pf = canonical_functor(f, spec)
@@ -298,9 +311,7 @@ def verify_limit_preservation(spec: SpectralCategory,
         checked, witness = 0, None
         for W in spec.objects:
             ps, qs = spec.hom(W, f.dom), spec.hom(W, g.dom)
-            # classes of one hom set are equal exactly when their indices are
-            pf_p = [spec.compose(pf, p).index for p in ps]
-            pg_q = [spec.compose(pg, q).index for q in qs]
+            pf_p, pg_q = composites(pf, W), composites(pg, W)
             mediators = Counter(
                 (spec.compose(pl, h).index, spec.compose(pr, h).index)
                 for h in spec.hom(W, pb.apex))

@@ -33,7 +33,7 @@ from speccat import (
     subalgebras,
     zero_object,
 )
-from speccat import registry
+from speccat import catcore, registry
 from speccat.catcore import (
     AB,
     GRP,
@@ -174,6 +174,65 @@ def test_hom_cross_object_oracle(s3):
         sorted(brute_force_homs(z6, s3))
     assert sorted(h.table for h in enumerate_hom(s3, z6)) == \
         sorted(brute_force_homs(s3, z6))
+
+
+@pytest.fixture
+def empty_hom_caches(monkeypatch):
+    """Both hom caches emptied for the test and restored after it."""
+    monkeypatch.setattr(catcore, "_HOM_CACHE", {})
+    monkeypatch.setattr(catcore, "_HOM_TABLES", {})
+    return catcore
+
+
+def _cold_homs(A, B):
+    """enumerate_hom(A, B) run with emptied caches, which are then put back."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catcore, "_HOM_CACHE", {})
+        mp.setattr(catcore, "_HOM_TABLES", {})
+        return enumerate_hom(A, B)
+
+
+def _assert_homs(homs, A, B):
+    assert all(h.dom is A and h.cod is B for h in homs)
+    assert [h.table for h in homs] == sorted(brute_force_homs(A, B))
+    assert homs == _cold_homs(A, B)
+
+
+def test_equal_op_tables_share_hom_tables(empty_hom_caches, s3):
+    za, zb = cyclic_group(4, "Z4a"), cyclic_group(4, "Z4b")
+    for A, B in ((za, s3), (zb, s3), (s3, za), (s3, zb), (za, zb), (zb, za)):
+        _assert_homs(enumerate_hom(A, B), A, B)
+    # one entry per content pair: Z4 -> S3, S3 -> Z4 and Z4 -> Z4
+    assert len(empty_hom_caches._HOM_TABLES) == 3
+    assert len(empty_hom_caches._HOM_CACHE) == 6
+    left, right = enumerate_hom(za, s3), enumerate_hom(zb, s3)
+    assert all(f.table is g.table for f, g in zip(left, right))
+    assert left != right
+    # the backend is part of the content
+    zab = cyclic_group(4, "Z4a", backend=AB)
+    _assert_homs(enumerate_hom(zab, zab), zab, zab)
+    assert len(empty_hom_caches._HOM_TABLES) == 4
+
+
+def test_relabelled_table_does_not_share_hom_tables(empty_hom_caches, s3):
+    z4 = cyclic_group(4)
+    swap = (0, 2, 1, 3)  # a relabelling that keeps 0
+    relabelled = group_from_cayley("Z4r", [
+        [swap[z4.op[swap[a]][swap[b]]] for b in range(4)] for a in range(4)])
+    assert relabelled.op != z4.op
+    for A, B in ((z4, s3), (relabelled, s3)):
+        _assert_homs(enumerate_hom(A, B), A, B)
+    assert len(empty_hom_caches._HOM_TABLES) == 2
+    assert [h.table for h in enumerate_hom(z4, s3)] != \
+        [h.table for h in enumerate_hom(relabelled, s3)]
+
+
+def test_pointed_sets_share_hom_tables_by_size(empty_hom_caches):
+    p3a, p3b, p2 = pointed_set("P3a", 3), pointed_set("P3b", 3), pointed_set("P2", 2)
+    for A, B in ((p3a, p2), (p3b, p2), (p2, p3a), (p2, p3b), (p3a, p3b)):
+        _assert_homs(enumerate_hom(A, B), A, B)
+    # P3 -> P2, P2 -> P3 and P3 -> P3
+    assert len(empty_hom_caches._HOM_TABLES) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from speccat import (
     cyclic_group,
     direct_product,
     enumerate_hom,
+    enumerate_monos,
     fraction_equal,
     identity,
     normalize,
@@ -331,6 +332,89 @@ def test_f3_reports_match_per_hom_loop(universe_name, family, S_all):
         assert (r.checked, r.witness) == (checked, witness)
         assert r.status == ("fail" if witness else "pass")
     assert (witness is None) == (family == "se")
+
+
+def _reference_f0_f1(M, universe):
+    """The F0/F1 loops of check_focal as they were before the member lists
+    were built once per call: F1 rebuilt them for every member s1."""
+    def family_monos(X, Y):
+        return [m for m in enumerate_hom(X, Y) if M.contains(m)]
+
+    def jw(**kw):
+        return {k: v.to_json() for k, v in kw.items()}
+
+    checked, witness = 0, None
+    for X in universe:
+        checked += 1
+        if not any(family_monos(W, X) for W in universe):
+            witness = {"object": X.id}
+            break
+    f0 = (checked, witness)
+
+    checked, witness = 0, None
+    for X in universe:
+        for Y in universe:
+            for s1 in family_monos(X, Y):
+                for Z in universe:
+                    for s0 in family_monos(Y, Z):
+                        checked += 1
+                        comp = tuple(s0.table[e] for e in s1.table)
+                        found = M.contains_image(Z, frozenset(comp))
+                        for W in universe if not found else []:
+                            for f in enumerate_hom(W, X):
+                                if f.is_injective and M.contains_image(
+                                        Z, frozenset(comp[e] for e in f.table)):
+                                    found = True
+                                    break
+                            if found:
+                                break
+                        if not found:
+                            witness = jw(s1=s1, s0=s0)
+                            break
+                    if witness:
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    return f0, (checked, witness)
+
+
+def _focal_family(universe, family, S_all):
+    if family == "se":
+        return stable_essential_family(universe[0].backend, S_all, universe)
+    if family == "essential":
+        return MonoFamily(name=family, kind=ESSENTIAL_FAMILY)
+    if family == "two-step":
+        # s1: 0 -> Y and s0: Y -> Z with the composite left out, so F1
+        # fails; F0 fails at every object no member reaches
+        Y, Z = universe[1], universe[-1]
+        members = frozenset({(Y, frozenset({0})),
+                             (Z, enumerate_monos(Y, Z)[0].image)})
+        return MonoFamily(name=family, kind=EXPLICIT_FAMILY, members=members)
+    keep = universe[:-1] if family == "identities-but-last" else []
+    return MonoFamily(name=family, kind=EXPLICIT_FAMILY,
+                      members=frozenset((X, frozenset(X.elements))
+                                        for X in keep))
+
+
+@pytest.mark.parametrize("universe_name", ["s3-subgroups", "z4-chain"])
+@pytest.mark.parametrize("family", ["se", "essential", "no-members",
+                                    "identities-but-last", "two-step"])
+def test_f0_f1_reports_match_per_member_loops(universe_name, family, S_all):
+    universe = registry.universe(universe_name)
+    M = _focal_family(universe, family, S_all)
+    f0, f1 = _reference_f0_f1(M, universe)
+    reports = {r.condition: r for r in check_focal(M, universe)}
+    for cond, (checked, witness) in (("F0", f0), ("F1", f1)):
+        r = reports[cond]
+        assert (r.checked, r.witness) == (checked, witness)
+        assert r.status == ("fail" if witness else "pass")
+    assert (f0[1] is None) == (family in ("se", "essential"))
+    if family == "two-step":
+        assert f1[1] is not None
 
 
 # ---------------------------------------------------------------------------

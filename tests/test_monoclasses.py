@@ -25,8 +25,8 @@ from speccat import (
     stable_essential_family,
 )
 from speccat import monoclasses, registry
-from speccat.catcore import GRP, enumerate_hom, subalgebras
-from speccat.limits import pullback
+from speccat.catcore import GRP, compose, enumerate_hom, is_normal_subset, subalgebras
+from speccat.limits import preimage, pullback
 from speccat.monoclasses import (
     ALL_FAMILY,
     ESSENTIAL_FAMILY,
@@ -296,3 +296,270 @@ def test_no_class_contains_a_non_injective_map(S_all, s3_universe):
     assert non_injective
     for cls in classes:
         assert not any(cls.contains(f) for f in non_injective), cls
+
+
+# ---------------------------------------------------------------------------
+# Per-(codomain, image) pullback-stability laws against per-mono loops
+# ---------------------------------------------------------------------------
+
+def _reference_s_class_report(S, universe):
+    """s_class_report as it was before pullback stability was decided once
+    per (codomain, image): every mono is pulled back along every hom, and
+    the composition laws scan every (Y2, Z) pair behind ``Y2 != Y``."""
+    reports = []
+
+    def w(**kw):
+        return {k: v.to_json() for k, v in kw.items()}
+
+    monos = monos_between(universe)
+
+    checked, witness = 0, None
+    for ms in monos.values():
+        for m in ms:
+            if m.is_bijective:
+                checked += 1
+                if not S.contains(m):
+                    witness = w(iso=m)
+    reports.append(("S-isos", "fail" if witness else "pass", checked, witness))
+
+    checked, witness = 0, None
+    for (X, Y), ms in monos.items():
+        for m in ms:
+            if not S.contains(m):
+                continue
+            image = m.image
+            for W in universe:
+                for x in enumerate_hom(W, Y):
+                    checked += 1
+                    pre = preimage(x, image)
+                    if not S.contains_image(W, pre):
+                        witness = w(mono=m, along=x,
+                                    pulled=Subobject(W, tuple(sorted(pre))).inclusion())
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    reports.append(("S-pullback-stable", "fail" if witness else "pass",
+                    checked, witness))
+
+    checked, witness = 0, None
+    for (X, Y), inner in monos.items():
+        for (Y2, Z), outer in monos.items():
+            if Y2 != Y:
+                continue
+            for mp in inner:
+                if not S.contains(mp):
+                    continue
+                for m in outer:
+                    if not S.contains(m):
+                        continue
+                    checked += 1
+                    if not S.contains_image(Z, frozenset(
+                            m.table[e] for e in mp.table)):
+                        witness = w(inner=mp, outer=m,
+                                    composite=compose(m, mp))
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    reports.append(("S-composition", "fail" if witness else "pass",
+                    checked, witness))
+
+    checked, witness = 0, None
+    for (X, Y), inner in monos.items():
+        for (Y2, Z), outer in monos.items():
+            if Y2 != Y:
+                continue
+            for mp in inner:
+                for m in outer:
+                    if S.contains_image(Z, frozenset(
+                            m.table[e] for e in mp.table)):
+                        checked += 1
+                        if not S.contains(mp):
+                            witness = w(inner=mp, outer=m,
+                                        composite=compose(m, mp))
+                            break
+                if witness:
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    reports.append(("S-strong-left-cancellation",
+                    "fail" if witness else "pass", checked, witness))
+    return reports
+
+
+def _reference_closure_laws(universe, S):
+    """The composition-shaped and pullback-stability laws of
+    closure_law_suite as they were before the per-(codomain, image) memo and
+    the outer monos indexed by domain."""
+    monos = monos_between(universe)
+    in_e, in_se, in_st = monoclasses._mono_flags(universe, S)
+    reports = []
+
+    def w(**kw):
+        return {k: v.to_json() for k, v in kw.items()}
+
+    comp_laws = [
+        ("stabilization-composition", lambda p, m, c: in_st(p) and in_st(m), lambda p, m, c: in_st(c)),
+        ("stabilization-right-cancellation", lambda p, m, c: in_st(c) and S.contains_image(*p), lambda p, m, c: in_st(m)),
+        ("stabilization-weak-right-cancellation", lambda p, m, c: in_st(c) and in_st(p), lambda p, m, c: in_st(m)),
+        ("stabilization-left-cancellation", lambda p, m, c: in_st(c), lambda p, m, c: in_st(p)),
+        ("essential-composition", lambda p, m, c: in_e(p) and in_e(m), lambda p, m, c: in_e(c)),
+        ("essential-right-cancellation", lambda p, m, c: in_e(c), lambda p, m, c: in_e(m)),
+        ("essential-weak-right-cancellation", lambda p, m, c: in_e(c) and in_e(p), lambda p, m, c: in_e(m)),
+        ("stable-essential-composition", lambda p, m, c: in_st(p) and in_st(m), lambda p, m, c: in_st(c)),
+        ("stable-essential-right-cancellation", lambda p, m, c: in_st(c), lambda p, m, c: in_st(m)),
+        ("stable-essential-weak-right-cancellation", lambda p, m, c: in_st(c) and in_st(p), lambda p, m, c: in_st(m)),
+        ("stable-essential-left-cancellation", lambda p, m, c: in_st(c), lambda p, m, c: in_st(p)),
+        ("subobject-essential-composition", lambda p, m, c: in_se(p) and in_se(m), lambda p, m, c: in_se(c)),
+        ("subobject-essential-right-cancellation", lambda p, m, c: in_se(c), lambda p, m, c: in_se(m)),
+        ("subobject-essential-weak-right-cancellation", lambda p, m, c: in_se(c) and in_se(p), lambda p, m, c: in_se(m)),
+        ("subobject-essential-left-cancellation", lambda p, m, c: in_se(c), lambda p, m, c: in_se(p)),
+    ]
+    results = {law_id: [0, None] for law_id, _, _ in comp_laws}
+    for (X, Y), inner in monos.items():
+        for (Y2, Z), outer in monos.items():
+            if Y2 != Y:
+                continue
+            for mp in inner:
+                kp = (Y, mp.image)
+                for m in outer:
+                    km = (Z, m.image)
+                    kc = (Z, frozenset(m.table[e] for e in mp.table))
+                    for law_id, premise, conclusion in comp_laws:
+                        slot = results[law_id]
+                        if slot[1] is not None:
+                            continue
+                        if premise(kp, km, kc):
+                            slot[0] += 1
+                            if not conclusion(kp, km, kc):
+                                slot[1] = w(inner=mp, outer=m,
+                                            composite=compose(m, mp))
+    for law_id, _, _ in comp_laws:
+        checked, witness = results[law_id]
+        reports.append((law_id, "fail" if witness else "pass", checked, witness))
+
+    for law_id, member in (("stabilization-pullback-stable", in_st),
+                           ("stable-essential-pullback-stable", in_st),
+                           ("subobject-essential-pullback-stable", in_se)):
+        checked, witness = 0, None
+        for (X, Y), ms in monos.items():
+            for m in ms:
+                if not member((m.cod, m.image)):
+                    continue
+                image = m.image
+                for W in universe:
+                    for x in enumerate_hom(W, Y):
+                        checked += 1
+                        pre = preimage(x, image)
+                        if not member((W, pre)):
+                            witness = w(mono=m, along=x, pulled=Subobject(
+                                W, tuple(sorted(pre))).inclusion())
+                            break
+                    if witness:
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+        reports.append((law_id, "fail" if witness else "pass", checked, witness))
+    return reports
+
+
+def _isos_plus(universe, *extra):
+    """Explicit S: the isomorphisms of the universe plus the monos with the
+    given (universe index of the codomain, image) keys."""
+    isos = {(m.cod, m.image) for ms in monos_between(universe).values()
+            for m in ms if m.is_bijective}
+    return MonoClassSpec(EXPLICIT, frozenset(isos) | {
+        (universe[i], frozenset(image)) for i, image in extra})
+
+
+# Universe orders: s3-subgroups 0, three order-2 subgroups, A3 (S3{0,3,4}),
+# S3; z4-chain 0, Z2, Z4; pointed-le-4 P1 .. P4.  Each explicit class fails
+# S-pullback-stable.
+_S_CLASSES = {
+    "s3-subgroups": {
+        # fails at A3 -> S3, pulled back to the zero mono into an order-2
+        # subgroup, after the isos between the order-2 subgroups repeated a
+        # key; S-composition fails on 0 -> A3 -> S3
+        "fails-late": lambda U: _isos_plus(U, (4, {0}), (5, {0, 3, 4})),
+        # the normal monos plus one order-2 subgroup of S3: the failing key
+        # has the codomain S3 of the passing key of 0 -> S3
+        "fails-beside-a-passing-key": lambda U: MonoClassSpec(
+            EXPLICIT, frozenset(
+                {(m.cod, m.image) for ms in monos_between(U).values()
+                 for m in ms if is_normal_subset(m.cod, m.image)}
+                | {(U[5], frozenset({0, 1}))})),
+    },
+    "z4-chain": {
+        "fails-early": lambda U: _isos_plus(U, (2, {0})),
+    },
+    "pointed-le-4": {
+        "fails-late": lambda U: _isos_plus(U, (3, {0, 1, 2})),
+        "fails-on-composites": lambda U: _isos_plus(U, (1, {0}), (2, {0, 1})),
+    },
+}
+_LAW_CASES = [(name, kind) for name, explicit in _S_CLASSES.items()
+              for kind in ["all", "normal", *explicit]]
+
+
+def _law_class(universe_name, universe, kind):
+    if kind in (ALL_MONOS, NORMAL_MONOS):
+        return MonoClassSpec(kind)
+    return _S_CLASSES[universe_name][kind](universe)
+
+
+@pytest.mark.parametrize("universe_name,kind", _LAW_CASES)
+def test_s_class_report_matches_per_mono_loops(universe_name, kind):
+    universe = registry.universe(universe_name)
+    S = _law_class(universe_name, universe, kind)
+    got = [(r.law_id, r.status, r.checked, r.witness)
+           for r in s_class_report(S, universe)]
+    assert got == _reference_s_class_report(S, universe)
+    stable = got[1]
+    assert stable[0] == "S-pullback-stable"
+    assert (stable[1] == "fail") == (kind not in (ALL_MONOS, NORMAL_MONOS))
+
+
+def test_failing_key_comes_after_a_repeated_key():
+    """On s3-subgroups the failing key of ``fails-late`` comes after a member
+    key seen twice, so the per-key memo is used before the witness."""
+    universe = registry.universe("s3-subgroups")
+    S = _law_class("s3-subgroups", universe, "fails-late")
+    witness = s_class_report(S, universe)[1].witness
+    seen, repeated = set(), 0
+    for m in (m for ms in monos_between(universe).values() for m in ms):
+        if m.to_json() == witness["mono"]:
+            break
+        if S.contains(m):
+            repeated += (m.cod, m.image) in seen
+            seen.add((m.cod, m.image))
+    assert repeated > 0
+    assert witness["mono"]["dom"] == "S3{0,3,4}"
+    assert len(witness["pulled"]["map"]) == 1
+
+
+@pytest.mark.parametrize("universe_name,kind", _LAW_CASES)
+def test_closure_laws_match_per_mono_loops(universe_name, kind):
+    universe = registry.universe(universe_name)
+    S = _law_class(universe_name, universe, kind)
+    if universe_name == "pointed-le-4" and kind not in (ALL_MONOS, NORMAL_MONOS):
+        # the bounded stable-essential test refuses keys outside S
+        with pytest.raises(PreconditionViolation):
+            closure_law_suite(universe, S)
+        with pytest.raises(PreconditionViolation):
+            _reference_closure_laws(universe, S)
+        return
+    reference = _reference_closure_laws(universe, S)
+    got = {r.law_id: (r.law_id, r.status, r.checked, r.witness)
+           for r in closure_law_suite(universe, S)}
+    assert [got[law[0]] for law in reference] == reference

@@ -21,6 +21,7 @@ from speccat import (
     cyclic_group,
     end_spec_division_check,
     enumerate_hom,
+    enumerate_monos,
     identity,
     is_uniform,
     minimal_M_subobject,
@@ -248,6 +249,24 @@ def test_limit_preservation_matches_per_pair_reference(name, family):
     assert got == _reference_limit_preservation(_spec_over(family, name),
                                                 cospans)
     assert all(checked > 0 for _, _, checked, _ in got)
+
+
+@pytest.mark.parametrize("family", ["se", ISO_FAMILY])
+def test_limit_preservation_on_cospans_sharing_ends(family):
+    """Cospans of monos into S3 that are not inclusions: several legs share
+    their domain and codomain but are different classes, so composites are
+    told apart by class, not by hom set."""
+    objects = registry.universe("s3-subgroups")
+    S3 = objects[-1]
+    legs = [m for X in objects[1:] for m in enumerate_monos(X, S3)]
+    assert len(legs) > len({(m.dom, m.cod) for m in legs})
+    cospans = [(legs[i], legs[j])
+               for i in range(len(legs)) for j in range(i, len(legs), 3)]
+    got = [(r.cospan, r.status, r.cones_checked, r.witness)
+           for r in verify_limit_preservation(
+               _spec_over(family, "s3-subgroups"), cospans)]
+    assert got == _reference_limit_preservation(
+        _spec_over(family, "s3-subgroups"), cospans)
 
 
 def test_limit_preservation_refuses_an_inconsistent_family():
