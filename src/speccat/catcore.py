@@ -587,13 +587,16 @@ def _element_words(A: FiniteObject, gens: tuple[int, ...]) -> list[tuple[int, ..
     return words  # type: ignore[return-value]
 
 
-def enumerate_hom(A: FiniteObject, B: FiniteObject) -> tuple[ConcreteMorphism, ...]:
+def enumerate_hom(A: FiniteObject, B: FiniteObject,
+                  cache: bool = True) -> tuple[ConcreteMorphism, ...]:
     """All morphisms A -> B, duplicate-free, sorted by map table.
 
     The map tables depend only on the content of the two ends (backend,
     sizes, op tables), so they are searched once per content pair and
     shared by objects with other ids, e.g. every pullback apex with the op
-    table of a universe object.  Morphisms are built per (A, B).
+    table of a universe object.  Morphisms are built per (A, B), and kept
+    for the next call unless ``cache`` is False: a hom set with a one-off
+    end, such as a pullback apex, is built and dropped by its caller.
     """
     if A.backend != B.backend:
         raise BackendMismatch(f"hom({A.id},{B.id}): backends differ")
@@ -606,7 +609,8 @@ def enumerate_hom(A: FiniteObject, B: FiniteObject) -> tuple[ConcreteMorphism, .
     if tables is None:
         tables = _HOM_TABLES[content] = _hom_tables(A, B)
     homs = tuple(ConcreteMorphism(A, B, t) for t in tables)
-    _HOM_CACHE[key] = homs
+    if cache:
+        _HOM_CACHE[key] = homs
     return homs
 
 

@@ -107,7 +107,9 @@ class SpectralCategory:
 
     Objects are the registered backend objects; hom sets are materialized as
     :class:`SpecClass` lists via the minimal-M-subobject presentation, with
-    composition reduced to restriction lookups.  ``exact`` is False when M
+    composition reduced to restriction lookups.  Hom sets are kept only
+    between registered objects; one with another end (a pullback apex of the
+    limit check) is rebuilt on each request.  ``exact`` is False when M
     itself is only a bounded-search approximation.
     """
 
@@ -116,11 +118,13 @@ class SpectralCategory:
         self.backend = backend
         self.M = M
         self.objects = tuple(objects)
+        self._registered = frozenset(self.objects)
         self.exact = M.exact
         self._amin: dict[FiniteObject, Subobject] = {}
         self._apos: dict[FiniteObject, dict[int, int]] = {}
-        self._homs: dict[tuple, tuple[SpecClass, ...]] = {}
-        self._index: dict[tuple, dict[tuple, int]] = {}
+        # (A, B) -> (classes of hom(A, B), class index by label)
+        self._homs: dict[tuple, tuple[tuple[SpecClass, ...],
+                                      dict[tuple, int]]] = {}
 
     # -- hom sets ---------------------------------------------------------
 
@@ -131,6 +135,11 @@ class SpectralCategory:
             self._amin[A] = sub
             self._apos[A] = {e: i for i, e in enumerate(sub.elems)}
         return sub
+
+    def _forget(self, A: FiniteObject) -> None:
+        """Drop the minimal M-subobject of an unregistered object A."""
+        self._amin.pop(A, None)
+        self._apos.pop(A, None)
 
     def _restriction(self, c1: SpecClass) -> list[int]:
         """Positions in the minimal M-subobject of c1.dst of c1's label: a
@@ -145,25 +154,33 @@ class SpectralCategory:
                     f"leaves the minimal M-subobject of {c1.dst.id}")
         return [bpos[v] for v in c1.label]
 
-    def hom(self, A: FiniteObject, B: FiniteObject) -> tuple[SpecClass, ...]:
+    def _hom(self, A: FiniteObject, B: FiniteObject
+             ) -> tuple[tuple[SpecClass, ...], dict[tuple, int]]:
+        """The classes of hom(A, B) and their indices by label."""
         key = (A, B)
-        cached = self._homs.get(key)
-        if cached is not None:
-            return cached
+        hit = self._homs.get(key)
+        if hit is not None:
+            return hit
+        keep = A in self._registered and B in self._registered
         amin = self.amin(A)
-        reps = sorted(enumerate_hom(amin.object(), B), key=lambda f: f.table)
+        reps = sorted(enumerate_hom(amin.object(), B, cache=keep),
+                      key=lambda f: f.table)
         classes = tuple(
             SpecClass(src=A, dst=B, index=i,
                       rep=NormalizedSpan(amin, f), label=f.table)
             for i, f in enumerate(reps))
-        self._homs[key] = classes
-        self._index[key] = {c.label: c.index for c in classes}
-        return classes
+        hit = classes, {c.label: c.index for c in classes}
+        if keep:
+            self._homs[key] = hit
+        return hit
+
+    def hom(self, A: FiniteObject, B: FiniteObject) -> tuple[SpecClass, ...]:
+        return self._hom(A, B)[0]
 
     def class_of_label(self, A: FiniteObject, B: FiniteObject,
                        label: tuple[int, ...]) -> SpecClass:
-        homs = self.hom(A, B)
-        idx = self._index[(A, B)].get(label)
+        homs, index = self._hom(A, B)
+        idx = index.get(label)
         if idx is None:
             raise _no_class(A, B, label)
         return homs[idx]
@@ -219,8 +236,7 @@ class SpectralCategory:
             readers = [_reader(self._restriction(c1))
                        for c1 in self.hom(A, B)]
             for C in self.objects:
-                self.hom(A, C)
-                index = self._index[(A, C)]
+                index = self._hom(A, C)[1]
                 labels = [c2.label for c2 in self.hom(B, C)]
                 try:
                     table = [[index[read(lab)] for lab in labels]
@@ -287,7 +303,11 @@ def verify_limit_preservation(spec: SpectralCategory,
     """Check that the localization functor sends each backend pullback to a
     pullback in the localized category: for every object W of the registered
     universe and every commuting cone of classes over the image cospan, a
-    mediating class through the image apex exists and is unique."""
+    mediating class through the image apex exists and is unique.
+
+    Nothing about a pullback apex outlives its cospan: hom sets into and out
+    of it are built per request and not kept, and its minimal M-subobject is
+    dropped when the cospan is done."""
     reports = []
     # classes of one hom set are equal exactly when their indices are
     after: dict[tuple, list[int]] = {}
@@ -329,6 +349,7 @@ def verify_limit_preservation(spec: SpectralCategory,
                     break
             if witness:
                 break
+        spec._forget(pb.apex)
         reports.append(ConePreservationReport(
             cospan=(f"{f.dom.id}->{f.cod.id}", f"{g.dom.id}->{g.cod.id}"),
             status="fail" if witness else "pass",

@@ -2,10 +2,22 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from speccat.cli import REPRODUCE_ITEMS, main
+import speccat
+from speccat.cli import (
+    CHUNKS_PER_WRITE,
+    EXIT_PIPE_CLOSED,
+    REPRODUCE_ITEMS,
+    RunConfig,
+    _emit,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -188,11 +200,14 @@ def test_unknown_subcommand_exits_2(capsys):
     ("z4-chain",
      "a76b3213ccd8e6cfc649e04ed8dccdfc13250f3b0d2d6a31b9080db6caf03da0"),
 ])
-def test_spec_export_is_byte_identical(universe, digest, tmp_path):
+def test_spec_export_is_byte_identical(universe, digest, tmp_path, capsys):
     out = tmp_path / "spec.json"
     assert main(["spec", "--universe", universe, "--format", "json",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert main(["spec", "--universe", universe]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(stdout).hexdigest() == digest
 
 
 # the subgroup lattice of A5 feeds both; the digests are those of the same
@@ -207,3 +222,60 @@ def test_lattice_outputs_are_byte_identical(argv, digest, tmp_path):
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# streamed output
+# ---------------------------------------------------------------------------
+
+def _many_chunks():
+    payload = {"rows": [{"n": i, "name": f"r\u00e9{i}", "half": i / 2,
+                         "odd": bool(i % 2), "none": None}
+                        for i in range(CHUNKS_PER_WRITE // 8)]}
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    assert sum(1 for _ in encoder.iterencode(payload)) > CHUNKS_PER_WRITE
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"z": [1.5, None, True, "\u00e9", float("nan")], "a": {"y": [], "x": {}}},
+    _many_chunks(),
+], ids=["empty", "mixed", "more-than-one-batch"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_emit_writes_the_json_dumps_text(payload, to_file, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    _emit(RunConfig(command="spec", out=str(out) if to_file else None),
+          payload, ["unused"])
+    written = out.read_bytes() if to_file else capsys.readouterr().out.encode()
+    assert written == (json.dumps(payload, indent=2, sort_keys=True)
+                       + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("lines", [[], ["one"], ["one", "two"]])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_emit_text_is_one_line_each(lines, to_file, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    _emit(RunConfig(command="spec", fmt="text",
+                    out=str(out) if to_file else None), {"unused": 1}, lines)
+    written = out.read_bytes() if to_file else capsys.readouterr().out.encode()
+    assert written == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_closed_output_pipe_exits_141_quietly():
+    """The reader takes 10 bytes and goes.  The export of s3-subgroups
+    (about 94 KB) outgrows a 64 KB pipe buffer, so the writer is still
+    writing when the pipe closes."""
+    src = str(Path(speccat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "speccat.cli", "spec",
+         "--universe", "s3-subgroups"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE_CLOSED == 141
+    assert err == b""

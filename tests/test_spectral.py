@@ -29,7 +29,7 @@ from speccat import (
     pullback,
     verify_limit_preservation,
 )
-from speccat import registry
+from speccat import catcore, registry
 from speccat.catcore import AB, GRP
 from speccat.monoclasses import ESSENTIAL_FAMILY, ISO_FAMILY
 
@@ -267,6 +267,26 @@ def test_limit_preservation_on_cospans_sharing_ends(family):
                _spec_over(family, "s3-subgroups"), cospans)]
     assert got == _reference_limit_preservation(
         _spec_over(family, "s3-subgroups"), cospans)
+
+
+def test_limit_preservation_keeps_no_apex_state(monkeypatch):
+    """Once checked, a cospan leaves nothing behind about its pullback apex:
+    the spec keeps hom sets and minimal M-subobjects of registered objects
+    only, and the morphism cache holds no hom set with an apex, or a
+    subobject of one, at either end."""
+    spec = _spec_over("se", "s3-subgroups")
+    monkeypatch.setattr(catcore, "_HOM_CACHE", {})
+    cospans = registry.registered_cospans("s3-subgroups")
+    assert all(r.status == "pass"
+               for r in verify_limit_preservation(spec, cospans))
+    objects = set(spec.objects)
+    assert spec._homs
+    assert all(A in objects and B in objects for A, B in spec._homs)
+    assert set(spec._amin) <= objects and set(spec._apos) <= objects
+    apexes = tuple(pullback(f, g).apex.id for f, g in cospans)
+    assert catcore._HOM_CACHE
+    assert not [key for key in catcore._HOM_CACHE
+                if any(X.id.startswith(apexes) for X in key)]
 
 
 def test_limit_preservation_refuses_an_inconsistent_family():
