@@ -598,23 +598,31 @@ def enumerate_hom(A: FiniteObject, B: FiniteObject,
     for the next call unless ``cache`` is False: a hom set with a one-off
     end, such as a pullback apex, is built and dropped by its caller.
     """
-    if A.backend != B.backend:
-        raise BackendMismatch(f"hom({A.id},{B.id}): backends differ")
     key = (A, B)
     cached = _HOM_CACHE.get(key)
     if cached is not None:
         return cached
-    content = (A.backend, A.size, B.size, A.op, B.op)
-    tables = _HOM_TABLES.get(content)
-    if tables is None:
-        tables = _HOM_TABLES[content] = _hom_tables(A, B)
-    homs = tuple(ConcreteMorphism(A, B, t) for t in tables)
+    homs = tuple(ConcreteMorphism(A, B, t) for t in hom_tables(A, B))
     if cache:
         _HOM_CACHE[key] = homs
     return homs
 
 
-def _hom_tables(A: FiniteObject, B: FiniteObject) -> tuple[tuple[int, ...], ...]:
+def hom_tables(A: FiniteObject, B: FiniteObject
+               ) -> tuple[tuple[int, ...], ...]:
+    """The sorted map tables of all morphisms A -> B, searched once per
+    content pair and checked against the homomorphism law by the search."""
+    if A.backend != B.backend:
+        raise BackendMismatch(f"hom({A.id},{B.id}): backends differ")
+    content = (A.backend, A.size, B.size, A.op, B.op)
+    tables = _HOM_TABLES.get(content)
+    if tables is None:
+        tables = _HOM_TABLES[content] = _search_hom_tables(A, B)
+    return tables
+
+
+def _search_hom_tables(A: FiniteObject, B: FiniteObject
+                       ) -> tuple[tuple[int, ...], ...]:
     """The sorted map tables of all morphisms A -> B."""
     if A.op is None:
         return tuple(sorted(

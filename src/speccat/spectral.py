@@ -14,6 +14,7 @@ from .catcore import (
     FiniteObject,
     Subobject,
     enumerate_hom,
+    hom_tables,
     subalgebras,
 )
 from .errors import ConsistencyError, PreconditionViolation
@@ -141,18 +142,19 @@ class SpectralCategory:
         self._amin.pop(A, None)
         self._apos.pop(A, None)
 
-    def _restriction(self, c1: SpecClass) -> list[int]:
-        """Positions in the minimal M-subobject of c1.dst of c1's label: a
-        class c2 out of c1.dst composes with c1 to the label read off c2's
-        label at these positions."""
-        self.amin(c1.dst)
-        bpos = self._apos[c1.dst]
-        for v in c1.label:
+    def _restriction(self, A: FiniteObject, B: FiniteObject,
+                     label: tuple[int, ...]) -> list[int]:
+        """Positions in the minimal M-subobject of B of a label of
+        hom(A, B): a class c2 out of B composes with the class of that label
+        to the label read off c2's label at these positions."""
+        self.amin(B)
+        bpos = self._apos[B]
+        for v in label:
             if v not in bpos:
                 raise ConsistencyError(
-                    f"class label value {v} of hom({c1.src.id},{c1.dst.id}) "
-                    f"leaves the minimal M-subobject of {c1.dst.id}")
-        return [bpos[v] for v in c1.label]
+                    f"class label value {v} of hom({A.id},{B.id}) "
+                    f"leaves the minimal M-subobject of {B.id}")
+        return [bpos[v] for v in label]
 
     def _hom(self, A: FiniteObject, B: FiniteObject
              ) -> tuple[tuple[SpecClass, ...], dict[tuple, int]]:
@@ -215,8 +217,8 @@ class SpectralCategory:
         """
         if c1.dst != c2.src:
             raise PreconditionViolation("classes are not composable")
-        return self.class_of_label(
-            c1.src, c2.dst, _reader(self._restriction(c1))(c2.label))
+        read = _reader(self._restriction(c1.src, c1.dst, c1.label))
+        return self.class_of_label(c1.src, c2.dst, read(c2.label))
 
     def is_invertible(self, c: SpecClass) -> bool:
         ida, idb = self.identity_class(c.src), self.identity_class(c.dst)
@@ -233,7 +235,7 @@ class SpectralCategory:
             homs.append({"dom": A.id, "cod": B.id,
                          "classes": [c.to_json() for c in self.hom(A, B)]})
         for A, B in pairs:
-            readers = [_reader(self._restriction(c1))
+            readers = [_reader(self._restriction(A, B, c1.label))
                        for c1 in self.hom(A, B)]
             for C in self.objects:
                 index = self._hom(A, C)[1]
@@ -296,6 +298,30 @@ class ConePreservationReport:
                 "mode": "bounded"}
 
 
+def _mediator_counts(spec: SpectralCategory, W: FiniteObject,
+                     pl: SpecClass, pr: SpecClass) -> Counter:
+    """For the projections pl, pr out of a pullback apex: how many classes h
+    of hom(W, apex) give each pair (pl.h, pr.h), as a pair of indices.
+
+    The classes of hom(W, apex) are the homs amin(W) -> apex, so they are
+    read off the content-keyed hom tables with no class or morphism built
+    per h: the label of pl.h is pl's label at the positions in amin(apex)
+    of h's values, as in :meth:`SpectralCategory.compose`."""
+    apex = pl.src
+    left, right = spec._hom(W, pl.dst)[1], spec._hom(W, pr.dst)[1]
+    counts: Counter = Counter()
+    for h in hom_tables(spec.amin(W).object(), apex):
+        read = _reader(spec._restriction(W, apex, h))
+        label_l, label_r = read(pl.label), read(pr.label)
+        p, q = left.get(label_l), right.get(label_r)
+        if p is None:
+            raise _no_class(W, pl.dst, label_l)
+        if q is None:
+            raise _no_class(W, pr.dst, label_r)
+        counts[p, q] += 1
+    return counts
+
+
 def verify_limit_preservation(spec: SpectralCategory,
                               cospans: list[tuple[ConcreteMorphism,
                                                   ConcreteMorphism]]
@@ -305,9 +331,11 @@ def verify_limit_preservation(spec: SpectralCategory,
     universe and every commuting cone of classes over the image cospan, a
     mediating class through the image apex exists and is unique.
 
-    Nothing about a pullback apex outlives its cospan: hom sets into and out
-    of it are built per request and not kept, and its minimal M-subobject is
-    dropped when the cospan is done."""
+    Mediators are counted on the hom tables of amin(W) -> apex, which the
+    content-keyed search shares with universe objects of the same op table,
+    so no hom set into the apex is built.  Nothing about a pullback apex
+    outlives its cospan: hom sets out of it are built per request and not
+    kept, and its minimal M-subobject is dropped when the cospan is done."""
     reports = []
     # classes of one hom set are equal exactly when their indices are
     after: dict[tuple, list[int]] = {}
@@ -332,9 +360,7 @@ def verify_limit_preservation(spec: SpectralCategory,
         for W in spec.objects:
             ps, qs = spec.hom(W, f.dom), spec.hom(W, g.dom)
             pf_p, pg_q = composites(pf, W), composites(pg, W)
-            mediators = Counter(
-                (spec.compose(pl, h).index, spec.compose(pr, h).index)
-                for h in spec.hom(W, pb.apex))
+            mediators = _mediator_counts(spec, W, pl, pr)
             for p in ps:
                 for q in qs:
                     if pf_p[p.index] != pg_q[q.index]:

@@ -8,14 +8,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import speccat
 from speccat.cli import (
-    CHUNKS_PER_WRITE,
     EXIT_PIPE_CLOSED,
     REPRODUCE_ITEMS,
     RunConfig,
     _emit,
+    _json_pieces,
     main,
 )
 
@@ -228,20 +230,19 @@ def test_lattice_outputs_are_byte_identical(argv, digest, tmp_path):
 # streamed output
 # ---------------------------------------------------------------------------
 
-def _many_chunks():
+def _many_pieces():
     payload = {"rows": [{"n": i, "name": f"r\u00e9{i}", "half": i / 2,
                          "odd": bool(i % 2), "none": None}
-                        for i in range(CHUNKS_PER_WRITE // 8)]}
-    encoder = json.JSONEncoder(indent=2, sort_keys=True)
-    assert sum(1 for _ in encoder.iterencode(payload)) > CHUNKS_PER_WRITE
+                        for i in range(8192)]}
+    assert sum(1 for _ in _json_pieces(payload)) > 8192
     return payload
 
 
 @pytest.mark.parametrize("payload", [
     {},
     {"z": [1.5, None, True, "\u00e9", float("nan")], "a": {"y": [], "x": {}}},
-    _many_chunks(),
-], ids=["empty", "mixed", "more-than-one-batch"])
+    _many_pieces(),
+], ids=["empty", "mixed", "many-pieces"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_emit_writes_the_json_dumps_text(payload, to_file, tmp_path, capsys):
     out = tmp_path / "out.json"
@@ -250,6 +251,89 @@ def test_emit_writes_the_json_dumps_text(payload, to_file, tmp_path, capsys):
     written = out.read_bytes() if to_file else capsys.readouterr().out.encode()
     assert written == (json.dumps(payload, indent=2, sort_keys=True)
                        + "\n").encode("utf-8")
+
+
+def _dumps(obj):
+    """json.dumps(obj, indent=2, sort_keys=True), or TypeError if it raises
+    one."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True)
+    except TypeError:
+        return TypeError
+
+
+def _written(obj):
+    try:
+        return "".join(_json_pieces(obj))
+    except TypeError:
+        return TypeError
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+_KEYS = st.one_of(_TEXT, st.integers(), st.floats(), st.booleans(),
+                  st.none())
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.integers(-2 ** 80, 2 ** 80), st.floats(), _TEXT)
+_UNSERIALIZABLE = st.sampled_from([object(), {1}, b"1", 1j])
+_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(st.integers() | st.booleans(), max_size=6),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, inner, max_size=4),
+    st.dictionaries(_KEYS, inner, max_size=3),
+    st.lists(inner | _UNSERIALIZABLE, max_size=3),
+    st.dictionaries(st.one_of(st.integers(), st.floats()), inner,
+                    max_size=3),
+), max_leaves=12)
+
+
+def _deep(depth):
+    obj = [1, True]
+    for i in range(depth):
+        obj = {f"k{i}": obj, f"n{i}": [()]} if i % 2 else [obj, {}]
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_VALUES)
+@example(obj=[1, True, 2, False, -3])
+@example(obj=(1, (2, 3), [], {}, ()))
+@example(obj=[-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e300])
+@example(obj=[2 ** 200, -2 ** 200, -1, 0])
+@example(obj={"\u00e9\u4e2d\U0001f600": "\x00\x1f\"\\\u2028\ud7ff",
+              "\"\t\n": ["\x7f\u00ff"]})
+@example(obj={1: "int", 2.5: "float", float("nan"): 0, float("-inf"): 1})
+@example(obj={True: 1, None: 2})
+@example(obj={False: [], -7: {}, 0.0: [[]]})
+@example(obj={"a": 1, 2: "b"})
+@example(obj={None: 1, "x": 2})
+@example(obj={(1, 2): 3})
+@example(obj=[1, {"a": [object()]}])
+@example(obj=_deep(40))
+def test_writer_text_is_the_json_dumps_text(obj):
+    assert _written(obj) == _dumps(obj)
+
+
+def test_writer_streams_one_composition_table_per_piece():
+    """A composition-shaped export of 10,000 tables is written one table at
+    a time: many pieces, none longer than a table's own text."""
+    objects = [f"X{i}" for i in range(12)]
+    tables = [{"dom": objects[i % 12], "mid": objects[i // 12 % 12],
+               "cod": objects[i // 144 % 12],
+               "table": [[(i + r * c) % 7 for c in range(i % 5 + 1)]
+                         for r in range(i % 3 + 1)]}
+              for i in range(10_000)]
+    payload = {"command": "spec",
+               "export": {"objects": objects, "composition": tables}}
+    pieces = list(_json_pieces(payload))
+    assert "".join(pieces) == json.dumps(payload, indent=2, sort_keys=True)
+    assert len(pieces) > len(tables)
+    # a table's text as it stands in the document: indented three levels,
+    # after its separator
+    in_document = [",\n      " + json.dumps(t, indent=2, sort_keys=True)
+                   .replace("\n", "\n      ") for t in tables]
+    assert max(map(len, pieces)) <= max(map(len, in_document))
+    assert set(in_document[1:]) <= set(pieces)
 
 
 @pytest.mark.parametrize("lines", [[], ["one"], ["one", "two"]])

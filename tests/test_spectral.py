@@ -269,6 +269,42 @@ def test_limit_preservation_on_cospans_sharing_ends(family):
         _spec_over(family, "s3-subgroups"), cospans)
 
 
+def test_limit_preservation_matches_the_reference_on_s4_cospans():
+    """A sample of the 465 registered cospans of s4-subgroups.  Every apex
+    has the op table of a universe object, so mediators are counted on hom
+    tables the universe has already searched."""
+    spec = _spec_over("se", "s4-subgroups")
+    cospans = registry.registered_cospans("s4-subgroups")[::40]
+    tables = {X.op for X in spec.objects}
+    assert all(pullback(f, g).apex.op in tables for f, g in cospans)
+    got = [(r.cospan, r.status, r.cones_checked, r.witness)
+           for r in verify_limit_preservation(spec, cospans)]
+    assert got == _reference_limit_preservation(spec, cospans)
+    assert all(status == "pass" and checked > 0
+               for _, status, checked, _ in got)
+
+
+def test_mediator_count_checks_hom_values_against_the_apex(monkeypatch):
+    """The mediator count refuses a hom into the apex with a value outside
+    the minimal M-subobject of the apex.  Dropping the top element of each
+    apex's position map makes the homs that reach it such values; the
+    registered objects, and so the composites of the cones, are left
+    alone."""
+    spec = _spec_over("se", "s3-subgroups")
+    registered, amin = set(spec.objects), spec.amin
+
+    def amin_missing_its_top(A):
+        sub = amin(A)
+        if A not in registered:
+            spec._apos[A].pop(sub.elems[-1], None)
+        return sub
+
+    monkeypatch.setattr(spec, "amin", amin_missing_its_top)
+    with pytest.raises(ConsistencyError, match="leaves the minimal"):
+        verify_limit_preservation(spec,
+                                  registry.registered_cospans("s3-subgroups"))
+
+
 def test_limit_preservation_keeps_no_apex_state(monkeypatch):
     """Once checked, a cospan leaves nothing behind about its pullback apex:
     the spec keeps hom sets and minimal M-subobjects of registered objects
