@@ -94,9 +94,10 @@ class FiniteObject:
                     if op[a][b] != op[b][a]:
                         raise InvalidObject(f"{self.id}: ab object must be commutative")
 
-    # identity-based hash; full structural equality stays in place
+    # hash of the id alone (str caches its hash); equal objects have equal
+    # ids, so this agrees with the structural equality
     def __hash__(self):  # pragma: no cover - trivial
-        return hash((self.id, self.backend, self.size))
+        return hash(self.id)
 
     @property
     def elements(self) -> range:
@@ -543,7 +544,7 @@ def image_subobject(f: ConcreteMorphism) -> Subobject:
 # ---------------------------------------------------------------------------
 
 _HOM_CACHE: dict[tuple, tuple[ConcreteMorphism, ...]] = {}
-#: map tables keyed on content: (backend, |A|, |B|, A.op, B.op)
+#: map tables keyed on the content keys of the two ends
 _HOM_TABLES: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
 
@@ -587,6 +588,13 @@ def _element_words(A: FiniteObject, gens: tuple[int, ...]) -> list[tuple[int, ..
     return words  # type: ignore[return-value]
 
 
+def content_key(A: FiniteObject) -> tuple:
+    """What every hom search and composition table depends on: backend,
+    size and op table, but not the id.  The size is needed because pointed
+    sets carry no op table."""
+    return (A.backend, A.size, A.op)
+
+
 def enumerate_hom(A: FiniteObject, B: FiniteObject,
                   cache: bool = True) -> tuple[ConcreteMorphism, ...]:
     """All morphisms A -> B, duplicate-free, sorted by map table.
@@ -614,7 +622,7 @@ def hom_tables(A: FiniteObject, B: FiniteObject
     content pair and checked against the homomorphism law by the search."""
     if A.backend != B.backend:
         raise BackendMismatch(f"hom({A.id},{B.id}): backends differ")
-    content = (A.backend, A.size, B.size, A.op, B.op)
+    content = (content_key(A), content_key(B))
     tables = _HOM_TABLES.get(content)
     if tables is None:
         tables = _HOM_TABLES[content] = _search_hom_tables(A, B)

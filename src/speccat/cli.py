@@ -7,9 +7,10 @@ theorem checks.  Output is deterministic: canonical orders everywhere and
 sorted JSON keys.  JSON is written as it is rendered, one piece per entry
 of the largest lists (a ``composition`` table, a ``homs`` entry), never held
 as one string, and is byte for byte the text of
-``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.  Peak RSS
-of ``spec --universe s4-subgroups`` (24 MB of JSON) is about 53 MB on
-CPython 3.11, x86-64.
+``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.  A
+composition table that the export shares between entries is rendered at
+most twice per indent level.  Peak RSS of ``spec --universe s4-subgroups``
+(24 MB of JSON) is about 38 MB on CPython 3.11, x86-64.
 
 Exit codes: 0 success, 1 property failure (witness JSON on stdout),
 2 input error, 3 resource bound exceeded, 141 (128 + SIGPIPE) the reader
@@ -122,40 +123,64 @@ def _key_text(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _json_text(o, level: int) -> str:
-    """The text of o with its first line at indent ``level``."""
+def _json_text(o, level: int, memo: dict) -> str:
+    """The text of o with its first line at indent ``level``.  The text of
+    a list of lists is kept in ``memo`` under (id, level), so a table that
+    the payload holds many times is rendered at most twice per indent
+    level."""
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
+        nested = type(o) is list and type(o[0]) is list
+        if nested:
+            key = id(o), level
+            text = memo.get(key)
+            if text:
+                return text
         inner = "\n" + _INDENT * (level + 1)
         # exact ints only (type, not isinstance: a bool is written true, not
         # 1), whose repr is int.__repr__
         if set(map(type, o)) == {int}:
             items = map(repr, o)
         else:
-            items = [_json_text(x, level + 1) for x in o]
-        return ("[" + inner + ("," + inner).join(items)
+            items = [_json_text(x, level + 1, memo) for x in o]
+        text = ("[" + inner + ("," + inner).join(items)
                 + "\n" + _INDENT * level + "]")
+        if nested:
+            # the text is kept from the second time on: a table met once
+            # holds no memory past its piece
+            memo[key] = text if key in memo else ""
+        return text
     if isinstance(o, dict):
         if not o:
             return "{}"
         inner = "\n" + _INDENT * (level + 1)
-        items = [_key_text(k) + ": " + _json_text(v, level + 1)
+        items = [_key_text(k) + ": " + _json_text(v, level + 1, memo)
                  for k, v in sorted(o.items())]
         return ("{" + inner + ("," + inner).join(items)
                 + "\n" + _INDENT * level + "}")
     return _scalar_text(o)
 
 
-def _json_pieces(o, level: int = 0):
+def _json_pieces(o):
     """Yield the text of o in pieces: a dict piece by key, a list of
-    containers piece by item, every other value whole."""
+    containers piece by item, every other value whole.
+
+    A list of lists (a composition table) is rendered at most twice per
+    indent level and its text reused wherever the payload holds the same
+    list again.  The memo is keyed on ``id`` and made fresh for each call:
+    the payload keeps every list it holds alive while it is written, so no
+    id is reused inside one call."""
+    yield from _pieces(o, 0, {})
+
+
+def _pieces(o, level: int, memo: dict):
     if isinstance(o, dict) and o:
         inner = "\n" + _INDENT * (level + 1)
         sep = "{" + inner
         for k, v in sorted(o.items()):
             yield sep + _key_text(k) + ": "
-            yield from _json_pieces(v, level + 1)
+            yield from _pieces(v, level + 1, memo)
             sep = "," + inner
         yield "\n" + _INDENT * level + "}"
     elif (isinstance(o, (list, tuple))
@@ -163,11 +188,11 @@ def _json_pieces(o, level: int = 0):
         inner = "\n" + _INDENT * (level + 1)
         sep = "[" + inner
         for x in o:
-            yield sep + _json_text(x, level + 1)
+            yield sep + _json_text(x, level + 1, memo)
             sep = "," + inner
         yield "\n" + _INDENT * level + "]"
     else:
-        yield _json_text(o, level)
+        yield _json_text(o, level, memo)
 
 
 def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:

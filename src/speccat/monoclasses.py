@@ -520,7 +520,7 @@ def closure_law_suite(universe: list[FiniteObject],
             for m in ms:
                 if not member(canonical_mono(m)):
                     continue
-                split = any(compose(r, m).table == tuple(X.elements)
+                split = any(all(r.table[v] == x for x, v in enumerate(m.table))
                             for r in retractions)
                 if split:
                     checked += 1

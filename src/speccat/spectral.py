@@ -13,6 +13,7 @@ from .catcore import (
     ConcreteMorphism,
     FiniteObject,
     Subobject,
+    content_key,
     enumerate_hom,
     hom_tables,
     subalgebras,
@@ -228,23 +229,44 @@ class SpectralCategory:
     # -- export -----------------------------------------------------------
 
     def to_json(self) -> dict:
+        """The objects, the classes of every hom set and the composition
+        table of every triple (A, B, C), in the order of ``objects``.
+
+        A class out of X is a map out of amin(X), so a composition table
+        depends on each end only through its content (backend, size, op
+        table) and the elements of its minimal M-subobject.  Each table is
+        computed once per triple of such keys, with the checks of
+        :meth:`compose`, and triples with equal keys share one list.  The
+        minimal M-subobject is part of the key so that the checks of one
+        triple also hold for every triple that shares its table."""
         homs = []
         comp = []
         pairs = [(A, B) for A in self.objects for B in self.objects]
         for A, B in pairs:
             homs.append({"dom": A.id, "cod": B.id,
                          "classes": [c.to_json() for c in self.hom(A, B)]})
+        key_ids: dict[tuple, int] = {}
+        key_of = {A: key_ids.setdefault(
+                      content_key(A) + (self.amin(A).elems,), len(key_ids))
+                  for A in self.objects}
+        tables: dict[tuple[int, int, int], list[list[int]]] = {}
         for A, B in pairs:
-            readers = [_reader(self._restriction(A, B, c1.label))
-                       for c1 in self.hom(A, B)]
+            readers = None
             for C in self.objects:
-                index = self._hom(A, C)[1]
-                labels = [c2.label for c2 in self.hom(B, C)]
-                try:
-                    table = [[index[read(lab)] for lab in labels]
-                             for read in readers]
-                except KeyError as err:
-                    raise _no_class(A, C, err.args[0]) from None
+                key = key_of[A], key_of[B], key_of[C]
+                table = tables.get(key)
+                if table is None:
+                    if readers is None:
+                        readers = [_reader(self._restriction(A, B, c1.label))
+                                   for c1 in self.hom(A, B)]
+                    index = self._hom(A, C)[1]
+                    labels = [c2.label for c2 in self.hom(B, C)]
+                    try:
+                        table = [[index[read(lab)] for lab in labels]
+                                 for read in readers]
+                    except KeyError as err:
+                        raise _no_class(A, C, err.args[0]) from None
+                    tables[key] = table
                 comp.append({"dom": A.id, "mid": B.id, "cod": C.id,
                              "table": table})
         return {"objects": [A.id for A in self.objects],

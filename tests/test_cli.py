@@ -201,6 +201,9 @@ def test_unknown_subcommand_exits_2(capsys):
      "d516f36087a9124b113ada425dbbd9a5a8982af98280a8876b7f45631a8bd509"),
     ("z4-chain",
      "a76b3213ccd8e6cfc649e04ed8dccdfc13250f3b0d2d6a31b9080db6caf03da0"),
+    # the digest of the same job in perfbench/expected.json
+    ("pointed-le-4",
+     "c9a2f441296c3f6bc4064bdde7d75a6da949d70bc094e706e7b167d6c8d1c988"),
 ])
 def test_spec_export_is_byte_identical(universe, digest, tmp_path, capsys):
     out = tmp_path / "spec.json"
@@ -287,6 +290,9 @@ _VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
 ), max_leaves=12)
 
 
+_TABLE = [[0, 1], [1, 0]]
+
+
 def _deep(depth):
     obj = [1, True]
     for i in range(depth):
@@ -310,6 +316,10 @@ def _deep(depth):
 @example(obj={(1, 2): 3})
 @example(obj=[1, {"a": [object()]}])
 @example(obj=_deep(40))
+# one list of lists held many times, at one indent level and at two: the
+# writer keeps the text of such a list, which depends on its level
+@example(obj=[{"table": _TABLE}] * 3)
+@example(obj=[{"table": _TABLE}, [{"table": _TABLE}]] * 3)
 def test_writer_text_is_the_json_dumps_text(obj):
     assert _written(obj) == _dumps(obj)
 

@@ -31,7 +31,7 @@ from speccat import (
 )
 from speccat import catcore, registry
 from speccat.catcore import AB, GRP
-from speccat.monoclasses import ESSENTIAL_FAMILY, ISO_FAMILY
+from speccat.monoclasses import ESSENTIAL_FAMILY, EXPLICIT_FAMILY, ISO_FAMILY
 
 
 @pytest.fixture(scope="module")
@@ -403,7 +403,8 @@ def test_export_schema_and_determinism(z4_universe):
             if h["dom"] == block["dom"] and h["cod"] == block["mid"])["classes"])
 
 
-@pytest.mark.parametrize("name", ["s3-subgroups", "z4-chain"])
+# pointed sets carry no op table: their content key rests on the size
+@pytest.mark.parametrize("name", ["s3-subgroups", "z4-chain", "pointed-le-4"])
 def test_export_composition_tables_match_compose(name):
     spec = _spec_over("se", name)
     by_id = {A.id: A for A in spec.objects}
@@ -416,3 +417,19 @@ def test_export_composition_tables_match_compose(name):
                            for c2 in spec.hom(B, C)]
             entries += len(row)
     assert entries
+
+
+def test_export_does_not_share_tables_across_minimal_subobjects():
+    """Two objects with one op table but different minimal M-subobjects,
+    under a family that is not closed under isos: a class of hom(Z2a, Z2b)
+    leaves amin(Z2b), and the export must still refuse it, though Z2a and
+    Z2b have the same content."""
+    za, zb = cyclic_group(2, "Z2a"), cyclic_group(2, "Z2b")
+    M = MonoFamily(name="not-iso-closed", kind=EXPLICIT_FAMILY,
+                   members=frozenset({(za, frozenset({0, 1})),
+                                      (zb, frozenset({0, 1})),
+                                      (zb, frozenset({0}))}))
+    spec = SpectralCategory(GRP, M, [za, zb])
+    assert spec.amin(za).elems == (0, 1) and spec.amin(zb).elems == (0,)
+    with pytest.raises(ConsistencyError, match="leaves the minimal"):
+        spec.to_json()
