@@ -19,7 +19,7 @@ from .catcore import (
 )
 from .errors import CompositionMismatch, PreconditionViolation
 from .limits import preimage, pullback
-from .monoclasses import MonoFamily
+from .monoclasses import MonoFamily, _first_failure, _jsonable, _report
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +195,8 @@ def _family_monos(M: MonoFamily, X: FiniteObject, Y: FiniteObject):
 
 def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionReport]:
     """Exhaustively verify the focal conditions and the right-fraction
-    (co)equalizing condition for M over a finite universe."""
-    reports: list[ConditionReport] = []
-
-    def jw(**kw):
-        return {k: (v.to_json() if hasattr(v, "to_json") else v)
-                for k, v in kw.items()}
-
+    (co)equalizing condition for M over a finite universe.  Each condition
+    counts its cases up to and including the first failure, its witness."""
     # member lists and "some member reaches X", each built once per call
     members = cache(partial(_family_monos, M))
 
@@ -210,70 +205,33 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
         return any(members(W, X) for W in universe)
 
     # F0: every object receives some member of M
-    checked, witness = 0, None
-    for X in universe:
-        checked += 1
-        if not reached(X):
-            witness = jw(object=X.id)
-            break
-    reports.append(ConditionReport("F0", "fail" if witness else "pass",
-                                   checked, witness))
+    f0 = (None if reached(X) else _jsonable(object=X.id) for X in universe)
 
     # F1: composable members extend to a member after precomposition
-    checked, witness = 0, None
-    for X in universe:
-        for Y in universe:
-            for s1 in members(X, Y):
-                for Z in universe:
-                    for s0 in members(Y, Z):
-                        checked += 1
-                        comp = tuple(s0.table[e] for e in s1.table)
-                        # f = id works whenever M is composition closed
-                        found = M.contains_image(Z, frozenset(comp))
-                        for W in universe if not found else []:
-                            for f in enumerate_hom(W, X):
-                                # comp.f is a mono exactly when f is one
-                                if f.is_injective and M.contains_image(
-                                        Z, frozenset(comp[e] for e in f.table)):
-                                    found = True
-                                    break
-                            if found:
-                                break
-                        if not found:
-                            witness = jw(s1=s1, s0=s0)
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(ConditionReport("F1", "fail" if witness else "pass",
-                                   checked, witness))
+    def f1():
+        for X in universe:
+            for Y in universe:
+                for s1 in members(X, Y):
+                    for Z in universe:
+                        for s0 in members(Y, Z):
+                            comp = tuple(s0.table[e] for e in s1.table)
+                            # f = id works whenever M is composition closed;
+                            # comp.f is a mono exactly when f is one
+                            found = M.contains_image(Z, frozenset(comp)) or any(
+                                f.is_injective and M.contains_image(
+                                    Z, frozenset(comp[e] for e in f.table))
+                                for W in universe for f in enumerate_hom(W, X))
+                            yield None if found else _jsonable(s1=s1, s0=s0)
 
     # F2: every cospan (f, s) with s in M completes to a square with s' in M
-    checked, witness = 0, None
-    for A in universe:
-        for sX in universe:
-            for s in members(sX, A):
-                for W in universe:
-                    for f in enumerate_hom(W, A):
-                        checked += 1
-                        if not _f2_square_exists(M, members, universe, s, f):
-                            witness = jw(s=s, f=f)
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(ConditionReport("F2", "fail" if witness else "pass",
-                                   checked, witness))
+    f2 = (None if _f2_square_exists(M, members, universe, s, f)
+          else _jsonable(s=s, f=f)
+          for A in universe for sX in universe for s in members(sX, A)
+          for W in universe for f in enumerate_hom(W, A))
+
+    reports = [_report(ConditionReport, "F0", _first_failure(f0)),
+               _report(ConditionReport, "F1", _first_failure(f1())),
+               _report(ConditionReport, "F2", _first_failure(f2))]
 
     # F3 / Ore: pairs coequalized by a member are equalized by a member.
     # All family members are monos, so a coequalizing member forces f = g.
@@ -285,13 +243,12 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
         # member with codomain X
         if not reached(X):
             checked += 1
-            witness = jw(parallel_pair=next(
+            witness = _jsonable(parallel_pair=next(
                 f for Y in universe for f in enumerate_hom(X, Y)))
             break
         checked += sum(len(enumerate_hom(X, Y)) for Y in universe)
     for cond in ("F3", "Ore-d"):
-        reports.append(ConditionReport(cond, "fail" if witness else "pass",
-                                       checked, witness))
+        reports.append(_report(ConditionReport, cond, (checked, witness)))
     return reports
 
 

@@ -5,6 +5,10 @@ regular quotients, i.e. congruences of the codomain), subobject-essentiality
 (decided by subobject enumeration), pullback-stable essentiality (exact in
 the group backends, bounded refutation elsewhere), stabilization of a class,
 and an exhaustive closure/cancellation law harness.
+
+Every law report counts the cases whose premise holds, up to and including
+the first case whose conclusion fails, and that case is the witness: a
+passing law counts all its cases, a failing one stops at its first failure.
 """
 
 from __future__ import annotations
@@ -86,6 +90,12 @@ class MonoClassSpec:
 # Verdicts and caches
 # ---------------------------------------------------------------------------
 
+def _jsonable(**fields) -> dict:
+    """A witness as JSON: each field's ``to_json()``, or the value itself."""
+    return {k: (v.to_json() if hasattr(v, "to_json") else v)
+            for k, v in fields.items()}
+
+
 @dataclass(frozen=True)
 class Verdict:
     value: bool
@@ -97,11 +107,10 @@ class Verdict:
 
     def to_json(self) -> dict:
         w = self.witness
-        if hasattr(w, "to_json"):
+        if isinstance(w, dict):
+            w = _jsonable(**w)
+        elif hasattr(w, "to_json"):
             w = w.to_json()
-        elif isinstance(w, dict):
-            w = {k: (v.to_json() if hasattr(v, "to_json") else v)
-                 for k, v in w.items()}
         return {"value": self.value,
                 "mode": "exact" if self.exact else "bounded",
                 "witness": w}
@@ -196,13 +205,11 @@ def essential_four_ways(m: ConcreteMorphism) -> dict[str, bool]:
     A, image = m.cod, m.image
     results: dict[str, bool] = {}
 
-    ok = True
-    for cong in congruences(A):
-        _, e = cong.quotient()
-        if compose(e, m).is_injective and not e.is_injective:
-            ok = False
-            break
-    results["via_regular_quotients"] = ok
+    def quotients():
+        return (cong.quotient()[1] for cong in congruences(A))
+
+    results["via_regular_quotients"] = not any(
+        compose(e, m).is_injective and not e.is_injective for e in quotients())
 
     results["via_congruences"] = _essential_refutation(A, image) is None
 
@@ -213,13 +220,9 @@ def essential_four_ways(m: ConcreteMorphism) -> dict[str, bool]:
     else:
         results["via_normal_subobjects"] = results["via_congruences"]
 
-    ok = True
-    for cong in congruences(A):
-        _, e = cong.quotient()
-        if has_zero_kernel(compose(e, m)) and not has_zero_kernel(e):
-            ok = False
-            break
-    results["via_kernels"] = ok
+    results["via_kernels"] = not any(
+        has_zero_kernel(compose(e, m)) and not has_zero_kernel(e)
+        for e in quotients())
     return results
 
 
@@ -363,6 +366,24 @@ class LawReport:
                 "checked": self.checked, "witness": self.witness}
 
 
+def _first_failure(cases) -> tuple[int, dict | None]:
+    """(checked, witness) of a first-failure check.  ``cases`` yields one
+    item per case whose premise holds: None when its conclusion holds too,
+    the witness when it does not.  The scan stops at the first witness."""
+    checked = 0
+    for witness in cases:
+        checked += 1
+        if witness is not None:
+            return checked, witness
+    return checked, None
+
+
+def _report(cls, name: str, result: tuple[int, dict | None]):
+    """A law, condition or cone report from a (checked, witness) result."""
+    checked, witness = result
+    return cls(name, "pass" if witness is None else "fail", checked, witness)
+
+
 def monos_between(universe: list[FiniteObject]) -> dict[tuple, tuple]:
     """The monos X -> Y between universe objects, keyed by (X, Y) in universe
     order; pairs with no mono are left out."""
@@ -380,6 +401,10 @@ def _composable(monos: dict[tuple, tuple]):
     for (_, Y), inner in monos.items():
         for outer in outer_from.get(Y, ()):
             yield inner, outer
+
+
+def _composite_image(m: ConcreteMorphism, mp: ConcreteMorphism) -> frozenset:
+    return frozenset(m.table[e] for e in mp.table)
 
 
 def _pullback_stable_law(monos: dict[tuple, tuple], universe: list[FiniteObject],
@@ -407,9 +432,8 @@ def _pullback_stable_law(monos: dict[tuple, tuple], universe: list[FiniteObject]
                         n += 1
                         pre = preimage(x, image)
                         if not member((W, pre)):
-                            return checked + n, {
-                                "mono": m.to_json(), "along": x.to_json(),
-                                "pulled": _inclusion(W, pre).to_json()}
+                            return checked + n, _jsonable(
+                                mono=m, along=x, pulled=_inclusion(W, pre))
                 passed[key] = n
             checked += n
     return checked, None
@@ -417,9 +441,10 @@ def _pullback_stable_law(monos: dict[tuple, tuple], universe: list[FiniteObject]
 
 def _mono_flags(universe, S):
     """Membership tests of the essential, subobject-essential and pullback
-    stable essential classes, on the (codomain, image) key of a mono."""
-    normal = all(A.backend in NORMAL_BACKENDS for A in universe)
-    st_cache: dict[tuple, bool] = {}
+    stable S-essential classes, on the (codomain, image) key of a mono.  A
+    key outside S is not pullback stable S-essential."""
+    M = stable_essential_family(universe[0].backend if universe else None,
+                                S, universe)
 
     def in_e(key):
         return _essential_refutation(*key) is None
@@ -428,13 +453,7 @@ def _mono_flags(universe, S):
         return _se_refutation(*key) is None
 
     def in_st(key):
-        if normal:
-            return in_se(key)
-        hit = st_cache.get(key)
-        if hit is None:
-            hit = st_cache[key] = is_stable_essential(
-                _inclusion(*key), S, universe).value
-        return hit
+        return S.contains_image(*key) and M.contains_image(*key)
 
     return in_e, in_se, in_st
 
@@ -443,40 +462,37 @@ def closure_law_suite(universe: list[FiniteObject],
                       S: MonoClassSpec | None = None) -> list[LawReport]:
     """Exhaustively check the closure and cancellation laws of the essential,
     subobject-essential and pullback-stable essential classes over a finite
-    universe of objects.  Every failed law carries a concrete witness."""
+    universe of objects.  Every failed law carries a concrete witness.
+
+    The ``stabilization-*`` laws test the class that :func:`stabilize` makes
+    of the S-essential monos between universe objects, a cross-check of the
+    ``stable-essential-*`` laws, which use :func:`is_stable_essential`."""
     S = S or MonoClassSpec(ALL_MONOS)
     monos = monos_between(universe)
     in_e, in_se, in_st = _mono_flags(universe, S)
+    stabilized = {canonical_mono(m) for m in stabilize(
+        [m for ms in monos.values() for m in ms
+         if S.contains(m) and is_essential(m, S, universe).value], universe)}
+    in_stab = stabilized.__contains__
+    isos = [m for ms in monos.values() for m in ms if m.is_bijective]
     reports: list[LawReport] = []
 
-    def w(**kw):
-        return {k: (v.to_json() if hasattr(v, "to_json") else v)
-                for k, v in kw.items()}
-
     # -- iso containment -------------------------------------------------
-    for law_id, member in (("stabilization-contains-isos", in_st), ("essential-contains-isos", in_e),
+    for law_id, member in (("stabilization-contains-isos", in_stab), ("essential-contains-isos", in_e),
                            ("stable-essential-contains-isos", in_st), ("subobject-essential-contains-isos", in_se)):
-        checked, witness = 0, None
-        for ms in monos.values():
-            for m in ms:
-                if m.is_bijective:
-                    checked += 1
-                    if not member(canonical_mono(m)):
-                        witness = w(iso=m)
-                        break
-            if witness:
-                break
-        reports.append(LawReport(law_id, "fail" if witness else "pass",
-                                 checked, witness))
+        reports.append(_report(LawReport, law_id, _first_failure(
+            None if member(canonical_mono(m)) else _jsonable(iso=m)
+            for m in isos)))
 
     # -- composition-shaped laws -----------------------------------------
+    # one scan for all fifteen: each law keeps its own (checked, witness)
     comp_laws = [
         # (law id, premise(p, m, c), conclusion(p, m, c)); the arguments are
         # the (codomain, image) keys of m', m and the composite m.m'
-        ("stabilization-composition", lambda p, m, c: in_st(p) and in_st(m), lambda p, m, c: in_st(c)),
-        ("stabilization-right-cancellation", lambda p, m, c: in_st(c) and S.contains_image(*p), lambda p, m, c: in_st(m)),
-        ("stabilization-weak-right-cancellation", lambda p, m, c: in_st(c) and in_st(p), lambda p, m, c: in_st(m)),
-        ("stabilization-left-cancellation", lambda p, m, c: in_st(c), lambda p, m, c: in_st(p)),
+        ("stabilization-composition", lambda p, m, c: in_stab(p) and in_stab(m), lambda p, m, c: in_stab(c)),
+        ("stabilization-right-cancellation", lambda p, m, c: in_stab(c) and S.contains_image(*p), lambda p, m, c: in_stab(m)),
+        ("stabilization-weak-right-cancellation", lambda p, m, c: in_stab(c) and in_stab(p), lambda p, m, c: in_stab(m)),
+        ("stabilization-left-cancellation", lambda p, m, c: in_stab(c), lambda p, m, c: in_stab(p)),
         ("essential-composition", lambda p, m, c: in_e(p) and in_e(m), lambda p, m, c: in_e(c)),
         ("essential-right-cancellation", lambda p, m, c: in_e(c), lambda p, m, c: in_e(m)),
         ("essential-weak-right-cancellation", lambda p, m, c: in_e(c) and in_e(p), lambda p, m, c: in_e(m)),
@@ -494,74 +510,49 @@ def closure_law_suite(universe: list[FiniteObject],
         for mp in inner:          # m': X -> Y
             kp = canonical_mono(mp)
             for m in outer:       # m : Y -> Z
-                Z = m.cod
-                km = (Z, m.image)
-                kc = (Z, frozenset(m.table[e] for e in mp.table))
+                km, kc = (m.cod, m.image), (m.cod, _composite_image(m, mp))
                 for law_id, premise, conclusion in comp_laws:
                     slot = results[law_id]
-                    if slot[1] is not None:
-                        continue
-                    if premise(kp, km, kc):
+                    if slot[1] is None and premise(kp, km, kc):
                         slot[0] += 1
                         if not conclusion(kp, km, kc):
-                            slot[1] = w(inner=mp, outer=m,
-                                        composite=compose(m, mp))
-    for law_id, _, _ in comp_laws:
-        checked, witness = results[law_id]
-        reports.append(LawReport(law_id, "fail" if witness else "pass",
-                                 checked, witness))
+                            slot[1] = _jsonable(inner=mp, outer=m,
+                                                composite=compose(m, mp))
+    reports += [_report(LawReport, law_id, results[law_id])
+                for law_id, _, _ in comp_laws]
 
     # -- split mono corollaries ------------------------------------------
-    for law_id, member in (("essential-split-mono-is-iso", in_e), ("stable-essential-split-mono-is-iso", in_st),
-                           ("subobject-essential-split-mono-is-iso", in_se)):
-        checked, witness = 0, None
+    def split_monos(member):
         for (X, Y), ms in monos.items():
             retractions = enumerate_hom(Y, X)
             for m in ms:
-                if not member(canonical_mono(m)):
-                    continue
-                split = any(all(r.table[v] == x for x, v in enumerate(m.table))
-                            for r in retractions)
-                if split:
-                    checked += 1
-                    if not m.is_bijective:
-                        witness = w(split_mono=m)
-                        break
-            if witness:
-                break
-        reports.append(LawReport(law_id, "fail" if witness else "pass",
-                                 checked, witness))
+                if member(canonical_mono(m)) and any(
+                        all(r.table[v] == x for x, v in enumerate(m.table))
+                        for r in retractions):
+                    yield None if m.is_bijective else _jsonable(split_mono=m)
+
+    for law_id, member in (("essential-split-mono-is-iso", in_e), ("stable-essential-split-mono-is-iso", in_st),
+                           ("subobject-essential-split-mono-is-iso", in_se)):
+        reports.append(_report(LawReport, law_id,
+                               _first_failure(split_monos(member))))
 
     # -- pullback stability ----------------------------------------------
-    for law_id, member in (("stabilization-pullback-stable", in_st), ("stable-essential-pullback-stable", in_st), ("subobject-essential-pullback-stable", in_se)):
-        checked, witness = _pullback_stable_law(monos, universe, member)
-        reports.append(LawReport(law_id, "fail" if witness else "pass",
-                                 checked, witness))
+    for law_id, member in (("stabilization-pullback-stable", in_stab), ("stable-essential-pullback-stable", in_st), ("subobject-essential-pullback-stable", in_se)):
+        reports.append(_report(LawReport, law_id,
+                               _pullback_stable_law(monos, universe, member)))
 
     # -- a second mono factor is a pullback of the composite --------------
-    checked, witness = 0, None
-    for (X, Y), inner in monos.items():
-        for (Y2, Z), outer in monos.items():
-            if Y2 != Y:
-                continue
+    def inner_factors():
+        for inner, outer in _composable(monos):
             for mp in inner:
                 for m in outer:
-                    c = compose(m, mp)
-                    pb = pullback(c, m)
-                    checked += 1
-                    if pb.apex.size != X.size or \
-                            pb.proj_right.image != mp.image:
-                        witness = w(inner=mp, outer=m)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(LawReport("inner-factor-is-pullback-of-composite", "fail" if witness else "pass",
-                             checked, witness))
+                    pb = pullback(compose(m, mp), m)
+                    yield (None if pb.apex.size == mp.dom.size
+                           and pb.proj_right.image == mp.image
+                           else _jsonable(inner=mp, outer=m))
 
+    reports.append(_report(LawReport, "inner-factor-is-pullback-of-composite",
+                           _first_failure(inner_factors())))
     return reports
 
 
@@ -603,67 +594,30 @@ def find_weak_left_cancellation_witness(universe: list[FiniteObject]):
 def s_class_report(S: MonoClassSpec, universe: list[FiniteObject]) -> list[LawReport]:
     """Bounded verification that S is pullback stable, contains isomorphisms,
     is closed under composition, and has strong left cancellation."""
-    reports = []
-
-    def w(**kw):
-        return {k: v.to_json() for k, v in kw.items()}
-
     monos = monos_between(universe)
 
-    checked, witness = 0, None
-    for ms in monos.values():
-        for m in ms:
-            if m.is_bijective:
-                checked += 1
-                if not S.contains(m):
-                    witness = w(iso=m)
-    reports.append(LawReport("S-isos", "fail" if witness else "pass",
-                             checked, witness))
+    def failed(mp, m):
+        return _jsonable(inner=mp, outer=m, composite=compose(m, mp))
 
-    checked, witness = _pullback_stable_law(
-        monos, universe, lambda key: S.contains_image(*key))
-    reports.append(LawReport("S-pullback-stable", "fail" if witness else "pass",
-                             checked, witness))
-
-    checked, witness = 0, None
-    for inner, outer in _composable(monos):
-        for mp in inner:
-            if not S.contains(mp):
-                continue
-            for m in outer:
-                if not S.contains(m):
-                    continue
-                checked += 1
-                if not S.contains_image(m.cod, frozenset(
-                        m.table[e] for e in mp.table)):
-                    witness = w(inner=mp, outer=m,
-                                composite=compose(m, mp))
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(LawReport("S-composition", "fail" if witness else "pass",
-                             checked, witness))
-
-    checked, witness = 0, None
-    for inner, outer in _composable(monos):
-        for mp in inner:
-            for m in outer:
-                if S.contains_image(m.cod, frozenset(
-                        m.table[e] for e in mp.table)):
-                    checked += 1
-                    if not S.contains(mp):
-                        witness = w(inner=mp, outer=m,
-                                    composite=compose(m, mp))
-                        break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(LawReport("S-strong-left-cancellation",
-                             "fail" if witness else "pass", checked, witness))
-    return reports
+    isos = (None if S.contains(m) else _jsonable(iso=m)
+            for ms in monos.values() for m in ms if m.is_bijective)
+    composites = (
+        None if S.contains_image(m.cod, _composite_image(m, mp))
+        else failed(mp, m)
+        for inner, outer in _composable(monos)
+        for mp in inner if S.contains(mp) for m in outer if S.contains(m))
+    cancellations = (
+        None if S.contains(mp) else failed(mp, m)
+        for inner, outer in _composable(monos) for mp in inner for m in outer
+        if S.contains_image(m.cod, _composite_image(m, mp)))
+    return [
+        _report(LawReport, "S-isos", _first_failure(isos)),
+        _report(LawReport, "S-pullback-stable", _pullback_stable_law(
+            monos, universe, lambda key: S.contains_image(*key))),
+        _report(LawReport, "S-composition", _first_failure(composites)),
+        _report(LawReport, "S-strong-left-cancellation",
+                _first_failure(cancellations)),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ from .limits import PullbackResult, pullback
 from .monoclasses import (
     MonoClassSpec,
     MonoFamily,
+    _first_failure,
+    _jsonable,
+    _report,
     s_class_report,
     stable_essential_family,
 )
@@ -372,36 +375,29 @@ def verify_limit_preservation(spec: SpectralCategory,
                                 for p in spec.hom(W, c.src)]
         return idx
 
-    for f, g in cospans:
-        pb: PullbackResult = pullback(f, g)
-        pf = canonical_functor(f, spec)
-        pg = canonical_functor(g, spec)
-        pl = canonical_functor(pb.proj_left, spec)
-        pr = canonical_functor(pb.proj_right, spec)
-        checked, witness = 0, None
+    def cones(pf, pg, pl, pr):
+        """One item per commuting cone (p, q) over the image cospan: None
+        when it has exactly one mediator, the witness when it does not."""
         for W in spec.objects:
-            ps, qs = spec.hom(W, f.dom), spec.hom(W, g.dom)
+            ps, qs = spec.hom(W, pf.src), spec.hom(W, pg.src)
             pf_p, pg_q = composites(pf, W), composites(pg, W)
             mediators = _mediator_counts(spec, W, pl, pr)
             for p in ps:
                 for q in qs:
-                    if pf_p[p.index] != pg_q[q.index]:
-                        continue
-                    checked += 1
-                    n = mediators[(p.index, q.index)]
-                    if n != 1:
-                        witness = {"probe": W.id, "p": p.to_json(),
-                                   "q": q.to_json(), "mediators": n}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+                    if pf_p[p.index] == pg_q[q.index]:
+                        n = mediators[p.index, q.index]
+                        yield None if n == 1 else _jsonable(
+                            probe=W.id, p=p, q=q, mediators=n)
+
+    for f, g in cospans:
+        pb: PullbackResult = pullback(f, g)
+        result = _first_failure(cones(*(
+            canonical_functor(h, spec)
+            for h in (f, g, pb.proj_left, pb.proj_right))))
         spec._forget(pb.apex)
-        reports.append(ConePreservationReport(
-            cospan=(f"{f.dom.id}->{f.cod.id}", f"{g.dom.id}->{g.cod.id}"),
-            status="fail" if witness else "pass",
-            cones_checked=checked, witness=witness))
+        reports.append(_report(
+            ConePreservationReport,
+            (f"{f.dom.id}->{f.cod.id}", f"{g.dom.id}->{g.cod.id}"), result))
     return reports
 
 

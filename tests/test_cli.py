@@ -215,14 +215,20 @@ def test_spec_export_is_byte_identical(universe, digest, tmp_path, capsys):
     assert hashlib.sha256(stdout).hexdigest() == digest
 
 
-# the subgroup lattice of A5 feeds both; the digests are those of the same
-# jobs in perfbench/expected.json
+# the digests are those of the same jobs in perfbench/expected.json.  The
+# subgroup lattice of A5 feeds the first two; the last two pin the checked
+# counts of the focal conditions and of the limit-preservation cones.
 @pytest.mark.parametrize("argv,digest", [
     (["classify", "--universe", "a5-chain"],
      "732b7d458f6bd9bc04f0d86f9c3a967b455d0d462f8868902efb980090e5c248"),
     (["reproduce", "remark-6.7-search"],
      "ce6ef9e5fa3a513f4b5f48bd39d01e2b88e01b3d188fd5992bbe0768dcc40e47"),
-], ids=["classify-a5-chain", "reproduce-remark-6.7-search"])
+    (["reproduce", "focal-suite"],
+     "a22371ec0b24e774685c672ffe5c3b69033772b2263c7f734f7148855f2dd4d5"),
+    (["reproduce", "thm-5.2-pullbacks"],
+     "ed3d0899bcc071027916408868b1392919769d0229367a391e9ca173bc3053bf"),
+], ids=["classify-a5-chain", "reproduce-remark-6.7-search",
+        "reproduce-focal-suite", "reproduce-thm-5.2-pullbacks"])
 def test_lattice_outputs_are_byte_identical(argv, digest, tmp_path):
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 0

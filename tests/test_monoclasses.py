@@ -158,6 +158,8 @@ def test_closure_laws_on_s3_universe(s3_universe):
     reports = closure_law_suite(s3_universe)
     assert all(r.status == "pass" for r in reports)
     assert len(reports) == 26
+    assert all((r.status, r.checked) == ("pass", 0)
+               for r in closure_law_suite([]))
 
 
 def test_weak_left_cancellation_fails_for_essentials():
@@ -320,6 +322,9 @@ def _reference_s_class_report(S, universe):
                 checked += 1
                 if not S.contains(m):
                     witness = w(iso=m)
+                    break
+        if witness:
+            break
     reports.append(("S-isos", "fail" if witness else "pass", checked, witness))
 
     checked, witness = 0, None
@@ -502,6 +507,11 @@ _S_CLASSES = {
     },
     "z4-chain": {
         "fails-early": lambda U: _isos_plus(U, (2, {0})),
+        # S-isos fails at its first case, the identity of 0; S-pullback-stable
+        # fails when 0 -> Z2 is pulled back along itself to that identity
+        "non-isos": lambda U: MonoClassSpec(EXPLICIT, frozenset(
+            (m.cod, m.image) for ms in monos_between(U).values() for m in ms
+            if not m.is_bijective)),
     },
     "pointed-le-4": {
         "fails-late": lambda U: _isos_plus(U, (3, {0, 1, 2})),
@@ -552,14 +562,24 @@ def test_failing_key_comes_after_a_repeated_key():
 def test_closure_laws_match_per_mono_loops(universe_name, kind):
     universe = registry.universe(universe_name)
     S = _law_class(universe_name, universe, kind)
-    if universe_name == "pointed-le-4" and kind not in (ALL_MONOS, NORMAL_MONOS):
-        # the bounded stable-essential test refuses keys outside S
-        with pytest.raises(PreconditionViolation):
-            closure_law_suite(universe, S)
-        with pytest.raises(PreconditionViolation):
-            _reference_closure_laws(universe, S)
-        return
     reference = _reference_closure_laws(universe, S)
     got = {r.law_id: (r.law_id, r.status, r.checked, r.witness)
            for r in closure_law_suite(universe, S)}
     assert [got[law[0]] for law in reference] == reference
+
+
+def test_keys_outside_S_are_not_stable_essential():
+    """The socle Z2 -> Z4 is subobject-essential but not in ``fails-early``,
+    so it is not pullback stable S-essential: the stable-essential laws
+    agree with is_stable_essential, which refuses it."""
+    universe = registry.universe("z4-chain")
+    S = _law_class("z4-chain", universe, "fails-early")
+    in_st = monoclasses._mono_flags(universe, S)[2]
+    monos = [m for ms in monos_between(universe).values() for m in ms]
+    outside = [m for m in monos if not S.contains(m)]
+    assert any(m.cod.size == 4 and len(m.image) == 2 for m in outside)
+    for m in monos:
+        expected = S.contains(m) and is_stable_essential(m, S, universe).value
+        assert in_st((m.cod, m.image)) == expected, m
+    with pytest.raises(PreconditionViolation):
+        is_stable_essential(outside[0], S, universe)
