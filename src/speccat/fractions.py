@@ -1,5 +1,5 @@
-"""Spans, span composition, fraction equality, focal conditions, and the
-connected-component construction of localized hom sets.
+"""Spans, fraction equality, focal conditions, and the connected-component
+construction of localized hom sets.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from .catcore import (
     inverse,
     subalgebras,
 )
-from .errors import CompositionMismatch, PreconditionViolation
-from .limits import preimage, pullback
+from .errors import (CompositionMismatch, ConsistencyError,
+                     PreconditionViolation)
+from .limits import preimage
 from .monoclasses import MonoFamily, _first_failure, _jsonable, _report
 
 
@@ -51,11 +52,6 @@ class Span:
 
     def to_json(self) -> dict:
         return {"left": self.left.to_json(), "right": self.right.to_json()}
-
-
-def identity_span(A: FiniteObject) -> Span:
-    from .catcore import identity
-    return Span(identity(A), identity(A))
 
 
 @dataclass(frozen=True)
@@ -98,14 +94,6 @@ def normalize(span: Span) -> NormalizedSpan:
     iso = inverse(ConcreteMorphism(span.left.dom, sub.object(),
                                    tuple(pos[v] for v in span.left.table)))
     return NormalizedSpan(sub, compose(span.right, iso))
-
-
-def span_compose(s2: Span, s1: Span) -> Span:
-    """Composite of s1: A -> B and s2: B -> C over the pullback of the middle."""
-    if s1.dst != s2.src:
-        raise CompositionMismatch("spans do not share the middle object")
-    pb = pullback(s1.right, s2.left)
-    return Span(compose(s1.left, pb.proj_left), compose(s2.right, pb.proj_right))
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +277,24 @@ class FractionClass:
 def poincare_hom(A: FiniteObject, B: FiniteObject,
                  M: MonoFamily) -> list[FractionClass]:
     """Hom set of the localization, built as the union of hom(A', B) over
-    M-subobjects A' of A, quotiented by fraction equality."""
-    msubs = M.m_subobjects(A)
+    M-subobjects A' of A, quotiented by fraction equality.
+
+    Two normalized fractions (A', f) and (A'', g) are equal exactly when
+    some M-subobject D inside A' and A'' has f|D = g|D: that D is the apex
+    of the diamond ``fraction_equal`` searches for.  So each span gets one
+    key (D, f|D) per M-subobject D of A inside its own A', and spans that
+    share a key are joined.  This is the diamond relation itself, so its
+    union-find closure is the quotient an all-pairs diamond search gives.
+    Each join that merges two classes is certified by ``fraction_equal`` on
+    the two spans; a refusal raises ``ConsistencyError``.
+    """
+    msubs = sorted(M.m_subobjects(A), key=lambda s_: (-s_.size, s_.elems))
     if not msubs:
         raise PreconditionViolation(
             f"{A.id} receives no member of M (condition F0 fails)")
     spans: list[NormalizedSpan] = []
-    for sub in sorted(msubs, key=lambda s_: (-s_.size, s_.elems)):
-        for f in enumerate_hom(sub.object(), B):
-            spans.append(NormalizedSpan(sub, f))
-    parent = list(range(len(spans)))
+    first_with_key: dict[tuple, int] = {}
+    parent: list[int] = []
 
     def find(i):
         while parent[i] != i:
@@ -306,13 +302,27 @@ def poincare_hom(A: FiniteObject, B: FiniteObject,
             i = parent[i]
         return i
 
-    for i in range(len(spans)):
-        for j in range(i + 1, len(spans)):
-            if find(i) == find(j):
-                continue
-            equal, _ = fraction_equal(spans[i], spans[j], M)
-            if equal:
+    for sub in msubs:
+        inside = set(sub.elems)
+        pos = {e: i for i, e in enumerate(sub.elems)}
+        # each M-subobject D inside A', with the positions of D in A'
+        restrictions = [(D.elems, tuple(pos[e] for e in D.elems))
+                        for D in msubs if inside.issuperset(D.elems)]
+        for f in enumerate_hom(sub.object(), B):
+            j = len(spans)
+            spans.append(NormalizedSpan(sub, f))
+            parent.append(j)
+            for d_elems, d_pos in restrictions:
+                i = first_with_key.setdefault(
+                    (d_elems, tuple(f.table[p] for p in d_pos)), j)
                 ri, rj = find(i), find(j)
+                if ri == rj:
+                    continue
+                if not fraction_equal(spans[i], spans[j], M)[0]:
+                    raise ConsistencyError(
+                        f"spans {i} and {j} of hom({A.id}, {B.id}) agree on "
+                        f"the M-subobject {d_elems} but fraction_equal "
+                        f"finds no diamond")
                 parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[NormalizedSpan]] = {}
     for i, sp in enumerate(spans):
@@ -325,40 +335,3 @@ def poincare_hom(A: FiniteObject, B: FiniteObject,
         classes.append(FractionClass(src=A, dst=B, index=idx,
                                      rep=group_sorted[0], members=group_sorted))
     return classes
-
-
-def poincare_hom_zigzag(A: FiniteObject, B: FiniteObject, M: MonoFamily,
-                        apexes: list[FiniteObject]) -> int:
-    """Independent oracle: count connected components of the hom category of
-    spans (2-cells are apex maps commuting with both legs), apexes drawn
-    from the given object list."""
-    spans = []
-    for X in apexes:
-        for x in _family_monos(M, X, A):
-            for f in enumerate_hom(X, B):
-                spans.append(Span(x, f))
-    n = len(spans)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(n):
-            if i == j or find(i) == find(j):
-                continue
-            si, sj = spans[i], spans[j]
-            if si.apex.backend != sj.apex.backend:
-                continue
-            linked = any(
-                compose(sj.left, s).table == si.left.table and
-                compose(sj.right, s).table == si.right.table
-                for s in enumerate_hom(si.apex, sj.apex)
-            )
-            if linked:
-                ri, rj = find(i), find(j)
-                parent[max(ri, rj)] = min(ri, rj)
-    return len({find(i) for i in range(n)})

@@ -14,7 +14,7 @@ passing law counts all its cases, a failing one stops at its first failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .catcore import (
     NORMAL_BACKENDS,
@@ -675,21 +675,26 @@ class MonoFamily:
         return [sub for sub in subalgebras(A)
                 if self.contains_image(A, frozenset(sub.elems))]
 
+    @cached_property
+    def _stabilized_verdicts(self) -> dict:
+        """This family's dict in ``_STABILIZED_CACHE``, looked up once: the
+        (S, universe) key hashes the whole universe tuple."""
+        return _STABILIZED_CACHE.setdefault((self.S, self.universe), {})
 
-#: keyed on what the verdict depends on: the class S, the probe universe and
-#: the (codomain, image) pair; the family name is the same for every S
-_STABILIZED_CACHE: dict[tuple, bool] = {}
+
+#: keyed on what the verdict depends on: the class S and the probe universe
+#: (the family name is the same for every S), then the (codomain, image) pair
+_STABILIZED_CACHE: dict[tuple, dict[tuple, bool]] = {}
 
 
 def _stabilized_member(family: MonoFamily, cod: FiniteObject,
                        image: frozenset[int]) -> bool:
-    key = (family.S, family.universe, cod, image)
-    hit = _STABILIZED_CACHE.get(key)
+    verdicts = family._stabilized_verdicts
+    hit = verdicts.get((cod, image))
     if hit is None:
         verdict = is_stable_essential(_inclusion(cod, image), family.S,
                                       list(family.universe or ()))
-        hit = verdict.value
-        _STABILIZED_CACHE[key] = hit
+        hit = verdicts[cod, image] = verdict.value
     return hit
 
 

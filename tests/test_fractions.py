@@ -2,10 +2,12 @@
 constructions of localized hom sets."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from speccat import (
     CompositionMismatch,
     ConcreteMorphism,
+    ConsistencyError,
     MonoFamily,
     NormalizedSpan,
     PreconditionViolation,
@@ -21,14 +23,11 @@ from speccat import (
     identity,
     normalize,
     poincare_hom,
-    poincare_hom_zigzag,
-    span_compose,
     stable_essential_family,
     subalgebras,
 )
-from speccat import registry
+from speccat import fractions, registry
 from speccat.catcore import AB, GRP, zero_morphism
-from speccat.fractions import identity_span
 from speccat.limits import congruence_from_normal_subobject, pullback
 from speccat.monoclasses import ESSENTIAL_FAMILY, EXPLICIT_FAMILY, ISO_FAMILY
 
@@ -41,6 +40,18 @@ def ess_family():
 # ---------------------------------------------------------------------------
 # Span composition
 # ---------------------------------------------------------------------------
+
+def identity_span(A):
+    return Span(identity(A), identity(A))
+
+
+def span_compose(s2, s1):
+    """Composite of s1: A -> B and s2: B -> C over the pullback of the middle."""
+    if s1.dst != s2.src:
+        raise CompositionMismatch("spans do not share the middle object")
+    pb = pullback(s1.right, s2.left)
+    return Span(compose(s1.left, pb.proj_left), compose(s2.right, pb.proj_right))
+
 
 def test_compose_with_identity_span(s3, s3_named):
     a3 = s3_named["A3"].inclusion()
@@ -420,6 +431,168 @@ def test_f0_f1_reports_match_per_member_loops(universe_name, family, S_all):
 # ---------------------------------------------------------------------------
 # Localized hom sets
 # ---------------------------------------------------------------------------
+
+def poincare_hom_zigzag(A, B, M, apexes):
+    """Independent oracle: count connected components of the hom category of
+    spans (2-cells are apex maps commuting with both legs), apexes drawn
+    from the given object list."""
+    spans = [Span(x, f) for X in apexes
+             for x in enumerate_hom(X, A) if M.contains(x)
+             for f in enumerate_hom(X, B)]
+    n = len(spans)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(n):
+            if i == j or find(i) == find(j):
+                continue
+            si, sj = spans[i], spans[j]
+            if si.apex.backend != sj.apex.backend:
+                continue
+            linked = any(
+                compose(sj.left, s).table == si.left.table and
+                compose(sj.right, s).table == si.right.table
+                for s in enumerate_hom(si.apex, sj.apex)
+            )
+            if linked:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    return len({find(i) for i in range(n)})
+
+
+def _pairwise_poincare_hom(A, B, M):
+    """The span quotient by a diamond search on every pair of spans, as
+    poincare_hom built it before the keyed join; returns the class lists."""
+    msubs = sorted(M.m_subobjects(A), key=lambda s_: (-s_.size, s_.elems))
+    spans = [NormalizedSpan(sub, f) for sub in msubs
+             for f in enumerate_hom(sub.object(), B)]
+    parent = list(range(len(spans)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(spans)):
+        for j in range(i + 1, len(spans)):
+            if find(i) == find(j):
+                continue
+            if fraction_equal(spans[i], spans[j], M)[0]:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i, sp in enumerate(spans):
+        groups.setdefault(find(i), []).append(sp)
+    reps = sorted(groups.values(), key=lambda g: min(sp.sort_key() for sp in g))
+    classes = []
+    for idx, g in enumerate(reps):
+        members = tuple(sorted(g, key=lambda sp: sp.sort_key()))
+        classes.append((idx, members[0], members))
+    return classes
+
+
+def _class_lists(A, B, M):
+    return [(c.index, c.rep, c.members) for c in poincare_hom(A, B, M)]
+
+
+def _universe_family(name, S_all):
+    objects = registry.universe(name)
+    return objects, stable_essential_family(objects[0].backend, S_all,
+                                            objects)
+
+
+@pytest.mark.parametrize("name", ["s3-subgroups", "z4-chain", "pointed-le-4",
+                                  "a5-chain", "s4-subgroups"])
+def test_keyed_join_matches_pairwise_quotient(name, S_all):
+    objects, M = _universe_family(name, S_all)
+    for A in objects:
+        for B in objects:
+            assert _class_lists(A, B, M) == _pairwise_poincare_hom(A, B, M)
+
+
+def test_keyed_join_matches_pairwise_quotient_for_essential_family(
+        ess_family, s3_universe):
+    """The essential monos of S3 are not pullback stable (F2 fails), so no
+    minimal M-subobject theorem applies; the join still gives the quotient."""
+    merged = 0
+    for A in s3_universe:
+        for B in s3_universe:
+            want = _pairwise_poincare_hom(A, B, ess_family)
+            assert _class_lists(A, B, ess_family) == want
+            merged += sum(len(members) - 1 for _, _, members in want)
+    assert merged
+
+
+def test_keyed_join_matches_pairwise_quotient_for_meet_free_family(
+        s3_universe, s3):
+    """M = the three order-2 subgroups of S3, which pairwise meet in 0 only:
+    no M-subobject lies in two of them, so spans on different ones are
+    never equal, although every one of them agrees on the third subgroup's
+    meet with its own domain."""
+    order_2 = [sub for sub in subalgebras(s3) if sub.size == 2]
+    M = MonoFamily(name="order-2", kind=EXPLICIT_FAMILY,
+                   members=frozenset((s3, frozenset(sub.elems))
+                                     for sub in order_2))
+    for B in s3_universe:
+        want = _pairwise_poincare_hom(s3, B, M)
+        assert _class_lists(s3, B, M) == want
+        assert {members[0].sub for _, _, members in want} == set(order_2)
+        assert all(len({sp.sub for sp in members}) == 1
+                   for _, _, members in want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["s3-subgroups", "z4-chain", "pointed-le-4"]),
+       data=st.data())
+def test_keyed_join_matches_pairwise_quotient_for_any_family(name, data):
+    """Over an explicit family holding any nonempty set of subobjects of A,
+    the join and the all-pairs diamond search give the same classes."""
+    objects = registry.universe(name)
+    A = data.draw(st.sampled_from(objects), label="A")
+    B = data.draw(st.sampled_from(objects), label="B")
+    subs = data.draw(st.sets(st.sampled_from(subalgebras(A)), min_size=1),
+                     label="M-subobjects")
+    M = MonoFamily(name="drawn", kind=EXPLICIT_FAMILY,
+                   members=frozenset((A, frozenset(sub.elems))
+                                     for sub in subs))
+    assert _class_lists(A, B, M) == _pairwise_poincare_hom(A, B, M)
+
+
+def test_each_merging_join_is_certified_once(S_all, monkeypatch):
+    """On s4-subgroups fraction_equal runs once per merge, spans - classes
+    times over all object pairs, and certifies every one."""
+    objects, M = _universe_family("s4-subgroups", S_all)
+    answers = []
+
+    def counting(s, t, M_):
+        answer = fraction_equal(s, t, M_)
+        answers.append(answer[0])
+        return answer
+
+    monkeypatch.setattr(fractions, "fraction_equal", counting)
+    merges = 0
+    for A in objects:
+        for B in objects:
+            classes = poincare_hom(A, B, M)
+            merges += sum(len(c.members) - 1 for c in classes)
+    assert len(answers) == merges == 333
+    assert all(answers)
+
+
+def test_refused_certificate_raises(se_family_ab, monkeypatch):
+    monkeypatch.setattr(fractions, "fraction_equal",
+                        lambda s, t, M: (False, None))
+    z4 = registry.zab(4)
+    with pytest.raises(ConsistencyError):
+        poincare_hom(z4, z4, se_family_ab)
+
 
 def test_hom_from_zero_is_singleton(se_family_ab):
     zero = registry.ab_zero()
