@@ -321,26 +321,6 @@ def inverse(f: ConcreteMorphism) -> ConcreteMorphism:
     return ConcreteMorphism(f.cod, f.dom, tuple(table))
 
 
-def is_mono_by_cancellation(f: ConcreteMorphism, probes: list[FiniteObject]) -> bool:
-    """Slow categorical mono test: left cancellation against all probe maps."""
-    for X in probes:
-        homs = enumerate_hom(X, f.dom)
-        for g1, g2 in itertools.combinations(homs, 2):
-            if compose(f, g1).table == compose(f, g2).table:
-                return False
-    return True
-
-
-def is_epi_by_cancellation(f: ConcreteMorphism, probes: list[FiniteObject]) -> bool:
-    """Slow categorical epi test: right cancellation against all probe maps."""
-    for Y in probes:
-        homs = enumerate_hom(f.cod, Y)
-        for g1, g2 in itertools.combinations(homs, 2):
-            if compose(g1, f).table == compose(g2, f).table:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Subobjects
 # ---------------------------------------------------------------------------
@@ -619,7 +599,12 @@ def enumerate_hom(A: FiniteObject, B: FiniteObject,
 def hom_tables(A: FiniteObject, B: FiniteObject
                ) -> tuple[tuple[int, ...], ...]:
     """The sorted map tables of all morphisms A -> B, searched once per
-    content pair and checked against the homomorphism law by the search."""
+    content pair and checked against the homomorphism law by the search.
+
+    Every table is a valid morphism A -> B, so a search that reads a hom
+    only through its table walks these and builds a ``ConcreteMorphism``
+    only for what it returns, such as a witness: it neither validates each
+    table again nor keeps a morphism per table in the hom cache."""
     if A.backend != B.backend:
         raise BackendMismatch(f"hom({A.id},{B.id}): backends differ")
     content = (content_key(A), content_key(B))

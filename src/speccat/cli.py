@@ -33,7 +33,6 @@ from .catcore import (
     BACKENDS,
     DEFAULT_SIZE_BOUNDS,
     GRP,
-    PSET,
     FiniteObject,
     compose,
     load_objects,
@@ -41,7 +40,7 @@ from .catcore import (
 )
 from .errors import BoundExceeded, PreconditionViolation, SpeccatError
 from .fractions import check_focal
-from .limits import check_normal_backend, pullback
+from .limits import pullback
 from .monoclasses import (
     ALL_MONOS,
     ESSENTIAL_FAMILY,
@@ -466,19 +465,6 @@ def _check_cor_7_3_uniform() -> tuple[bool, dict]:
           and u5.uniform and d5.verdict and d5.size == 5
           and not u3.uniform and not d3.verdict and d3.size == 10)
     return ok, out
-
-
-def check_backend_normality() -> tuple[bool, dict]:
-    """The two group backends pass the normality property suite; the pointed
-    set backend fails it with an explicit non-normal regular epi."""
-    grp_report = check_normal_backend(GRP, registry.subgroup_universe(
-        registry.s3()))
-    ab_report = check_normal_backend(AB, registry.universe("z4-chain"))
-    pset_report = check_normal_backend(PSET, registry.universe("pointed-le-4"))
-    ok = (grp_report.passed and ab_report.passed
-          and not pset_report.passed and bool(pset_report.failures))
-    return ok, {"grp": grp_report.to_json(), "ab": ab_report.to_json(),
-                "pset": pset_report.to_json()}
 
 
 CHECKS = {

@@ -244,7 +244,7 @@ def _f2_square_exists(M: MonoFamily, members, universe, s: ConcreteMorphism,
                       f: ConcreteMorphism) -> bool:
     W = f.dom
     # fast path: the pullback of s along f
-    if M.contains_image(W, preimage(f, s.image)):
+    if M.contains_image(W, preimage(f.table, s.image)):
         return True
     # exhaustive fallback
     for V in universe:

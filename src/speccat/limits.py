@@ -79,19 +79,21 @@ def pullback(f: ConcreteMorphism, g: ConcreteMorphism) -> PullbackResult:
     return PullbackResult(apex, proj_left, proj_right, pairs)
 
 
-def preimage(x: ConcreteMorphism, image) -> frozenset[int]:
+def preimage(table: tuple[int, ...], image) -> frozenset[int]:
     """The pullback along x: X -> A of a mono with the given image in A, up
     to canonical iso: the x-preimage of the image, as a subobject of X.
+    ``table`` is the map table of x, so a search over ``hom_tables`` asks
+    this without building x.
 
     A mono is determined up to canonical iso by its codomain and image, and
     every mono class here decides membership from exactly that pair.  In the
     pullback of a mono m along x the apex pairs each e of X with the unique
     m-preimage of x(e) when x(e) lies in the image of m, so the right
     projection is injective with image this preimage.  Membership of the
-    pullback is therefore decided by (X, preimage(x, image(m))), without
-    building the apex.
+    pullback is therefore decided by (X, preimage(x.table, image(m))),
+    without building the apex.
     """
-    return frozenset(e for e, v in enumerate(x.table) if v in image)
+    return frozenset(e for e, v in enumerate(table) if v in image)
 
 
 def product(A: FiniteObject, B: FiniteObject):

@@ -22,8 +22,8 @@ from .catcore import (
     FiniteObject,
     Subobject,
     compose,
-    enumerate_hom,
     enumerate_monos,
+    hom_tables,
     is_normal_subset,
     normal_subalgebras,
     subalgebras,
@@ -172,12 +172,15 @@ def is_essential(m: ConcreteMorphism, S: MonoClassSpec,
         raise PreconditionViolation(
             "essentiality for a restricted class needs a probe universe")
     for B in universe:
-        for f in enumerate_hom(m.cod, B):
-            # f.m is in S when f is injective on the image and S has f(image)
-            pushed = frozenset(f.table[e] for e in image)
+        for t in hom_tables(m.cod, B):
+            # f.m is in S when f is injective on the image and S has
+            # f(image); f is in S when it is injective and S has its image
+            pushed = frozenset(t[e] for e in image)
             if len(pushed) == len(image) and S.contains_image(B, pushed) \
-                    and not S.contains(f):
-                return Verdict(False, exact=False, witness=f)
+                    and not (len(set(t)) == len(t)
+                             and S.contains_image(B, frozenset(t))):
+                return Verdict(False, exact=False,
+                               witness=ConcreteMorphism(m.cod, B, t))
     return Verdict(True, exact=False)
 
 
@@ -239,6 +242,15 @@ class RefutingPullback:
 
 def _find_refuting_pullback(m: ConcreteMorphism, S: MonoClassSpec,
                             universe: list[FiniteObject]) -> RefutingPullback | None:
+    """The first pullback of m that is not S-essential, along a subobject
+    inclusion of cod(m) or else along a morphism X -> cod(m) from the
+    universe, in the sorted order of ``hom_tables``; None when there is none.
+
+    The search walks map tables and decides each pullback on its
+    (X, preimage) key, so a morphism is built only for the refuting map.
+    When S is not all monos, a map whose pullback is in S is built too: the
+    bounded essentiality test needs that pullback from ``pullback``.
+    """
     image = m.image
 
     def refutation(x):
@@ -246,19 +258,20 @@ def _find_refuting_pullback(m: ConcreteMorphism, S: MonoClassSpec,
 
     # subobject inclusions first: cheap and they carry the textbook witnesses
     for sub in subalgebras(m.cod):
-        pre = frozenset(i for i, e in enumerate(sub.elems) if e in image)
-        if _essential_refutation(sub.object(), pre) is not None:
+        if _essential_refutation(sub.object(),
+                                 preimage(sub.elems, image)) is not None:
             return refutation(sub.inclusion())
     for X in universe:
-        for x in enumerate_hom(X, m.cod):
-            pre = preimage(x, image)
+        for t in hom_tables(X, m.cod):
+            pre = preimage(t, image)
             if S.kind == ALL_MONOS:
                 bad = _essential_refutation(X, pre) is not None
             else:
                 bad = not (S.contains_image(X, pre) and is_essential(
-                    pullback(m, x).proj_right, S, universe).value)
+                    pullback(m, ConcreteMorphism(X, m.cod, t)).proj_right,
+                    S, universe).value)
             if bad:
-                return refutation(x)
+                return refutation(ConcreteMorphism(X, m.cod, t))
     return None
 
 
@@ -303,8 +316,8 @@ def stabilize(monos: list[ConcreteMorphism],
     def stable(m):
         image = m.image
         for X in universe:
-            for x in enumerate_hom(X, m.cod):
-                pre = preimage(x, image)
+            for t in hom_tables(X, m.cod):
+                pre = preimage(t, image)
                 if len(pre) != X.size and (X, pre) not in members:
                     return False
         return True
@@ -428,12 +441,13 @@ def _pullback_stable_law(monos: dict[tuple, tuple], universe: list[FiniteObject]
             if n is None:
                 n, image = 0, m.image
                 for W in universe:
-                    for x in enumerate_hom(W, Y):
+                    for t in hom_tables(W, Y):
                         n += 1
-                        pre = preimage(x, image)
+                        pre = preimage(t, image)
                         if not member((W, pre)):
                             return checked + n, _jsonable(
-                                mono=m, along=x, pulled=_inclusion(W, pre))
+                                mono=m, along=ConcreteMorphism(W, Y, t),
+                                pulled=_inclusion(W, pre))
                 passed[key] = n
             checked += n
     return checked, None
@@ -524,10 +538,10 @@ def closure_law_suite(universe: list[FiniteObject],
     # -- split mono corollaries ------------------------------------------
     def split_monos(member):
         for (X, Y), ms in monos.items():
-            retractions = enumerate_hom(Y, X)
+            retractions = hom_tables(Y, X)
             for m in ms:
                 if member(canonical_mono(m)) and any(
-                        all(r.table[v] == x for x, v in enumerate(m.table))
+                        all(r[v] == x for x, v in enumerate(m.table))
                         for r in retractions):
                     yield None if m.is_bijective else _jsonable(split_mono=m)
 

@@ -132,10 +132,29 @@ def test_iso_and_inverse():
     assert compose(inverse(auto), auto) == identity(z4)
 
 
+def is_mono_by_cancellation(f: ConcreteMorphism, probes) -> bool:
+    """Slow categorical mono test: left cancellation against all probe maps."""
+    for X in probes:
+        homs = enumerate_hom(X, f.dom)
+        for g1, g2 in itertools.combinations(homs, 2):
+            if compose(f, g1).table == compose(f, g2).table:
+                return False
+    return True
+
+
+def is_epi_by_cancellation(f: ConcreteMorphism, probes) -> bool:
+    """Slow categorical epi test: right cancellation against all probe maps."""
+    for Y in probes:
+        homs = enumerate_hom(f.cod, Y)
+        for g1, g2 in itertools.combinations(homs, 2):
+            if compose(g1, f).table == compose(g2, f).table:
+                return False
+    return True
+
+
 def test_mono_epi_match_cancellation(s3_universe):
     """Injective/surjective coincide with categorical mono/epi on a bounded
     universe of probes."""
-    from speccat.catcore import is_epi_by_cancellation, is_mono_by_cancellation
     small = [o for o in s3_universe if o.size <= 3]
     for A in small:
         for B in small:

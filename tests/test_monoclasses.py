@@ -24,8 +24,16 @@ from speccat import (
     stabilize,
     stable_essential_family,
 )
-from speccat import monoclasses, registry
-from speccat.catcore import GRP, compose, enumerate_hom, is_normal_subset, subalgebras
+from speccat import catcore, monoclasses, registry
+from speccat.catcore import (
+    GRP,
+    ConcreteMorphism,
+    compose,
+    enumerate_hom,
+    is_normal_subset,
+    pointed_set,
+    subalgebras,
+)
 from speccat.limits import preimage, pullback
 from speccat.monoclasses import (
     ALL_FAMILY,
@@ -36,6 +44,8 @@ from speccat.monoclasses import (
     SE_FAMILY,
     STABILIZED_FAMILY,
     MonoFamily,
+    RefutingPullback,
+    Verdict,
     monos_between,
 )
 
@@ -336,7 +346,7 @@ def _reference_s_class_report(S, universe):
             for W in universe:
                 for x in enumerate_hom(W, Y):
                     checked += 1
-                    pre = preimage(x, image)
+                    pre = preimage(x.table, image)
                     if not S.contains_image(W, pre):
                         witness = w(mono=m, along=x,
                                     pulled=Subobject(W, tuple(sorted(pre))).inclusion())
@@ -464,7 +474,7 @@ def _reference_closure_laws(universe, S):
                 for W in universe:
                     for x in enumerate_hom(W, Y):
                         checked += 1
-                        pre = preimage(x, image)
+                        pre = preimage(x.table, image)
                         if not member((W, pre)):
                             witness = w(mono=m, along=x, pulled=Subobject(
                                 W, tuple(sorted(pre))).inclusion())
@@ -583,3 +593,153 @@ def test_keys_outside_S_are_not_stable_essential():
         assert in_st((m.cod, m.image)) == expected, m
     with pytest.raises(PreconditionViolation):
         is_stable_essential(outside[0], S, universe)
+
+
+# ---------------------------------------------------------------------------
+# Searches over hom tables against per-morphism loops
+# ---------------------------------------------------------------------------
+
+def _reference_is_essential(m, S, universe=None):
+    """is_essential with its bounded branch as a loop over built morphisms."""
+    if S.kind == ALL_MONOS:
+        return is_essential(m, S)
+    for B in universe:
+        for f in enumerate_hom(m.cod, B):
+            pushed = frozenset(f.table[e] for e in m.image)
+            if len(pushed) == len(m.image) and S.contains_image(B, pushed) \
+                    and not S.contains(f):
+                return Verdict(False, exact=False, witness=f)
+    return Verdict(True, exact=False)
+
+
+def _reference_refuting_pullback(m, S, universe):
+    """The refutation search as a loop over built morphisms: every hom
+    X -> cod(m) from enumerate_hom, each pulled back through its preimage."""
+    image = m.image
+
+    def refutation(x):
+        return RefutingPullback(along=x, pulled=pullback(m, x).proj_right)
+
+    for sub in subalgebras(m.cod):
+        pre = frozenset(i for i, e in enumerate(sub.elems) if e in image)
+        if monoclasses._essential_refutation(sub.object(), pre) is not None:
+            return refutation(sub.inclusion())
+    for X in universe:
+        for x in enumerate_hom(X, m.cod):
+            pre = preimage(x.table, image)
+            if S.kind == ALL_MONOS:
+                bad = monoclasses._essential_refutation(X, pre) is not None
+            else:
+                bad = not (S.contains_image(X, pre) and _reference_is_essential(
+                    pullback(m, x).proj_right, S, universe).value)
+            if bad:
+                return refutation(x)
+    return None
+
+
+def _reference_is_stable_essential(m, S, universe):
+    """is_stable_essential on the reference searches above."""
+    if m.dom.backend in monoclasses.NORMAL_BACKENDS and S.kind == ALL_MONOS:
+        if is_subobject_essential(m).value:
+            return Verdict(True, exact=True)
+        return Verdict(False, exact=True,
+                       witness=_reference_refuting_pullback(m, S, universe))
+    if not _reference_is_essential(m, S, universe).value:
+        return Verdict(False, exact=False)
+    witness = _reference_refuting_pullback(m, S, universe)
+    return Verdict(witness is None, exact=False, witness=witness)
+
+
+def _reference_stabilize(monos, universe):
+    """stabilize as a loop over built morphisms."""
+    members = {(m.cod, m.image) for m in monos if m.is_injective}
+
+    def stable(m):
+        for X in universe:
+            for x in enumerate_hom(X, m.cod):
+                pre = preimage(x.table, m.image)
+                if len(pre) != X.size and (X, pre) not in members:
+                    return False
+        return True
+
+    return [m for m in monos if stable(m)]
+
+
+def _zero_and_top_isos(universe):
+    """Explicit S: the identity of the zero object and the automorphisms of
+    the last object, but no other iso.  A member m is refuted where its
+    pullback along a map X -> cod(m) from the universe leaves S, so the
+    witness comes from the hom-table scan, not from a subobject of cod(m)."""
+    zero, top = universe[0], universe[-1]
+    return MonoClassSpec.explicit(
+        [identity(zero), *(m for m in enumerate_monos(top, top))])
+
+
+_SEARCH_UNIVERSES = ["s3-subgroups", "z4-chain", "pointed-le-4",
+                     "pointed-le-5"]
+# S = all monos and the zero-and-top class on every universe, the explicit
+# classes of _S_CLASSES on the named ones only: on P1 .. P5 they take over a
+# minute, as each of the 24 automorphisms of P5 is pulled back along the 781
+# maps into P5 and every pullback gets a bounded essentiality scan
+_SEARCH_CASES = [(name, kind) for name in _SEARCH_UNIVERSES
+                 for kind in ("all", "zero-and-top-isos")]
+_SEARCH_CASES += [(name, kind) for name, explicit in _S_CLASSES.items()
+                  for kind in explicit]
+
+
+def _search_case(universe_name, kind):
+    universe = ([*registry.psets(), pointed_set("P5", 5)]
+                if universe_name == "pointed-le-5"
+                else registry.universe(universe_name))
+    if kind == "zero-and-top-isos":
+        return universe, _zero_and_top_isos(universe)
+    return universe, _law_class(universe_name, universe, kind)
+
+
+@pytest.mark.parametrize("universe_name,kind", _SEARCH_CASES)
+def test_table_searches_match_per_morphism_loops(universe_name, kind):
+    """is_stable_essential, the bounded is_essential and stabilize give the
+    verdicts, modes and witnesses of loops over built morphisms."""
+    universe, S = _search_case(universe_name, kind)
+    monos = [m for ms in monos_between(universe).values() for m in ms]
+    members = [m for m in monos if S.contains(m)]
+    assert members
+    witnesses = []
+    for m in members:
+        got = is_stable_essential(m, S, universe)
+        want = _reference_is_stable_essential(m, S, universe)
+        assert got == want, m
+        assert got.to_json() == want.to_json()
+        assert is_essential(m, S, universe) == \
+            _reference_is_essential(m, S, universe), m
+        if got.witness is not None:
+            witnesses.append(got.witness.along)
+    if kind == "zero-and-top-isos":
+        # refuted along maps out of universe objects that are no subobject
+        # inclusion of the top object
+        assert any(not x.is_injective for x in witnesses)
+    essentials = [m for m in members if is_essential(m, S, universe).value]
+    for candidates in (monos, essentials):
+        assert stabilize(candidates, universe) == \
+            _reference_stabilize(candidates, universe)
+
+
+def test_refutation_search_builds_only_its_witness(monkeypatch, S_all):
+    """Over a 6-element pointed set the search walks all 7,776 endomorphism
+    tables, yet builds fewer than 50 morphisms and caches no hom set."""
+    P6 = pointed_set("P6", 6)
+    m = identity(P6)
+    monkeypatch.setattr(catcore, "_HOM_CACHE", {})
+    built = [0]
+    validate = ConcreteMorphism.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        validate(self)
+
+    monkeypatch.setattr(ConcreteMorphism, "__post_init__", counting)
+    verdict = is_stable_essential(m, S_all, [P6])
+    assert verdict.value and not verdict.exact
+    assert built[0] < 50
+    assert len(catcore.hom_tables(P6, P6)) == 7776
+    assert (P6, P6) not in catcore._HOM_CACHE

@@ -123,4 +123,4 @@ def test_preimage_is_the_pullback_of_a_mono(name, data):
          if enumerate_monos(X, A)]), label="objects")
     m = data.draw(st.sampled_from(enumerate_monos(X, A)), label="mono")
     x = data.draw(st.sampled_from(enumerate_hom(W, A)), label="along")
-    assert preimage(x, m.image) == pullback(m, x).proj_right.image
+    assert preimage(x.table, m.image) == pullback(m, x).proj_right.image
