@@ -575,24 +575,23 @@ def content_key(A: FiniteObject) -> tuple:
     return (A.backend, A.size, A.op)
 
 
-def enumerate_hom(A: FiniteObject, B: FiniteObject,
-                  cache: bool = True) -> tuple[ConcreteMorphism, ...]:
+def enumerate_hom(A: FiniteObject, B: FiniteObject
+                  ) -> tuple[ConcreteMorphism, ...]:
     """All morphisms A -> B, duplicate-free, sorted by map table.
 
     The map tables depend only on the content of the two ends (backend,
     sizes, op tables), so they are searched once per content pair and
     shared by objects with other ids, e.g. every pullback apex with the op
-    table of a universe object.  Morphisms are built per (A, B), and kept
-    for the next call unless ``cache`` is False: a hom set with a one-off
-    end, such as a pullback apex, is built and dropped by its caller.
+    table of a universe object.  Morphisms are built once per (A, B) and
+    kept.  A search that reads homs only through their tables, such as the
+    limit check's mediator count into a pullback apex, walks
+    :func:`hom_tables` instead and keeps no morphism.
     """
     key = (A, B)
-    cached = _HOM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    homs = tuple(ConcreteMorphism(A, B, t) for t in hom_tables(A, B))
-    if cache:
-        _HOM_CACHE[key] = homs
+    homs = _HOM_CACHE.get(key)
+    if homs is None:
+        homs = _HOM_CACHE[key] = tuple(ConcreteMorphism(A, B, t)
+                                       for t in hom_tables(A, B))
     return homs
 
 

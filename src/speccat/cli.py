@@ -414,7 +414,7 @@ def _check_focal_suite() -> tuple[bool, dict]:
     se_ok = all(r.status == "pass" for r in se_reports)
 
     s3_universe = registry.universe("s3-subgroups")
-    ess_fam = MonoFamily(name="Mono_E[grp]", kind=ESSENTIAL_FAMILY)
+    ess_fam = MonoFamily(kind=ESSENTIAL_FAMILY)
     ess_reports = check_focal(ess_fam, s3_universe)
     by_id = {r.condition: r for r in ess_reports}
     f2 = by_id["F2"]

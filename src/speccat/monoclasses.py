@@ -654,13 +654,9 @@ class MonoFamily:
     determines the mono up to canonical iso, and every kind is closed under
     isomorphic copies.  ``contains_image`` decides it from the pair, so an
     inclusion, composite or pullback need not be built to be asked about.
-    ``exact`` records whether membership answers are theorems or only
-    bounded-search verdicts (relevant for the stabilized kind).
     """
 
-    name: str
     kind: str
-    exact: bool = True
     S: MonoClassSpec | None = None
     universe: tuple[FiniteObject, ...] | None = None
     members: frozenset[tuple[FiniteObject, frozenset[int]]] | None = None
@@ -684,6 +680,12 @@ class MonoFamily:
     def contains(self, m: ConcreteMorphism) -> bool:
         return m.is_injective and self.contains_image(m.cod, m.image)
 
+    @property
+    def exact(self) -> bool:
+        """Are membership answers theorems?  Only the stabilized kind
+        answers by a bounded search."""
+        return self.kind != STABILIZED_FAMILY
+
     def m_subobjects(self, A: FiniteObject) -> list[Subobject]:
         """Subobjects of A whose inclusion belongs to the family."""
         return [sub for sub in subalgebras(A)
@@ -696,8 +698,8 @@ class MonoFamily:
         return _STABILIZED_CACHE.setdefault((self.S, self.universe), {})
 
 
-#: keyed on what the verdict depends on: the class S and the probe universe
-#: (the family name is the same for every S), then the (codomain, image) pair
+#: keyed on what the verdict depends on: the class S and the probe universe,
+#: then the (codomain, image) pair
 _STABILIZED_CACHE: dict[tuple, dict[tuple, bool]] = {}
 
 
@@ -717,6 +719,5 @@ def stable_essential_family(backend: str, S: MonoClassSpec,
     """The class of pullback stable S-essential monos, exact when the backend
     is normal and S is all monos, bounded-stabilized otherwise."""
     if backend in NORMAL_BACKENDS and S.kind == ALL_MONOS:
-        return MonoFamily(name=f"Mono_SE[{backend}]", kind=SE_FAMILY, exact=True)
-    return MonoFamily(name=f"St(Mono_E)[{backend}]", kind=STABILIZED_FAMILY,
-                      exact=False, S=S, universe=tuple(universe))
+        return MonoFamily(kind=SE_FAMILY)
+    return MonoFamily(kind=STABILIZED_FAMILY, S=S, universe=tuple(universe))

@@ -112,10 +112,10 @@ class SpectralCategory:
 
     Objects are the registered backend objects; hom sets are materialized as
     :class:`SpecClass` lists via the minimal-M-subobject presentation, with
-    composition reduced to restriction lookups.  Hom sets are kept only
-    between registered objects; one with another end (a pullback apex of the
-    limit check) is rebuilt on each request.  ``exact`` is False when M
-    itself is only a bounded-search approximation.
+    composition reduced to restriction lookups.  Each hom set is built once
+    and kept: the limit check reads a projection out of a pullback apex by
+    its label and never asks for a hom set out of an apex.  ``exact`` is
+    False when M itself is only a bounded-search approximation.
     """
 
     def __init__(self, backend: str, M: MonoFamily,
@@ -123,7 +123,6 @@ class SpectralCategory:
         self.backend = backend
         self.M = M
         self.objects = tuple(objects)
-        self._registered = frozenset(self.objects)
         self.exact = M.exact
         self._amin: dict[FiniteObject, Subobject] = {}
         self._apos: dict[FiniteObject, dict[int, int]] = {}
@@ -165,19 +164,14 @@ class SpectralCategory:
         """The classes of hom(A, B) and their indices by label."""
         key = (A, B)
         hit = self._homs.get(key)
-        if hit is not None:
-            return hit
-        keep = A in self._registered and B in self._registered
-        amin = self.amin(A)
-        reps = sorted(enumerate_hom(amin.object(), B, cache=keep),
-                      key=lambda f: f.table)
-        classes = tuple(
-            SpecClass(src=A, dst=B, index=i,
-                      rep=NormalizedSpan(amin, f), label=f.table)
-            for i, f in enumerate(reps))
-        hit = classes, {c.label: c.index for c in classes}
-        if keep:
-            self._homs[key] = hit
+        if hit is None:
+            amin = self.amin(A)
+            classes = tuple(
+                SpecClass(src=A, dst=B, index=i,
+                          rep=NormalizedSpan(amin, f), label=f.table)
+                for i, f in enumerate(enumerate_hom(amin.object(), B)))
+            hit = self._homs[key] = classes, {c.label: c.index
+                                              for c in classes}
         return hit
 
     def hom(self, A: FiniteObject, B: FiniteObject) -> tuple[SpecClass, ...]:
@@ -324,25 +318,25 @@ class ConePreservationReport:
 
 
 def _mediator_counts(spec: SpectralCategory, W: FiniteObject,
-                     pl: SpecClass, pr: SpecClass) -> Counter:
-    """For the projections pl, pr out of a pullback apex: how many classes h
-    of hom(W, apex) give each pair (pl.h, pr.h), as a pair of indices.
+                     apex: FiniteObject, pl: ConcreteMorphism,
+                     pr: ConcreteMorphism) -> Counter:
+    """For the projections pl, pr out of a pullback apex, restricted to
+    amin(apex): how many classes h of hom(W, apex) give each (pl.h, pr.h).
 
     The classes of hom(W, apex) are the homs amin(W) -> apex, so they are
     read off the content-keyed hom tables with no class or morphism built
-    per h: the label of pl.h is pl's label at the positions in amin(apex)
+    per h: the label of pl.h is pl's table at the positions in amin(apex)
     of h's values, as in :meth:`SpectralCategory.compose`."""
-    apex = pl.src
-    left, right = spec._hom(W, pl.dst)[1], spec._hom(W, pr.dst)[1]
+    left, right = spec._hom(W, pl.cod)[1], spec._hom(W, pr.cod)[1]
     counts: Counter = Counter()
     for h in hom_tables(spec.amin(W).object(), apex):
         read = _reader(spec._restriction(W, apex, h))
-        label_l, label_r = read(pl.label), read(pr.label)
+        label_l, label_r = read(pl.table), read(pr.table)
         p, q = left.get(label_l), right.get(label_r)
         if p is None:
-            raise _no_class(W, pl.dst, label_l)
+            raise _no_class(W, pl.cod, label_l)
         if q is None:
-            raise _no_class(W, pr.dst, label_r)
+            raise _no_class(W, pr.cod, label_r)
         counts[p, q] += 1
     return counts
 
@@ -356,11 +350,12 @@ def verify_limit_preservation(spec: SpectralCategory,
     universe and every commuting cone of classes over the image cospan, a
     mediating class through the image apex exists and is unique.
 
-    Mediators are counted on the hom tables of amin(W) -> apex, which the
-    content-keyed search shares with universe objects of the same op table,
-    so no hom set into the apex is built.  Nothing about a pullback apex
-    outlives its cospan: hom sets out of it are built per request and not
-    kept, and its minimal M-subobject is dropped when the cospan is done."""
+    A projection out of an apex is read by its label, its table on
+    amin(apex), checked once to be a morphism, so no hom set out of an apex
+    is asked for.  Mediators are counted on the hom tables of amin(W) ->
+    apex, which the content-keyed search shares with universe objects of
+    the same op table.  The apex's minimal M-subobject is dropped when its
+    cospan is done."""
     reports = []
     # classes of one hom set are equal exactly when their indices are
     after: dict[tuple, list[int]] = {}
@@ -375,25 +370,30 @@ def verify_limit_preservation(spec: SpectralCategory,
                                 for p in spec.hom(W, c.src)]
         return idx
 
-    def cones(pf, pg, pl, pr):
+    def cones(pf, pg, apex, pl, pr):
         """One item per commuting cone (p, q) over the image cospan: None
         when it has exactly one mediator, the witness when it does not."""
         for W in spec.objects:
-            ps, qs = spec.hom(W, pf.src), spec.hom(W, pg.src)
             pf_p, pg_q = composites(pf, W), composites(pg, W)
-            mediators = _mediator_counts(spec, W, pl, pr)
-            for p in ps:
-                for q in qs:
-                    if pf_p[p.index] == pg_q[q.index]:
-                        n = mediators[p.index, q.index]
-                        yield None if n == 1 else _jsonable(
-                            probe=W.id, p=p, q=q, mediators=n)
+            mediators = _mediator_counts(spec, W, apex, pl, pr)
+            # the q with each composite, in hom order: the commuting pairs
+            qs_at: dict[int, list[SpecClass]] = {}
+            for q in spec.hom(W, pg.src):
+                qs_at.setdefault(pg_q[q.index], []).append(q)
+            for p in spec.hom(W, pf.src):
+                for q in qs_at.get(pf_p[p.index], ()):
+                    n = mediators[p.index, q.index]
+                    yield None if n == 1 else _jsonable(
+                        probe=W.id, p=p, q=q, mediators=n)
 
     for f, g in cospans:
         pb: PullbackResult = pullback(f, g)
-        result = _first_failure(cones(*(
-            canonical_functor(h, spec)
-            for h in (f, g, pb.proj_left, pb.proj_right))))
+        pf, pg = canonical_functor(f, spec), canonical_functor(g, spec)
+        amin = spec.amin(pb.apex)
+        pl, pr = (ConcreteMorphism(amin.object(), proj.cod,
+                                   tuple(proj.table[e] for e in amin.elems))
+                  for proj in (pb.proj_left, pb.proj_right))
+        result = _first_failure(cones(pf, pg, pb.apex, pl, pr))
         spec._forget(pb.apex)
         reports.append(_report(
             ConePreservationReport,

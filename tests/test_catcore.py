@@ -246,15 +246,6 @@ def test_relabelled_table_does_not_share_hom_tables(empty_hom_caches, s3):
         [h.table for h in enumerate_hom(relabelled, s3)]
 
 
-def test_uncached_homs_are_built_but_not_kept(empty_hom_caches, s3):
-    z4 = cyclic_group(4)
-    homs = enumerate_hom(z4, s3, cache=False)
-    _assert_homs(homs, z4, s3)
-    assert not empty_hom_caches._HOM_CACHE
-    assert len(empty_hom_caches._HOM_TABLES) == 1
-    assert enumerate_hom(z4, s3, cache=False) is not homs
-
-
 def test_pointed_sets_share_hom_tables_by_size(empty_hom_caches):
     p3a, p3b, p2 = pointed_set("P3a", 3), pointed_set("P3b", 3), pointed_set("P2", 2)
     for A, B in ((p3a, p2), (p3b, p2), (p2, p3a), (p2, p3b), (p3a, p3b)):

@@ -34,7 +34,7 @@ from speccat.monoclasses import ESSENTIAL_FAMILY, EXPLICIT_FAMILY, ISO_FAMILY
 
 @pytest.fixture(scope="module")
 def ess_family():
-    return MonoFamily(name="essential-monos", kind=ESSENTIAL_FAMILY)
+    return MonoFamily(kind=ESSENTIAL_FAMILY)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def test_normalize_replaces_left_leg_by_inclusion(s3, s3_named):
     ns = normalize(span)
     assert ns.sub.elems == sub.elems
     # the two spans present the same fraction
-    fam = MonoFamily(name="essential-monos", kind=ESSENTIAL_FAMILY)
+    fam = MonoFamily(kind=ESSENTIAL_FAMILY)
     eq, _ = fraction_equal(ns, NormalizedSpan(sub, auto), fam)
     assert eq
 
@@ -223,7 +223,7 @@ def test_fraction_equal_takes_the_first_subobject_of_a_size():
     members; the search must pick the same one as the pullback reference."""
     z2 = cyclic_group(2, backend=AB)
     A = direct_product(direct_product(z2, z2), z2)
-    M = MonoFamily(name="no-order-4", kind=EXPLICIT_FAMILY,
+    M = MonoFamily(kind=EXPLICIT_FAMILY,
                    members=frozenset((A, frozenset(sub.elems))
                                      for sub in subalgebras(A)
                                      if sub.size != 4))
@@ -280,7 +280,7 @@ def test_compose_respects_fraction_equality(se_family_ab):
 # ---------------------------------------------------------------------------
 
 def test_iso_family_passes_everything(z4_universe):
-    fam = MonoFamily(name="isos", kind=ISO_FAMILY)
+    fam = MonoFamily(kind=ISO_FAMILY)
     reports = check_focal(fam, z4_universe)
     assert all(r.status == "pass" for r in reports)
     assert {r.condition for r in reports} == {"F0", "F1", "F2", "F3", "Ore-d"}
@@ -333,7 +333,7 @@ def test_f3_reports_match_per_hom_loop(universe_name, family, S_all):
         # no member reaches the last object (or any object), so F3 fails
         # there after counting the homs out of every earlier object
         keep = universe[:-1] if family == "identities-but-last" else []
-        M = MonoFamily(name=family, kind=EXPLICIT_FAMILY,
+        M = MonoFamily(kind=EXPLICIT_FAMILY,
                        members=frozenset((X, frozenset(X.elements))
                                          for X in keep))
     checked, witness = _reference_f3(M, universe)
@@ -397,16 +397,16 @@ def _focal_family(universe, family, S_all):
     if family == "se":
         return stable_essential_family(universe[0].backend, S_all, universe)
     if family == "essential":
-        return MonoFamily(name=family, kind=ESSENTIAL_FAMILY)
+        return MonoFamily(kind=ESSENTIAL_FAMILY)
     if family == "two-step":
         # s1: 0 -> Y and s0: Y -> Z with the composite left out, so F1
         # fails; F0 fails at every object no member reaches
         Y, Z = universe[1], universe[-1]
         members = frozenset({(Y, frozenset({0})),
                              (Z, enumerate_monos(Y, Z)[0].image)})
-        return MonoFamily(name=family, kind=EXPLICIT_FAMILY, members=members)
+        return MonoFamily(kind=EXPLICIT_FAMILY, members=members)
     keep = universe[:-1] if family == "identities-but-last" else []
-    return MonoFamily(name=family, kind=EXPLICIT_FAMILY,
+    return MonoFamily(kind=EXPLICIT_FAMILY,
                       members=frozenset((X, frozenset(X.elements))
                                         for X in keep))
 
@@ -537,7 +537,7 @@ def test_keyed_join_matches_pairwise_quotient_for_meet_free_family(
     never equal, although every one of them agrees on the third subgroup's
     meet with its own domain."""
     order_2 = [sub for sub in subalgebras(s3) if sub.size == 2]
-    M = MonoFamily(name="order-2", kind=EXPLICIT_FAMILY,
+    M = MonoFamily(kind=EXPLICIT_FAMILY,
                    members=frozenset((s3, frozenset(sub.elems))
                                      for sub in order_2))
     for B in s3_universe:
@@ -559,7 +559,7 @@ def test_keyed_join_matches_pairwise_quotient_for_any_family(name, data):
     B = data.draw(st.sampled_from(objects), label="B")
     subs = data.draw(st.sets(st.sampled_from(subalgebras(A)), min_size=1),
                      label="M-subobjects")
-    M = MonoFamily(name="drawn", kind=EXPLICIT_FAMILY,
+    M = MonoFamily(kind=EXPLICIT_FAMILY,
                    members=frozenset((A, frozenset(sub.elems))
                                      for sub in subs))
     assert _class_lists(A, B, M) == _pairwise_poincare_hom(A, B, M)

@@ -235,7 +235,6 @@ def test_stabilized_families_differing_in_S_do_not_share_answers():
     by_isos = stable_essential_family("pset", isos, universe)
     by_all = stable_essential_family("pset", MonoClassSpec(ALL_MONOS),
                                      universe)
-    assert by_isos.name == by_all.name
     P3, image = universe[2], frozenset({0, 1})
     assert _answers([by_isos, by_all], P3, image) == ["not in S", False]
     assert _answers([by_all, by_isos], P3, image) == [False, "not in S"]
@@ -251,7 +250,6 @@ def test_stabilized_families_differing_in_universe_do_not_share_answers():
                                 identity(z2)])
     wide = stable_essential_family("ab", S, [zero, z2, z4])
     narrow = stable_essential_family("ab", S, [zero, z2])
-    assert wide.name == narrow.name
     socle = frozenset({0, 2})
     assert _answers([wide, narrow], z4, socle) == [False, True]
     assert _answers([narrow, wide], z4, socle) == [True, False]
@@ -296,13 +294,11 @@ def test_no_class_contains_a_non_injective_map(S_all, s3_universe):
     images = frozenset((f.cod, f.image) for f in homs)
     classes = [MonoClassSpec(ALL_MONOS), MonoClassSpec(NORMAL_MONOS),
                MonoClassSpec(EXPLICIT, images)]
-    classes += [MonoFamily(name=kind, kind=kind)
+    classes += [MonoFamily(kind=kind)
                 for kind in (ALL_FAMILY, ISO_FAMILY, SE_FAMILY,
                              ESSENTIAL_FAMILY)]
-    classes += [MonoFamily(name="explicit-images", kind=EXPLICIT_FAMILY,
-                           members=images),
-                MonoFamily(name="stabilized-s3", kind=STABILIZED_FAMILY,
-                           exact=False, S=S_all,
+    classes += [MonoFamily(kind=EXPLICIT_FAMILY, members=images),
+                MonoFamily(kind=STABILIZED_FAMILY, S=S_all,
                            universe=tuple(s3_universe))]
     non_injective = [f for f in homs if not f.is_injective]
     assert non_injective

@@ -2,6 +2,10 @@
 limit preservation, uniform objects, and division-monoid endomorphisms."""
 
 import json
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +33,7 @@ from speccat import (
     pullback,
     verify_limit_preservation,
 )
-from speccat import catcore, registry
+from speccat import catcore, registry, spectral
 from speccat.catcore import AB, GRP
 from speccat.monoclasses import ESSENTIAL_FAMILY, EXPLICIT_FAMILY, ISO_FAMILY
 
@@ -235,8 +239,7 @@ def _spec_over(family, name):
     if family == "se":
         return build_spec(backend, MonoClassSpec(ALL_MONOS), objects,
                           verify=False)
-    return SpectralCategory(backend, MonoFamily(name=family, kind=family),
-                            objects)
+    return SpectralCategory(backend, MonoFamily(kind=family), objects)
 
 
 @pytest.mark.parametrize("family", ["se", ISO_FAMILY])
@@ -323,6 +326,122 @@ def test_limit_preservation_keeps_no_apex_state(monkeypatch):
     assert catcore._HOM_CACHE
     assert not [key for key in catcore._HOM_CACHE
                 if any(X.id.startswith(apexes) for X in key)]
+
+
+def test_limit_check_asks_for_no_hom_set_out_of_an_apex(monkeypatch):
+    """A projection out of a pullback apex is read by its label, so the
+    check asks for no hom set, of classes or of morphisms, out of an apex
+    or out of a subobject of one (their ids start with ``Pb[``)."""
+    domains = []
+
+    def recording(fn, at):
+        """fn, noting the id of its argument at position ``at``."""
+        def wrapper(*args, **kwargs):
+            domains.append(args[at].id)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SpectralCategory, "_hom",
+                        recording(SpectralCategory._hom, 1))
+    enumerate_hom_ = recording(catcore.enumerate_hom, 0)
+    for module in (catcore, spectral):
+        monkeypatch.setattr(module, "enumerate_hom", enumerate_hom_)
+    for name in ("s3-subgroups", "pointed-le-4"):
+        reports = verify_limit_preservation(
+            _spec_over("se", name), registry.registered_cospans(name))
+        assert reports and all(r.status == "pass" for r in reports)
+    assert domains
+    assert not [A for A in domains if A.startswith("Pb[")]
+
+
+def _pointed_hom_cospans():
+    """Every ordered hom cospan A -> C <- B over pointed-le-4, with the size
+    of its pullback apex: the pairs (a, b) with f(a) = g(b)."""
+    objects = registry.universe("pointed-le-4")
+    out = []
+    for C in objects:
+        homs = [f for A in objects for f in enumerate_hom(A, C)]
+        fibres = [Counter(f.table) for f in homs]
+        for f, ff in zip(homs, fibres):
+            for g, fg in zip(homs, fibres):
+                out.append((f, g, sum(n * fg[c] for c, n in ff.items())))
+    return out
+
+
+def test_pointed_hom_cospans_count():
+    """The sweep that CI runs: 9,066 cospans, 48 with 12 or more elements in
+    their apex."""
+    cospans = _pointed_hom_cospans()
+    assert len(cospans) == 9066
+    assert all(size == pullback(f, g).apex.size
+               for f, g, size in cospans[::97])
+    assert sum(size >= 12 for _, _, size in cospans) == 48
+
+
+def _small_pointed_hom_cospans():
+    """A sample of the cospans with at most 3 elements in their apex, which
+    the per-pair reference checks in about a second."""
+    return [(f, g) for f, g, size in _pointed_hom_cospans() if size <= 3][::29]
+
+
+def test_limit_preservation_matches_the_reference_on_pointed_hom_cospans():
+    """Cospans of non-injective legs, where several q share the composite
+    g.q: the cone counts match the per-pair reference."""
+    cospans = _small_pointed_hom_cospans()
+    assert any(not f.is_injective for f, _ in cospans)
+    got = [(r.cospan, r.status, r.cones_checked, r.witness)
+           for r in verify_limit_preservation(
+               _spec_over(ISO_FAMILY, "pointed-le-4"), cospans)]
+    assert got == _reference_limit_preservation(
+        _spec_over(ISO_FAMILY, "pointed-le-4"), cospans)
+
+
+def test_cones_are_visited_in_pair_order(monkeypatch):
+    """With every mediator count made zero, each cospan fails at its first
+    commuting cone in the order W, p, q, as the per-pair scan finds it.  The
+    zero object is left out of the probes: its one cone would come first."""
+    spec = SpectralCategory("pset", MonoFamily(kind=ISO_FAMILY),
+                            registry.universe("pointed-le-4")[1:])
+    cospans = _small_pointed_hom_cospans()
+    monkeypatch.setattr(spectral, "_mediator_counts",
+                        lambda *args: Counter())
+    for (f, g), r in zip(cospans, verify_limit_preservation(spec, cospans)):
+        pf, pg = canonical_functor(f, spec), canonical_functor(g, spec)
+        W, p, q = next((W, p, q) for W in spec.objects
+                       for p in spec.hom(W, f.dom) for q in spec.hom(W, g.dom)
+                       if spec.compose(pf, p) == spec.compose(pg, q))
+        assert (r.status, r.cones_checked) == ("fail", 1)
+        assert r.witness == {"probe": W.id, "p": p.to_json(),
+                             "q": q.to_json(), "mediators": 0}
+
+
+_LARGE_APEX_CHECK = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path[:0] = sys.argv[1:]
+from test_spectral import _pointed_hom_cospans
+from speccat import MonoFamily, SpectralCategory, registry
+from speccat import verify_limit_preservation
+from speccat.monoclasses import ISO_FAMILY
+spec = SpectralCategory("pset", MonoFamily(kind=ISO_FAMILY),
+                        registry.universe("pointed-le-4"))
+cospans = [(f, g) for f, g, size in _pointed_hom_cospans() if size >= 12]
+reports = verify_limit_preservation(spec, cospans)
+print(json.dumps([r.status for r in reports]))
+"""
+
+
+def test_limit_check_on_large_pointed_apexes_within_1_gib():
+    """The 48 ordered pointed-le-4 hom cospans whose apex has 12 or more
+    elements (up to 16) pass under the iso family, in a child process
+    capped at 1 GiB of address space.  A projection is read by its label,
+    so the 4**(n-1) homs from an apex with n elements into P4 are never
+    built."""
+    paths = [str(Path(__file__).parent), str(Path(spectral.__file__).parents[1])]
+    child = subprocess.run([sys.executable, "-c", _LARGE_APEX_CHECK, *paths],
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert json.loads(child.stdout) == ["pass"] * 48
 
 
 def test_limit_preservation_refuses_an_inconsistent_family():
@@ -425,7 +544,7 @@ def test_export_does_not_share_tables_across_minimal_subobjects():
     leaves amin(Z2b), and the export must still refuse it, though Z2a and
     Z2b have the same content."""
     za, zb = cyclic_group(2, "Z2a"), cyclic_group(2, "Z2b")
-    M = MonoFamily(name="not-iso-closed", kind=EXPLICIT_FAMILY,
+    M = MonoFamily(kind=EXPLICIT_FAMILY,
                    members=frozenset({(za, frozenset({0, 1})),
                                       (zb, frozenset({0, 1})),
                                       (zb, frozenset({0}))}))
