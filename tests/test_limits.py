@@ -1,5 +1,5 @@
-"""Pullbacks, equalizers, kernels, congruences and factorizations.  The
-backend-normality property suite is checked in ``test_acceptance.py``."""
+"""Pullbacks, equalizers, kernels, congruences, factorizations, and the
+backend-normality property suite."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from speccat import (
     Congruence,
     CospanMismatch,
     InvalidObject,
+    check_normal_backend,
     compose,
     congruences,
     cyclic_group,
@@ -23,7 +24,7 @@ from speccat import (
     zero_of,
 )
 from speccat import registry
-from speccat.catcore import AB, GRP, ConcreteMorphism, zero_morphism
+from speccat.catcore import AB, GRP, PSET, ConcreteMorphism, zero_morphism
 from speccat.limits import (
     cokernel,
     congruence_from_normal_subobject,
@@ -213,3 +214,12 @@ def test_cokernel_in_groups(s3, s3_named):
     # normal closure of an order-2 subgroup of the 6-element symmetric group
     # is the whole group
     assert c2.cod.size == 1
+
+
+def test_check_normal_backend_verdicts():
+    assert check_normal_backend(
+        GRP, registry.subgroup_universe(registry.s3())).passed
+    assert check_normal_backend(AB, registry.universe("z4-chain")).passed
+    report = check_normal_backend(PSET, registry.universe("pointed-le-4"))
+    assert not report.passed
+    assert any(f["check"] == "regular-epi-is-normal" for f in report.failures)
