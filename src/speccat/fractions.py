@@ -20,7 +20,8 @@ from .catcore import (
 from .errors import (CompositionMismatch, ConsistencyError,
                      PreconditionViolation)
 from .limits import preimage
-from .monoclasses import MonoFamily, _first_failure, _jsonable, _report
+from .monoclasses import (MonoFamily, _first_failure, _first_failure_by_key,
+                          _jsonable, _report, canonical_mono)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,11 @@ def _family_monos(M: MonoFamily, X: FiniteObject, Y: FiniteObject):
 def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionReport]:
     """Exhaustively verify the focal conditions and the right-fraction
     (co)equalizing condition for M over a finite universe.  Each condition
-    counts its cases up to and including the first failure, its witness."""
+    counts its cases up to and including the first failure, its witness.
+
+    F2 is decided once per (codomain, image) key of a member s: a key that
+    passed adds its count, the sum of |hom(W, A)| over the universe, again
+    for every later member with that key."""
     # member lists and "some member reaches X", each built once per call
     members = cache(partial(_family_monos, M))
 
@@ -211,15 +216,22 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
                                 for W in universe for f in enumerate_hom(W, X))
                             yield None if found else _jsonable(s1=s1, s0=s0)
 
-    # F2: every cospan (f, s) with s in M completes to a square with s' in M
-    f2 = (None if _f2_square_exists(M, members, universe, s, f)
-          else _jsonable(s=s, f=f)
-          for A in universe for sX in universe for s in members(sX, A)
-          for W in universe for f in enumerate_hom(W, A))
+    # F2: every cospan (f, s) with s in M completes to a square with s' in M.
+    # If s and s.a have the same image (a an iso), a square for one is a
+    # square for the other, so each (A, image of s) key is decided once.
+    def squares(s):
+        for W in universe:
+            for f in enumerate_hom(W, s.cod):
+                yield (None if _f2_square_exists(M, members, universe, s, f)
+                       else _jsonable(s=s, f=f))
+
+    f2 = _first_failure_by_key(
+        (s for A in universe for sX in universe for s in members(sX, A)),
+        canonical_mono, squares)
 
     reports = [_report(ConditionReport, "F0", _first_failure(f0)),
                _report(ConditionReport, "F1", _first_failure(f1())),
-               _report(ConditionReport, "F2", _first_failure(f2))]
+               _report(ConditionReport, "F2", f2)]
 
     # F3 / Ore: pairs coequalized by a member are equalized by a member.
     # All family members are monos, so a coequalizing member forces f = g.

@@ -13,6 +13,7 @@ passing law counts all its cases, a failing one stops at its first failure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -28,7 +29,7 @@ from .catcore import (
     normal_subalgebras,
     subalgebras,
 )
-from .errors import PreconditionViolation
+from .errors import BackendMismatch, PreconditionViolation
 from .limits import congruences, has_zero_kernel, preimage, pullback
 
 # ---------------------------------------------------------------------------
@@ -208,11 +209,11 @@ def essential_four_ways(m: ConcreteMorphism) -> dict[str, bool]:
     A, image = m.cod, m.image
     results: dict[str, bool] = {}
 
-    def quotients():
-        return (cong.quotient()[1] for cong in congruences(A))
+    # the regular quotients, read by the first and the last route
+    quotients = [cong.quotient()[1] for cong in congruences(A)]
 
     results["via_regular_quotients"] = not any(
-        compose(e, m).is_injective and not e.is_injective for e in quotients())
+        compose(e, m).is_injective and not e.is_injective for e in quotients)
 
     results["via_congruences"] = _essential_refutation(A, image) is None
 
@@ -225,7 +226,7 @@ def essential_four_ways(m: ConcreteMorphism) -> dict[str, bool]:
 
     results["via_kernels"] = not any(
         has_zero_kernel(compose(e, m)) and not has_zero_kernel(e)
-        for e in quotients())
+        for e in quotients)
     return results
 
 
@@ -246,32 +247,42 @@ def _find_refuting_pullback(m: ConcreteMorphism, S: MonoClassSpec,
     inclusion of cod(m) or else along a morphism X -> cod(m) from the
     universe, in the sorted order of ``hom_tables``; None when there is none.
 
-    The search walks map tables and decides each pullback on its
-    (X, preimage) key, so a morphism is built only for the refuting map.
-    When S is not all monos, a map whose pullback is in S is built too: the
-    bounded essentiality test needs that pullback from ``pullback``.
+    Each pullback is decided on its (X, preimage) key, the mono up to
+    canonical iso, so a morphism is built only for the refuting map.  When
+    S is not all monos the key is decided by S-membership and the bounded
+    essentiality test of its inclusion.  When m is an iso every pullback
+    along a map X -> cod(m) has the key (X, X), so that key is decided once
+    per probe object X, and the maps X -> cod(m) are searched only to
+    report the first of them as the refuting map.
     """
-    image = m.image
+    cod, image = m.cod, m.image
 
     def refutation(x):
         return RefutingPullback(along=x, pulled=pullback(m, x).proj_right)
 
+    def refutes(X, pre):
+        if S.kind == ALL_MONOS:
+            return _essential_refutation(X, pre) is not None
+        return not (S.contains_image(X, pre) and is_essential(
+            _inclusion(X, pre), S, universe).value)
+
     # subobject inclusions first: cheap and they carry the textbook witnesses
-    for sub in subalgebras(m.cod):
+    for sub in subalgebras(cod):
         if _essential_refutation(sub.object(),
                                  preimage(sub.elems, image)) is not None:
             return refutation(sub.inclusion())
+    if len(image) == cod.size:
+        for X in universe:
+            if X.backend != cod.backend:
+                raise BackendMismatch(f"hom({X.id},{cod.id}): backends differ")
+            if refutes(X, frozenset(X.elements)) and (
+                    tables := hom_tables(X, cod)):
+                return refutation(ConcreteMorphism(X, cod, tables[0]))
+        return None
     for X in universe:
-        for t in hom_tables(X, m.cod):
-            pre = preimage(t, image)
-            if S.kind == ALL_MONOS:
-                bad = _essential_refutation(X, pre) is not None
-            else:
-                bad = not (S.contains_image(X, pre) and is_essential(
-                    pullback(m, ConcreteMorphism(X, m.cod, t)).proj_right,
-                    S, universe).value)
-            if bad:
-                return refutation(ConcreteMorphism(X, m.cod, t))
+        for t in hom_tables(X, cod):
+            if refutes(X, preimage(t, image)):
+                return refutation(ConcreteMorphism(X, cod, t))
     return None
 
 
@@ -416,8 +427,25 @@ def _composable(monos: dict[tuple, tuple]):
             yield inner, outer
 
 
-def _composite_image(m: ConcreteMorphism, mp: ConcreteMorphism) -> frozenset:
-    return frozenset(m.table[e] for e in mp.table)
+def _first_failure_by_key(items, key, cases) -> tuple[int, dict | None]:
+    """(checked, witness) of a first-failure check whose cases come in one
+    group per item, where whether a group passes, and its count when it
+    does, depend only on ``key(item)``.  ``cases(item)`` yields the group as
+    for :func:`_first_failure`.  Each key is scanned once: a key that passed
+    adds its count again, and a failing key fails at its first item, so the
+    count and witness are those of one scan per item."""
+    passed: dict = {}
+    checked = 0
+    for item in items:
+        k = key(item)
+        n = passed.get(k)
+        if n is None:
+            n, witness = _first_failure(cases(item))
+            if witness is not None:
+                return checked + n, witness
+            passed[k] = n
+        checked += n
+    return checked, None
 
 
 def _pullback_stable_law(monos: dict[tuple, tuple], universe: list[FiniteObject],
@@ -426,31 +454,63 @@ def _pullback_stable_law(monos: dict[tuple, tuple], universe: list[FiniteObject]
     return (checked, witness) for the first pullback that is not a member.
 
     ``member`` is asked about (codomain, image) keys.  The pullbacks of a
-    mono depend only on its key, so each key is decided once: a key that
-    passed adds its count again, and the first failing key is met for the
-    first time, giving the same count and witness as one pass per mono.
-    """
-    passed: dict[tuple, int] = {}
-    checked = 0
-    for (_, Y), ms in monos.items():
-        for m in ms:
-            key = canonical_mono(m)
-            if not member(key):
+    mono depend only on its key, so each key is decided once."""
+    def pullbacks(m):
+        Y, image = m.cod, m.image
+        for W in universe:
+            for t in hom_tables(W, Y):
+                pre = preimage(t, image)
+                yield None if member((W, pre)) else _jsonable(
+                    mono=m, along=ConcreteMorphism(W, Y, t),
+                    pulled=_inclusion(W, pre))
+
+    return _first_failure_by_key(
+        (m for ms in monos.values() for m in ms if member(canonical_mono(m))),
+        canonical_mono, pullbacks)
+
+
+def _composite_scan(monos: dict[tuple, tuple],
+                    laws) -> list[tuple[int, dict | None]]:
+    """(checked, witness) of each composition-shaped law over the composable
+    pairs m': X -> Y, m: Y -> Z, in ``_composable`` order with m' outer.
+
+    ``laws`` holds (premise, conclusion) pairs asked about the (codomain,
+    image) keys of m', m and m.m'.  Those keys depend on m' only through
+    its image, so each (inner, outer) block decides every (image of m', m)
+    pair once and adds the number of inner monos with that image.  A block
+    in which a law fails is rescanned pair by pair for that law, so the
+    law's count and witness are those of its first failing pair."""
+    def pairs(inner, outer, premise, conclusion):
+        for mp in inner:
+            for m in outer:
+                k = (canonical_mono(mp), canonical_mono(m),
+                     (m.cod, frozenset(m.table[e] for e in mp.table)))
+                if premise(*k):
+                    yield None if conclusion(*k) else _jsonable(
+                        inner=mp, outer=m, composite=compose(m, mp))
+
+    results = [(0, None)] * len(laws)
+    for inner, outer in _composable(monos):
+        Y = inner[0].cod
+        images = Counter(mp.image for mp in inner)
+        outer_keys = [(m.table, canonical_mono(m)) for m in outer]
+        block = [(n, ((Y, image), km,
+                      (km[0], frozenset(t[e] for e in image))))
+                 for image, n in images.items() for t, km in outer_keys]
+        for i, (premise, conclusion) in enumerate(laws):
+            checked, witness = results[i]
+            if witness is not None:
                 continue
-            n = passed.get(key)
-            if n is None:
-                n, image = 0, m.image
-                for W in universe:
-                    for t in hom_tables(W, Y):
-                        n += 1
-                        pre = preimage(t, image)
-                        if not member((W, pre)):
-                            return checked + n, _jsonable(
-                                mono=m, along=ConcreteMorphism(W, Y, t),
-                                pulled=_inclusion(W, pre))
-                passed[key] = n
-            checked += n
-    return checked, None
+            n = 0
+            for multiplicity, k in block:
+                if premise(*k):
+                    if not conclusion(*k):
+                        n, witness = _first_failure(
+                            pairs(inner, outer, premise, conclusion))
+                        break
+                    n += multiplicity
+            results[i] = (checked + n, witness)
+    return results
 
 
 def _mono_flags(universe, S):
@@ -499,7 +559,6 @@ def closure_law_suite(universe: list[FiniteObject],
             for m in isos)))
 
     # -- composition-shaped laws -----------------------------------------
-    # one scan for all fifteen: each law keeps its own (checked, witness)
     comp_laws = [
         # (law id, premise(p, m, c), conclusion(p, m, c)); the arguments are
         # the (codomain, image) keys of m', m and the composite m.m'
@@ -519,21 +578,9 @@ def closure_law_suite(universe: list[FiniteObject],
         ("subobject-essential-weak-right-cancellation", lambda p, m, c: in_se(c) and in_se(p), lambda p, m, c: in_se(m)),
         ("subobject-essential-left-cancellation", lambda p, m, c: in_se(c), lambda p, m, c: in_se(p)),
     ]
-    results = {law_id: [0, None] for law_id, _, _ in comp_laws}
-    for inner, outer in _composable(monos):
-        for mp in inner:          # m': X -> Y
-            kp = canonical_mono(mp)
-            for m in outer:       # m : Y -> Z
-                km, kc = (m.cod, m.image), (m.cod, _composite_image(m, mp))
-                for law_id, premise, conclusion in comp_laws:
-                    slot = results[law_id]
-                    if slot[1] is None and premise(kp, km, kc):
-                        slot[0] += 1
-                        if not conclusion(kp, km, kc):
-                            slot[1] = _jsonable(inner=mp, outer=m,
-                                                composite=compose(m, mp))
-    reports += [_report(LawReport, law_id, results[law_id])
-                for law_id, _, _ in comp_laws]
+    reports += [_report(LawReport, law_id, result) for (law_id, _, _), result
+                in zip(comp_laws, _composite_scan(
+                    monos, [law[1:] for law in comp_laws]))]
 
     # -- split mono corollaries ------------------------------------------
     def split_monos(member):
@@ -607,30 +654,32 @@ def find_weak_left_cancellation_witness(universe: list[FiniteObject]):
 
 def s_class_report(S: MonoClassSpec, universe: list[FiniteObject]) -> list[LawReport]:
     """Bounded verification that S is pullback stable, contains isomorphisms,
-    is closed under composition, and has strong left cancellation."""
+    is closed under composition, and has strong left cancellation.
+
+    S-membership is decided once per (codomain, image) key.  The pullback
+    law decides each member key once, and the composition and cancellation
+    laws decide each (image of the inner mono, outer mono) pair once per
+    block of composable pairs (see :func:`_composite_scan`)."""
     monos = monos_between(universe)
+    decided: dict[tuple, bool] = {}
 
-    def failed(mp, m):
-        return _jsonable(inner=mp, outer=m, composite=compose(m, mp))
+    def in_s(key):
+        hit = decided.get(key)
+        if hit is None:
+            hit = decided[key] = S.contains_image(*key)
+        return hit
 
-    isos = (None if S.contains(m) else _jsonable(iso=m)
+    isos = (None if in_s(canonical_mono(m)) else _jsonable(iso=m)
             for ms in monos.values() for m in ms if m.is_bijective)
-    composites = (
-        None if S.contains_image(m.cod, _composite_image(m, mp))
-        else failed(mp, m)
-        for inner, outer in _composable(monos)
-        for mp in inner if S.contains(mp) for m in outer if S.contains(m))
-    cancellations = (
-        None if S.contains(mp) else failed(mp, m)
-        for inner, outer in _composable(monos) for mp in inner for m in outer
-        if S.contains_image(m.cod, _composite_image(m, mp)))
+    composition, cancellation = _composite_scan(monos, [
+        (lambda p, m, c: in_s(p) and in_s(m), lambda p, m, c: in_s(c)),
+        (lambda p, m, c: in_s(c), lambda p, m, c: in_s(p))])
     return [
         _report(LawReport, "S-isos", _first_failure(isos)),
-        _report(LawReport, "S-pullback-stable", _pullback_stable_law(
-            monos, universe, lambda key: S.contains_image(*key))),
-        _report(LawReport, "S-composition", _first_failure(composites)),
-        _report(LawReport, "S-strong-left-cancellation",
-                _first_failure(cancellations)),
+        _report(LawReport, "S-pullback-stable",
+                _pullback_stable_law(monos, universe, in_s)),
+        _report(LawReport, "S-composition", composition),
+        _report(LawReport, "S-strong-left-cancellation", cancellation),
     ]
 
 

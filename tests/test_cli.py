@@ -55,6 +55,30 @@ def test_classify_text_format(capsys):
     assert "essential=" in out and '"reports"' not in out
 
 
+def test_classify_p8_within_192_mib_of_address_space(tmp_path):
+    """``classify --backend pset`` on an 8-element pointed set, in a child
+    capped at 192 MiB of address space.  The pullbacks of its identity all
+    have one key, so none of its 8**7 endomorphism tables is searched; a
+    search that walks them peaks at about 284 MB of resident memory."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (192 << 20, 192 << 20))
+
+    desc = tmp_path / "p8.json"
+    desc.write_text('{"kind": "pointed_set", "name": "P8", "size": 8}')
+    src = str(Path(speccat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    child = subprocess.run(
+        [sys.executable, "-m", "speccat.cli", "classify", "--backend", "pset",
+         "--input", str(desc)],
+        capture_output=True, env=env, preexec_fn=cap, timeout=60)
+    assert child.returncode == 0, child.stderr[-2000:]
+    reports = json.loads(child.stdout)["reports"]
+    assert reports and all(r["in_S"] for r in reports)
+
+
 # ---------------------------------------------------------------------------
 # spec
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from speccat import (
 )
 from speccat import fractions, registry
 from speccat.catcore import AB, GRP, zero_morphism
-from speccat.limits import congruence_from_normal_subobject, pullback
+from speccat.limits import (congruence_from_normal_subobject, preimage,
+                            pullback)
 from speccat.monoclasses import ESSENTIAL_FAMILY, EXPLICIT_FAMILY, ISO_FAMILY
 
 
@@ -426,6 +427,93 @@ def test_f0_f1_reports_match_per_member_loops(universe_name, family, S_all):
     assert (f0[1] is None) == (family in ("se", "essential"))
     if family == "two-step":
         assert f1[1] is not None
+
+
+def _reference_f2(M, universe):
+    """The F2 loop of check_focal once per member s, before it was decided
+    once per (codomain, image) key: for every f: W -> A, a square with the
+    pullback of s along f, or else any V with s' in M and s.f' = f.s'."""
+    def square(s, f):
+        if M.contains_image(f.dom, preimage(f.table, s.image)):
+            return True
+        return any(all(s.table[fp.table[e]] == f.table[sp.table[e]]
+                       for e in V.elements)
+                   for V in universe
+                   for sp in enumerate_hom(V, f.dom) if M.contains(sp)
+                   for fp in enumerate_hom(V, s.dom))
+
+    checked = 0
+    for A in universe:
+        for sX in universe:
+            for s in enumerate_hom(sX, A):
+                if not M.contains(s):
+                    continue
+                for W in universe:
+                    for f in enumerate_hom(W, A):
+                        checked += 1
+                        if not square(s, f):
+                            return checked, {"s": s.to_json(),
+                                             "f": f.to_json()}
+    return checked, None
+
+
+@pytest.mark.parametrize("universe_name",
+                         ["s3-subgroups", "z4-chain", "s4-subgroups"])
+@pytest.mark.parametrize("family", ["se", "essential", "no-members",
+                                    "two-step"])
+def test_f2_report_matches_per_member_loop(universe_name, family, S_all):
+    universe = registry.universe(universe_name)
+    M = _focal_family(universe, family, S_all)
+    checked, witness = _reference_f2(M, universe)
+    r = {r.condition: r for r in check_focal(M, universe)}["F2"]
+    assert (r.checked, r.witness) == (checked, witness)
+    assert r.status == ("fail" if witness else "pass")
+    assert (witness is None) == (family in ("se", "no-members") or (
+        family == "essential" and universe_name == "z4-chain"))
+
+
+def test_f2_fails_after_a_repeated_passing_key(ess_family, s3_universe,
+                                               s3_named):
+    """On s3-subgroups the essential family fails F2 at A3 -> S3 with the
+    classic witness, after members whose (codomain, image) key was already
+    decided: each adds the count of its key again."""
+    r = {r.condition: r for r in check_focal(ess_family, s3_universe)}["F2"]
+    assert (r.checked, r.witness) == _reference_f2(ess_family, s3_universe)
+    assert set(r.witness["s"]["map"]) == set(s3_named["A3"].elems)
+    seen, repeated = set(), 0
+    for A in s3_universe:
+        for X in s3_universe:
+            for s in enumerate_hom(X, A):
+                if s.to_json() == r.witness["s"]:
+                    assert repeated > 0 and (A, s.image) not in seen
+                    return
+                if ess_family.contains(s):
+                    repeated += (A, s.image) in seen
+                    seen.add((A, s.image))
+    pytest.fail("the witness s is no member of the family")
+
+
+def test_f2_fails_beside_a_passing_key_into_the_same_object():
+    """M = every mono of s4-subgroups but two into S4: the zero mono and
+    the first order-3 subgroup.  F2 fails at another order-3 subgroup of
+    S4, pulled back along an automorphism onto the one left out, after
+    members into S4 with other images passed: a key is the pair
+    (codomain, image), not the codomain alone."""
+    universe = registry.universe("s4-subgroups")
+    S4 = universe[-1]
+    order_3 = next(sub for sub in subalgebras(S4) if sub.size == 3)
+    out = {(S4, frozenset({0})), (S4, frozenset(order_3.elems))}
+    M = MonoFamily(kind=EXPLICIT_FAMILY, members=frozenset(
+        (m.cod, m.image) for X in universe for Y in universe
+        for m in enumerate_monos(X, Y)) - out)
+    r = {r.condition: r for r in check_focal(M, universe)}["F2"]
+    assert (r.checked, r.witness) == _reference_f2(M, universe)
+    s = r.witness["s"]
+    assert s["cod"] == S4.id and len(s["map"]) == 3
+    assert set(s["map"]) != set(order_3.elems)
+    assert len(set(r.witness["f"]["map"])) == S4.size
+    assert any(M.contains(m) for X in universe if X.size == 2
+               for m in enumerate_monos(X, S4))
 
 
 # ---------------------------------------------------------------------------

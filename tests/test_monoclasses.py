@@ -6,6 +6,7 @@ import pytest
 from speccat import (
     ALL_MONOS,
     NORMAL_MONOS,
+    BackendMismatch,
     MonoClassSpec,
     PreconditionViolation,
     Subobject,
@@ -721,8 +722,8 @@ def test_table_searches_match_per_morphism_loops(universe_name, kind):
 
 
 def test_refutation_search_builds_only_its_witness(monkeypatch, S_all):
-    """Over a 6-element pointed set the search walks all 7,776 endomorphism
-    tables, yet builds fewer than 50 morphisms and caches no hom set."""
+    """Over a 6-element pointed set the search decides the one pullback key
+    of the identity, builds fewer than 50 morphisms and caches no hom set."""
     P6 = pointed_set("P6", 6)
     m = identity(P6)
     monkeypatch.setattr(catcore, "_HOM_CACHE", {})
@@ -739,3 +740,92 @@ def test_refutation_search_builds_only_its_witness(monkeypatch, S_all):
     assert built[0] < 50
     assert len(catcore.hom_tables(P6, P6)) == 7776
     assert (P6, P6) not in catcore._HOM_CACHE
+
+
+# ---------------------------------------------------------------------------
+# The refutation search of an iso: one pullback key per probe object
+# ---------------------------------------------------------------------------
+
+def _walk_refuting_pullback(m, S, universe):
+    """The refutation search walking every hom table X -> cod(m) and
+    deciding each pullback from its own preimage, with no shortcut for
+    isos.  For S other than all monos the bounded test of a pullback is
+    asked once per (X, preimage) key, through the generic ``pullback``."""
+    image = m.image
+    bounded = {}
+
+    def refutation(x):
+        return RefutingPullback(along=x, pulled=pullback(m, x).proj_right)
+
+    for sub in subalgebras(m.cod):
+        if monoclasses._essential_refutation(
+                sub.object(), preimage(sub.elems, image)) is not None:
+            return refutation(sub.inclusion())
+    for X in universe:
+        for t in catcore.hom_tables(X, m.cod):
+            pre = preimage(t, image)
+            if S.kind == ALL_MONOS:
+                bad = monoclasses._essential_refutation(X, pre) is not None
+            else:
+                if (X, pre) not in bounded:
+                    pulled = pullback(m, ConcreteMorphism(X, m.cod, t))
+                    bounded[X, pre] = not (
+                        S.contains_image(X, pre) and is_essential(
+                            pulled.proj_right, S, universe).value)
+                bad = bounded[X, pre]
+            if bad:
+                return refutation(ConcreteMorphism(X, m.cod, t))
+    return None
+
+
+# P1 .. P6 with the pointed-le-4 classes of _S_CLASSES, then the universes
+# that _S_CLASSES names, each with all, normal, zero-and-top and its classes
+_ISO_SEARCH_CASES = [("P1..P6", kind) for kind in (
+    "all", "normal", "zero-and-top-isos", *_S_CLASSES["pointed-le-4"])]
+_ISO_SEARCH_CASES += [(name, kind) for name, explicit in _S_CLASSES.items()
+                      for kind in ("all", "normal", "zero-and-top-isos",
+                                   *explicit)]
+
+
+@pytest.mark.parametrize("universe_name,kind", _ISO_SEARCH_CASES)
+def test_iso_search_matches_the_table_walk(monkeypatch, universe_name, kind):
+    """Every iso in S gets the verdict, mode and witness of the walk over
+    all hom tables, refuted or not: the identities of P1 .. P6, and every
+    iso between objects of a named universe."""
+    if universe_name == "P1..P6":
+        universe = [pointed_set(f"P{n}", n) for n in range(1, 7)]
+        isos = [identity(X) for X in universe]
+        S = (_zero_and_top_isos(universe) if kind == "zero-and-top-isos"
+             else _law_class("pointed-le-4", universe, kind))
+    else:
+        universe, S = _search_case(universe_name, kind)
+        isos = [m for ms in monos_between(universe).values() for m in ms
+                if m.is_bijective]
+    members = [m for m in isos if S.contains(m)]
+    got = [is_stable_essential(m, S, universe) for m in members]
+    monkeypatch.setattr(monoclasses, "_find_refuting_pullback",
+                        _walk_refuting_pullback)
+    want = [is_stable_essential(m, S, universe) for m in members]
+    assert [v.to_json() for v in got] == [v.to_json() for v in want]
+    assert got == want
+    if kind == "zero-and-top-isos":
+        # the automorphisms of the top object are refuted along the first
+        # map out of an object whose identity is not in S
+        assert any(v.witness is not None for v in got)
+
+
+def test_iso_search_searches_no_hom_tables_into_the_iso(monkeypatch, S_all):
+    """Every pullback of the identity of an 8-element pointed set has the
+    key (P8, P8), decided once: none of its 8**7 = 2,097,152 endomorphism
+    tables is searched."""
+    P8 = pointed_set("P8", 8)
+    monkeypatch.setattr(catcore, "_HOM_TABLES", {})
+    verdict = is_stable_essential(identity(P8), S_all, [P8])
+    assert verdict.value and not verdict.exact
+    assert (catcore.content_key(P8),) * 2 not in catcore._HOM_TABLES
+
+
+def test_iso_search_refuses_a_universe_object_of_another_backend(S_all):
+    P2 = pointed_set("P2", 2)
+    with pytest.raises(BackendMismatch):
+        is_stable_essential(identity(P2), S_all, [P2, cyclic_group(2)])
