@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     BackendMismatch,
@@ -42,53 +42,68 @@ def _short_hash(*parts) -> str:
     return h.hexdigest()
 
 
+class _Validated:
+    """Mixin for an immutable record, a subclass of a ``namedtuple`` base,
+    whose ``__post_init__`` checks each new instance.
+
+    The check is looked up on the instance, so a wrapper installed on the
+    class (a tracer's timing span) sees every construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
+
+
 # ---------------------------------------------------------------------------
 # Objects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteObject:
-    """A finite pointed algebra with elements 0..size-1 and basepoint 0."""
+class FiniteObject(_Validated, namedtuple(
+        "FiniteObject", "id backend size op inv labels",
+        defaults=(None, None, None))):
+    """A finite pointed algebra with elements 0..size-1 and basepoint 0.
 
-    id: str
-    backend: str
-    size: int
-    op: tuple[tuple[int, ...], ...] | None = None
-    inv: tuple[int, ...] | None = None
-    labels: tuple[str, ...] | None = None
+    Fields: ``id: str``, ``backend: str``, ``size: int``,
+    ``op: tuple[tuple[int, ...], ...] | None``,
+    ``inv: tuple[int, ...] | None``, ``labels: tuple[str, ...] | None``.
+    """
+
+    __slots__ = ()
 
     def __post_init__(self):
-        if self.backend not in BACKENDS:
-            raise InvalidObject(f"unknown backend {self.backend!r}")
-        if self.size < 1:
+        _, backend, n, op, inv, _ = self
+        if backend not in BACKENDS:
+            raise InvalidObject(f"unknown backend {backend!r}")
+        if n < 1:
             raise InvalidObject("objects must have at least the basepoint")
-        if self.backend == PSET:
-            if self.op is not None or self.inv is not None:
+        if backend == PSET:
+            if op is not None or inv is not None:
                 raise InvalidObject("pointed sets carry no operation table")
             return
-        if self.op is None or self.inv is None:
-            raise InvalidObject(f"{self.backend} objects need op and inv tables")
-        n = self.size
-        if len(self.op) != n or any(len(row) != n for row in self.op):
+        if op is None or inv is None:
+            raise InvalidObject(f"{backend} objects need op and inv tables")
+        if len(op) != n or any(len(row) != n for row in op):
             raise InvalidObject(f"{self.id}: op table is not {n}x{n}")
         rng = range(n)
-        if any(v not in rng for row in self.op for v in row):
+        if any(v not in rng for row in op for v in row):
             raise InvalidObject(f"{self.id}: op table entry out of range")
         for a in rng:
-            if self.op[0][a] != a or self.op[a][0] != a:
+            if op[0][a] != a or op[a][0] != a:
                 raise InvalidObject(f"{self.id}: element 0 is not the identity")
         for a in rng:
-            b = self.inv[a]
-            if self.op[a][b] != 0 or self.op[b][a] != 0:
+            b = inv[a]
+            if op[a][b] != 0 or op[b][a] != 0:
                 raise InvalidObject(f"{self.id}: inv table is not two-sided")
-        op = self.op
         for a in rng:
             for b in rng:
                 ab = op[a][b]
                 for c in rng:
                     if op[ab][c] != op[a][op[b][c]]:
                         raise InvalidObject(f"{self.id}: op is not associative")
-        if self.backend == AB:
+        if backend == AB:
             for a in rng:
                 for b in rng:
                     if op[a][b] != op[b][a]:
@@ -226,31 +241,36 @@ def direct_product(A: FiniteObject, B: FiniteObject, name: str | None = None) ->
 # Morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConcreteMorphism:
-    """A total basepoint-preserving (and operation-preserving) map table."""
+class ConcreteMorphism(_Validated,
+                       namedtuple("ConcreteMorphism", "dom cod table")):
+    """A total basepoint-preserving (and operation-preserving) map table.
 
-    dom: FiniteObject
-    cod: FiniteObject
-    table: tuple[int, ...]
+    Fields: ``dom: FiniteObject``, ``cod: FiniteObject``,
+    ``table: tuple[int, ...]``.
+    """
+
+    __slots__ = ()
 
     def __post_init__(self):
-        if self.dom.backend != self.cod.backend:
+        dom, cod, t = self
+        if dom.backend != cod.backend:
             raise BackendMismatch(
-                f"morphism {self.dom.id}->{self.cod.id} crosses backends")
-        if len(self.table) != self.dom.size:
+                f"morphism {dom.id}->{cod.id} crosses backends")
+        if len(t) != dom.size:
             raise InvalidMorphism("map table has wrong length")
-        if any(v not in self.cod.elements for v in self.table):
+        elems = cod.elements
+        if any(v not in elems for v in t):
             raise InvalidMorphism("map table value out of range")
-        if self.table[0] != 0:
+        if t[0] != 0:
             raise InvalidMorphism("map does not preserve the basepoint")
-        if self.dom.op is not None:
-            t, op_a, op_b = self.table, self.dom.op, self.cod.op
-            for a in self.dom.elements:
-                for b in self.dom.elements:
+        op_a = dom.op
+        if op_a is not None:
+            op_b, elems = cod.op, dom.elements
+            for a in elems:
+                for b in elems:
                     if t[op_a[a][b]] != op_b[t[a]][t[b]]:
                         raise InvalidMorphism(
-                            f"map {self.dom.id}->{self.cod.id} is not a homomorphism")
+                            f"map {dom.id}->{cod.id} is not a homomorphism")
 
     def __hash__(self):  # pragma: no cover - trivial
         return hash((self.dom.id, self.cod.id, self.table))
@@ -325,12 +345,13 @@ def inverse(f: ConcreteMorphism) -> ConcreteMorphism:
 # Subobjects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subobject:
-    """A canonical subobject: a sorted element subset closed under the ops."""
+class Subobject(_Validated, namedtuple("Subobject", "ambient elems")):
+    """A canonical subobject: a sorted element subset closed under the ops.
 
-    ambient: FiniteObject
-    elems: tuple[int, ...]
+    Fields: ``ambient: FiniteObject``, ``elems: tuple[int, ...]``.
+    """
+
+    __slots__ = ()
 
     def __post_init__(self):
         if tuple(sorted(set(self.elems))) != self.elems:

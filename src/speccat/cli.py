@@ -23,8 +23,8 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from . import registry
@@ -65,17 +65,16 @@ REPRODUCE_ITEMS = ("remark-6.8", "remark-6.7-search", "thm-6.9-sweep",
                    "thm-5.2-pullbacks", "focal-suite", "cor-7.3-uniform")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    backend: str | None = None
-    universe: str | None = None
-    inputs: list[str] = field(default_factory=list)
-    bound_size: int | None = None
-    fmt: str = "json"
-    out: str | None = None
-    seed: int = 0
-    item: str | None = None
+class RunConfig(namedtuple(
+        "RunConfig",
+        "command backend universe inputs bound_size fmt out seed item",
+        defaults=(None, None, (), None, "json", None, 0, None))):
+    """Fields: ``command: str``, ``backend: str | None``,
+    ``universe: str | None``, ``inputs: tuple[str, ...]``,
+    ``bound_size: int | None``, ``fmt: str``, ``out: str | None``,
+    ``seed: int``, ``item: str | None``."""
+
+    __slots__ = ()
 
 
 #: exit code for a closed output pipe, as a shell reports death by SIGPIPE
@@ -126,8 +125,9 @@ def _json_text(o, level: int, memo: dict) -> str:
     """The text of o with its first line at indent ``level``.  The text of
     a list of lists is kept in ``memo`` under (id, level), so a table that
     the payload holds many times is rendered at most twice per indent
-    level."""
-    if isinstance(o, (list, tuple)):
+    level.  Only an exact list or tuple is an array: a record (a namedtuple
+    subclass) is refused like any other object."""
+    if type(o) in (list, tuple):
         if not o:
             return "[]"
         nested = type(o) is list and type(o[0]) is list
@@ -182,7 +182,7 @@ def _pieces(o, level: int, memo: dict):
             yield from _pieces(v, level + 1, memo)
             sep = "," + inner
         yield "\n" + _INDENT * level + "}"
-    elif (isinstance(o, (list, tuple))
+    elif (type(o) in (list, tuple)
           and any(isinstance(x, (dict, list, tuple)) for x in o)):
         inner = "\n" + _INDENT * (level + 1)
         sep = "[" + inner
@@ -525,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, backend=args.backend,
-                    universe=args.universe, inputs=list(args.input),
+                    universe=args.universe, inputs=tuple(args.input),
                     bound_size=args.bound_size,
                     fmt=args.format, out=args.out, seed=args.seed,
                     item=getattr(args, "item", None))

@@ -4,13 +4,14 @@ construction of localized hom sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, partial
 
 from .catcore import (
     ConcreteMorphism,
     FiniteObject,
     Subobject,
+    _Validated,
     compose,
     enumerate_hom,
     image_subobject,
@@ -28,12 +29,14 @@ from .monoclasses import (MonoFamily, _first_failure, _first_failure_by_key,
 # Spans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Span:
-    """A pair (f, x) with common domain: x: X -> A backwards, f: X -> B forwards."""
+class Span(_Validated, namedtuple("Span", "left right")):
+    """A pair (f, x) with common domain: x: X -> A backwards, f: X -> B forwards.
 
-    left: ConcreteMorphism   # x: X -> A
-    right: ConcreteMorphism  # f: X -> B
+    Fields: ``left: ConcreteMorphism`` (x: X -> A),
+    ``right: ConcreteMorphism`` (f: X -> B).
+    """
+
+    __slots__ = ()
 
     def __post_init__(self):
         if self.left.dom != self.right.dom:
@@ -55,12 +58,14 @@ class Span:
         return {"left": self.left.to_json(), "right": self.right.to_json()}
 
 
-@dataclass(frozen=True)
-class NormalizedSpan:
-    """A span whose left leg is a canonical subobject inclusion."""
+class NormalizedSpan(_Validated, namedtuple("NormalizedSpan", "sub right")):
+    """A span whose left leg is a canonical subobject inclusion.
 
-    sub: Subobject            # subobject of the source A
-    right: ConcreteMorphism   # f: sub.object() -> B
+    Fields: ``sub: Subobject`` (a subobject of the source A),
+    ``right: ConcreteMorphism`` (f: sub.object() -> B).
+    """
+
+    __slots__ = ()
 
     def __post_init__(self):
         if self.right.dom != self.sub.object():
@@ -101,13 +106,14 @@ def normalize(span: Span) -> NormalizedSpan:
 # Fraction equality (the diamond search)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Diamond:
-    """A commuting diamond witnessing equality of two fractions."""
+class Diamond(namedtuple("Diamond", "u v through")):
+    """A commuting diamond witnessing equality of two fractions.
 
-    u: ConcreteMorphism
-    v: ConcreteMorphism
-    through: ConcreteMorphism  # the composite x.u : Y -> A, a member of M
+    Fields, each a ``ConcreteMorphism``: ``u``, ``v`` and ``through`` (the
+    composite x.u : Y -> A, a member of M).
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"u": self.u.to_json(), "v": self.v.to_json(),
@@ -166,12 +172,14 @@ def fraction_equal(s: Span | NormalizedSpan, t: Span | NormalizedSpan,
 # Focal conditions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConditionReport:
-    condition: str  # F0 | F1 | F2 | F3 | Ore-d
-    status: str     # "pass" | "fail"
-    checked: int
-    witness: dict | None = None
+class ConditionReport(namedtuple("ConditionReport",
+                                 "condition status checked witness",
+                                 defaults=(None,))):
+    """Fields: ``condition: str`` (F0 | F1 | F2 | F3 | Ore-d),
+    ``status: str`` ("pass" | "fail"), ``checked: int``,
+    ``witness: dict | None``."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"condition": self.condition, "status": self.status,
@@ -272,15 +280,15 @@ def _f2_square_exists(M: MonoFamily, members, universe, s: ConcreteMorphism,
 # Localized hom sets as connected components
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FractionClass:
-    """An equivalence class of spans (a single hom element of the localization)."""
+class FractionClass(namedtuple("FractionClass",
+                               "src dst index rep members")):
+    """An equivalence class of spans (a single hom element of the localization).
 
-    src: FiniteObject
-    dst: FiniteObject
-    index: int
-    rep: NormalizedSpan
-    members: tuple[NormalizedSpan, ...]
+    Fields: ``src: FiniteObject``, ``dst: FiniteObject``, ``index: int``,
+    ``rep: NormalizedSpan``, ``members: tuple[NormalizedSpan, ...]``.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"index": self.index, **self.rep.to_json()}

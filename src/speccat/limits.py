@@ -4,7 +4,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .catcore import (
     PSET,
@@ -12,6 +12,7 @@ from .catcore import (
     FiniteObject,
     Subobject,
     _short_hash,
+    _Validated,
     enumerate_hom,
     image_subobject,
     normal_closure,
@@ -29,14 +30,15 @@ from .errors import (
 # Pullbacks and products
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PullbackResult:
-    """Fiber product of a cospan, with projections and a mediator procedure."""
+class PullbackResult(namedtuple("PullbackResult",
+                                "apex proj_left proj_right pairs")):
+    """Fiber product of a cospan, with projections and a mediator procedure.
 
-    apex: FiniteObject
-    proj_left: ConcreteMorphism
-    proj_right: ConcreteMorphism
-    pairs: tuple[tuple[int, int], ...]
+    Fields: ``apex: FiniteObject``, ``proj_left: ConcreteMorphism``,
+    ``proj_right: ConcreteMorphism``, ``pairs: tuple[tuple[int, int], ...]``.
+    """
+
+    __slots__ = ()
 
     def mediator(self, p: ConcreteMorphism, q: ConcreteMorphism) -> ConcreteMorphism:
         """Unique factorization of a commuting cone (p, q) through the apex."""
@@ -149,12 +151,13 @@ def has_zero_kernel(f: ConcreteMorphism) -> bool:
 # Congruences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Congruence:
-    """An effective equivalence relation, stored as a partition into blocks."""
+class Congruence(_Validated, namedtuple("Congruence", "on blocks")):
+    """An effective equivalence relation, stored as a partition into blocks.
 
-    on: FiniteObject
-    blocks: tuple[tuple[int, ...], ...]
+    Fields: ``on: FiniteObject``, ``blocks: tuple[tuple[int, ...], ...]``.
+    """
+
+    __slots__ = ()
 
     def __post_init__(self):
         seen = sorted(e for block in self.blocks for e in block)
@@ -298,11 +301,11 @@ def congruences(A: FiniteObject) -> tuple[Congruence, ...]:
 # Factorizations and cokernels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Factorization:
-    regular_epi: ConcreteMorphism
-    mono: ConcreteMorphism
-    image: FiniteObject
+class Factorization(namedtuple("Factorization", "regular_epi mono image")):
+    """Fields: ``regular_epi: ConcreteMorphism``, ``mono: ConcreteMorphism``,
+    ``image: FiniteObject``."""
+
+    __slots__ = ()
 
 
 def factorize(f: ConcreteMorphism) -> Factorization:
@@ -339,12 +342,12 @@ def is_normal_epi(f: ConcreteMorphism) -> bool:
 # Backend normality report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NormalBackendReport:
-    backend: str
-    passed: bool
-    checked: int
-    failures: list[dict]
+class NormalBackendReport(namedtuple("NormalBackendReport",
+                                     "backend passed checked failures")):
+    """Fields: ``backend: str``, ``passed: bool``, ``checked: int``,
+    ``failures: list[dict]``."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"backend": self.backend, "passed": self.passed,

@@ -13,8 +13,7 @@ passing law counts all its cases, a failing one stops at its first failure.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cache, cached_property
 
 from .catcore import (
@@ -22,6 +21,7 @@ from .catcore import (
     ConcreteMorphism,
     FiniteObject,
     Subobject,
+    _Validated,
     compose,
     enumerate_monos,
     hom_tables,
@@ -51,18 +51,20 @@ def _inclusion(cod: FiniteObject, image) -> ConcreteMorphism:
     return Subobject(cod, tuple(sorted(image))).inclusion()
 
 
-@dataclass(frozen=True)
-class MonoClassSpec:
+class MonoClassSpec(_Validated, namedtuple("MonoClassSpec", "kind members",
+                                           defaults=(None,))):
     """The designated class S of monomorphisms (the class to be essential for).
 
     Membership depends only on the codomain and image of a mono: that pair
     determines the mono up to canonical iso, and every kind is closed under
     isomorphic copies.  ``contains_image`` decides it from the pair, so an
     inclusion, composite or pullback need not be built to be asked about.
+
+    Fields: ``kind: str``,
+    ``members: frozenset[tuple[FiniteObject, frozenset[int]]] | None``.
     """
 
-    kind: str
-    members: frozenset[tuple[FiniteObject, frozenset[int]]] | None = None
+    __slots__ = ()
 
     def __post_init__(self):
         if self.kind not in (ALL_MONOS, NORMAL_MONOS, EXPLICIT):
@@ -97,11 +99,11 @@ def _jsonable(**fields) -> dict:
             for k, v in fields.items()}
 
 
-@dataclass(frozen=True)
-class Verdict:
-    value: bool
-    exact: bool
-    witness: object = None
+class Verdict(namedtuple("Verdict", "value exact witness",
+                         defaults=(None,))):
+    """Fields: ``value: bool``, ``exact: bool``, ``witness: object``."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.value
@@ -230,12 +232,13 @@ def essential_four_ways(m: ConcreteMorphism) -> dict[str, bool]:
     return results
 
 
-@dataclass(frozen=True)
-class RefutingPullback:
-    """A pullback of a candidate mono whose projection fails to be essential."""
+class RefutingPullback(namedtuple("RefutingPullback", "along pulled")):
+    """A pullback of a candidate mono whose projection fails to be essential.
 
-    along: ConcreteMorphism
-    pulled: ConcreteMorphism
+    Fields: ``along: ConcreteMorphism``, ``pulled: ConcreteMorphism``.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"along": self.along.to_json(), "pulled": self.pulled.to_json()}
@@ -266,10 +269,13 @@ def _find_refuting_pullback(m: ConcreteMorphism, S: MonoClassSpec,
         return not (S.contains_image(X, pre) and is_essential(
             _inclusion(X, pre), S, universe).value)
 
-    # subobject inclusions first: cheap and they carry the textbook witnesses
+    # subobject inclusions first: cheap and they carry the textbook witnesses;
+    # m pulls back to an iso along a subobject inside its image, and an iso
+    # is essential, so such a subobject is skipped
     for sub in subalgebras(cod):
-        if _essential_refutation(sub.object(),
-                                 preimage(sub.elems, image)) is not None:
+        pre = preimage(sub.elems, image)
+        if len(pre) != sub.size and _essential_refutation(
+                sub.object(), pre) is not None:
             return refutation(sub.inclusion())
     if len(image) == cod.size:
         for X in universe:
@@ -340,13 +346,14 @@ def stabilize(monos: list[ConcreteMorphism],
 # Classification reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClassificationReport:
-    morphism: ConcreteMorphism
-    in_S: bool
-    essential: Verdict | None
-    subobject_essential: Verdict | None
-    stable_essential: Verdict | None
+class ClassificationReport(namedtuple(
+        "ClassificationReport",
+        "morphism in_S essential subobject_essential stable_essential")):
+    """Fields: ``morphism: ConcreteMorphism``, ``in_S: bool``, and
+    ``essential``, ``subobject_essential``, ``stable_essential``, each a
+    ``Verdict | None``."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -378,12 +385,12 @@ def classify(m: ConcreteMorphism, S: MonoClassSpec,
 # Closure/cancellation law harness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LawReport:
-    law_id: str
-    status: str  # "pass" | "fail"
-    checked: int
-    witness: dict | None = None
+class LawReport(namedtuple("LawReport", "law_id status checked witness",
+                           defaults=(None,))):
+    """Fields: ``law_id: str``, ``status: str`` ("pass" | "fail"),
+    ``checked: int``, ``witness: dict | None``."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"law_id": self.law_id, "status": self.status,
@@ -617,14 +624,16 @@ def closure_law_suite(universe: list[FiniteObject],
     return reports
 
 
-@dataclass
-class WeakLeftCancellationWitness:
+class WeakLeftCancellationWitness(namedtuple(
+        "WeakLeftCancellationWitness", "outer inner composite")):
     """A triple showing essential monos lack weak left cancellation:
-    m and m.m' essential while m' is not."""
+    m and m.m' essential while m' is not.
 
-    outer: ConcreteMorphism   # m : M -> A, essential
-    inner: ConcreteMorphism   # m': M' -> M, not essential
-    composite: ConcreteMorphism
+    Fields, each a ``ConcreteMorphism``: ``outer`` (m : M -> A, essential),
+    ``inner`` (m': M' -> M, not essential) and ``composite``.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"outer": self.outer.to_json(), "inner": self.inner.to_json(),
@@ -695,20 +704,20 @@ STABILIZED_FAMILY = "stabilized"
 EXPLICIT_FAMILY = "explicit"
 
 
-@dataclass(frozen=True)
-class MonoFamily:
+class MonoFamily(namedtuple("MonoFamily", "kind S universe members",
+                            defaults=(None, None, None))):
     """A concrete, testable class of monomorphisms (the class M to invert).
 
     Membership depends only on the codomain and image of a mono: that pair
     determines the mono up to canonical iso, and every kind is closed under
     isomorphic copies.  ``contains_image`` decides it from the pair, so an
     inclusion, composite or pullback need not be built to be asked about.
-    """
 
-    kind: str
-    S: MonoClassSpec | None = None
-    universe: tuple[FiniteObject, ...] | None = None
-    members: frozenset[tuple[FiniteObject, frozenset[int]]] | None = None
+    Fields: ``kind: str``, ``S: MonoClassSpec | None``,
+    ``universe: tuple[FiniteObject, ...] | None``,
+    ``members: frozenset[tuple[FiniteObject, frozenset[int]]] | None``.
+    No ``__slots__``: the cached property below needs an instance dict.
+    """
 
     def contains_image(self, cod: FiniteObject, image: frozenset[int]) -> bool:
         """Does the mono into cod with this image belong to the family?"""

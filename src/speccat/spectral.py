@@ -5,8 +5,7 @@ objects, and division-monoid reports.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from operator import itemgetter
 
 from .catcore import (
@@ -74,16 +73,16 @@ def minimal_M_subobject(A: FiniteObject, M: MonoFamily,
 # Hom classes of the localization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpecClass:
+class SpecClass(namedtuple("SpecClass", "src dst index rep label")):
     """One hom element of the localization: the class of all fractions that
-    agree with ``label`` on the minimal M-subobject of the source."""
+    agree with ``label`` on the minimal M-subobject of the source.
 
-    src: FiniteObject
-    dst: FiniteObject
-    index: int
-    rep: NormalizedSpan
-    label: tuple[int, ...]  # rep restricted to the minimal M-subobject
+    Fields: ``src: FiniteObject``, ``dst: FiniteObject``, ``index: int``,
+    ``rep: NormalizedSpan``, ``label: tuple[int, ...]`` (rep restricted to
+    the minimal M-subobject).
+    """
+
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -304,12 +303,13 @@ def canonical_functor(f: ConcreteMorphism, spec: SpectralCategory) -> SpecClass:
 # Limit preservation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConePreservationReport:
-    cospan: tuple[str, str]
-    status: str  # "pass" | "fail"
-    cones_checked: int
-    witness: dict | None = None
+class ConePreservationReport(namedtuple(
+        "ConePreservationReport", "cospan status cones_checked witness",
+        defaults=(None,))):
+    """Fields: ``cospan: tuple[str, str]``, ``status: str`` ("pass" |
+    "fail"), ``cones_checked: int``, ``witness: dict | None``."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"cospan": list(self.cospan), "status": self.status,
@@ -405,11 +405,12 @@ def verify_limit_preservation(spec: SpectralCategory,
 # Uniform objects and division monoids
 # ---------------------------------------------------------------------------
 
-@dataclass
-class UniformReport:
-    object_id: str
-    uniform: bool
-    witness: dict | None = None
+class UniformReport(namedtuple("UniformReport", "object_id uniform witness",
+                               defaults=(None,))):
+    """Fields: ``object_id: str``, ``uniform: bool``,
+    ``witness: dict | None``."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.uniform
@@ -440,13 +441,12 @@ def is_uniform(A: FiniteObject, M: MonoFamily) -> UniformReport:
     return UniformReport(A.id, True)
 
 
-@dataclass
-class DivisionMonoidReport:
-    object_id: str
-    size: int
-    zero_index: int
-    invertible: tuple[int, ...]
-    verdict: bool
+class DivisionMonoidReport(namedtuple(
+        "DivisionMonoidReport", "object_id size zero_index invertible verdict")):
+    """Fields: ``object_id: str``, ``size: int``, ``zero_index: int``,
+    ``invertible: tuple[int, ...]``, ``verdict: bool``."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.verdict

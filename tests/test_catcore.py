@@ -46,6 +46,8 @@ from speccat.catcore import (
     is_mono,
     normal_subalgebras,
 )
+from speccat.limits import congruences
+from speccat.monoclasses import ALL_MONOS, MonoClassSpec, Verdict
 
 
 def brute_force_homs(A, B):
@@ -291,6 +293,20 @@ def test_subobject_inclusion_is_mono(s3):
     for sub in subalgebras(s3):
         assert sub.inclusion().is_injective
         assert sub.inclusion().image == frozenset(sub.elems)
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: cyclic_group(2), "size"),
+    (lambda: identity(cyclic_group(2)), "table"),
+    (lambda: Subobject(cyclic_group(2), (0,)), "elems"),
+    (lambda: next(iter(congruences(cyclic_group(2)))), "blocks"),
+    (lambda: Verdict(True, exact=True), "value"),
+    (lambda: MonoClassSpec(ALL_MONOS), "kind"),
+])
+def test_records_are_frozen(make, field):
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
 
 
 def reference_closure(A, seed):

@@ -354,6 +354,15 @@ def test_writer_text_is_the_json_dumps_text(obj):
     assert _written(obj) == _dumps(obj)
 
 
+def test_writer_refuses_a_record():
+    """A record is a tuple subclass; json.dumps would write it as a list,
+    the writer refuses it like any other object, alone or in a list."""
+    m = speccat.identity(speccat.cyclic_group(2))
+    for payload in ({"m": m}, {"m": [m]}):
+        with pytest.raises(TypeError):
+            list(_json_pieces(payload))
+
+
 def test_writer_streams_one_composition_table_per_piece():
     """A composition-shaped export of 10,000 tables is written one table at
     a time: many pieces, none longer than a table's own text."""
@@ -403,3 +412,17 @@ def test_closed_output_pipe_exits_141_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_PIPE_CLOSED == 141
     assert err == b""
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Start-up cost: the records are namedtuple subclasses, so importing
+    the CLI pulls in neither ``dataclasses`` nor the ``inspect`` it imports.
+    The child runs with -S, so no site ``.pth`` file can import them first
+    or hide the check."""
+    src = str(Path(speccat.__file__).resolve().parents[1])
+    code = ("import sys, speccat.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         stdout=subprocess.PIPE, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
