@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import json
 from collections import namedtuple
+from functools import cache
 
 from .errors import (
     BackendMismatch,
@@ -55,6 +56,22 @@ class _Validated:
         self = super().__new__(cls, *args, **kwargs)
         self.__post_init__()
         return self
+
+
+def _jsonable(**fields) -> dict:
+    """Fields as JSON: each value's ``to_json()``, or the value itself."""
+    return {k: (v.to_json() if hasattr(v, "to_json") else v)
+            for k, v in fields.items()}
+
+
+class _Record:
+    """Mixin for a ``namedtuple`` record whose JSON is its fields, each
+    written by :func:`_jsonable`."""
+
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        return _jsonable(**self._asdict())
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +449,6 @@ def closure(A: FiniteObject, seed) -> tuple[int, ...]:
     return tuple(sorted(got))
 
 
-_SUBALGEBRA_CACHE: dict[FiniteObject, tuple[Subobject, ...]] = {}
-
-
 def _cyclic_representatives(A: FiniteObject) -> list[int]:
     """One generator per nontrivial cyclic subgroup of A: the first element,
     in canonical order, that generates it."""
@@ -448,6 +462,7 @@ def _cyclic_representatives(A: FiniteObject) -> list[int]:
     return reps
 
 
+@cache
 def subalgebras(A: FiniteObject) -> tuple[Subobject, ...]:
     """All subobjects of A, sorted by (size, element tuple).
 
@@ -460,9 +475,6 @@ def subalgebras(A: FiniteObject) -> tuple[Subobject, ...]:
     from the trivial subgroup to H, and each link is reached from the one
     before, because the recorded generators of a subgroup generate it.
     """
-    cached = _SUBALGEBRA_CACHE.get(A)
-    if cached is not None:
-        return cached
     if A.op is None:
         if A.size > 20:
             raise BoundExceeded(f"{A.id}: too many subsets to enumerate")
@@ -489,9 +501,7 @@ def subalgebras(A: FiniteObject) -> tuple[Subobject, ...]:
                         nxt.append(bigger)
             layer = nxt
         subs = list(gens_of)
-    result = tuple(Subobject(A, s) for s in sorted(subs, key=lambda s: (len(s), s)))
-    _SUBALGEBRA_CACHE[A] = result
-    return result
+    return tuple(Subobject(A, s) for s in sorted(subs, key=lambda s: (len(s), s)))
 
 
 def is_normal_subset(A: FiniteObject, elems) -> bool:
@@ -507,15 +517,9 @@ def is_normal_subset(A: FiniteObject, elems) -> bool:
     return True
 
 
-_NORMAL_CACHE: dict[FiniteObject, tuple[Subobject, ...]] = {}
-
-
+@cache
 def normal_subalgebras(A: FiniteObject) -> tuple[Subobject, ...]:
-    cached = _NORMAL_CACHE.get(A)
-    if cached is None:
-        cached = tuple(s for s in subalgebras(A) if is_normal_subset(A, s.elems))
-        _NORMAL_CACHE[A] = cached
-    return cached
+    return tuple(s for s in subalgebras(A) if is_normal_subset(A, s.elems))
 
 
 def normal_closure(A: FiniteObject, seed) -> tuple[int, ...]:

@@ -44,7 +44,6 @@ from .limits import pullback
 from .monoclasses import (
     ALL_MONOS,
     ESSENTIAL_FAMILY,
-    MonoClassSpec,
     MonoFamily,
     _find_refuting_pullback,
     classify,
@@ -221,8 +220,9 @@ def _resolve_universe(config: RunConfig) -> tuple[str, list[FiniteObject]]:
                 objects.extend(load_objects(fh.read(), backend))
     else:
         raise PreconditionViolation("need --universe or --input")
-    bound = config.bound_size or DEFAULT_SIZE_BOUNDS[backend]
     for A in objects:
+        # an input object is bounded by its own backend, not the default one
+        bound = config.bound_size or DEFAULT_SIZE_BOUNDS[A.backend]
         if A.size > bound:
             raise BoundExceeded(
                 f"object {A.id} has size {A.size} > bound {bound}")
@@ -235,7 +235,7 @@ def _resolve_universe(config: RunConfig) -> tuple[str, list[FiniteObject]]:
 
 def cmd_classify(config: RunConfig) -> int:
     _, objects = _resolve_universe(config)
-    S = MonoClassSpec(ALL_MONOS)
+    S = MonoFamily(ALL_MONOS)
     reports = []
     for A in objects:
         for sub in subalgebras(A):
@@ -261,7 +261,7 @@ def cmd_classify(config: RunConfig) -> int:
 
 def cmd_spec(config: RunConfig) -> int:
     backend, objects = _resolve_universe(config)
-    spec = build_spec(backend, MonoClassSpec(ALL_MONOS), objects, verify=True)
+    spec = build_spec(backend, MonoFamily(ALL_MONOS), objects, verify=True)
     export = spec.to_json()
     uniform = [is_uniform(A, spec.M).to_json() for A in objects]
     division = [end_spec_division_check(A, spec).to_json() for A in objects]
@@ -305,7 +305,7 @@ def _check_remark_6_8() -> tuple[bool, dict]:
     G = registry.s3()
     named = registry.s3_named_subobjects()
     a3, s2 = named["A3"].inclusion(), named["S2"].inclusion()
-    S = MonoClassSpec(ALL_MONOS)
+    S = MonoFamily(ALL_MONOS)
     universe = registry.subgroup_universe(G)
     report = classify(a3, S, universe)
     pb = pullback(a3, s2)
@@ -345,7 +345,7 @@ def _check_remark_6_7_search() -> tuple[bool, dict]:
     m = msub.inclusion()
     swap_pos = m_elems.index(double_swap)
     mp = Subobject(M, tuple(sorted((0, swap_pos)))).inclusion()
-    S = MonoClassSpec(ALL_MONOS)
+    S = MonoFamily(ALL_MONOS)
     family_ok = (M.size == 6
                  and bool(is_essential(m, S))
                  and bool(is_essential(compose(m, mp), S))
@@ -363,7 +363,7 @@ def _check_thm_6_9_sweep() -> tuple[bool, dict]:
     routes agree.  Membership in each class depends only on (codomain,
     image), so the sweep covers all monos between registered objects.
     """
-    S = MonoClassSpec(ALL_MONOS)
+    S = MonoFamily(ALL_MONOS)
     checked, mismatches, four_way_mismatches = 0, [], []
     for G in registry.group_catalog():
         for Y in registry.subgroup_universe(G):
@@ -392,7 +392,7 @@ def _check_thm_5_2_pullbacks() -> tuple[bool, dict]:
     for name in ("s3-subgroups", "z4-chain"):
         backend = registry.universe_backend(name)
         objects = registry.universe(name)
-        spec = build_spec(backend, MonoClassSpec(ALL_MONOS), objects,
+        spec = build_spec(backend, MonoFamily(ALL_MONOS), objects,
                           verify=False)
         reports = verify_limit_preservation(
             spec, registry.registered_cospans(name))
@@ -408,7 +408,7 @@ def _check_focal_suite() -> tuple[bool, dict]:
     pass), while the merely-essential class fails the square-completion
     condition over the 6-element one, with the classic cospan as witness."""
     s4_universe = registry.universe("s4-subgroups")
-    se_fam = stable_essential_family(GRP, MonoClassSpec(ALL_MONOS),
+    se_fam = stable_essential_family(GRP, MonoFamily(ALL_MONOS),
                                      s4_universe)
     se_reports = check_focal(se_fam, s4_universe)
     se_ok = all(r.status == "pass" for r in se_reports)
@@ -437,7 +437,7 @@ def _check_cor_7_3_uniform() -> tuple[bool, dict]:
     category: true for Z/4 (abelian backend) and Z/5; the 6-element symmetric
     group is not uniform and its endomorphism monoid is not a division monoid.
     """
-    S = MonoClassSpec(ALL_MONOS)
+    S = MonoFamily(ALL_MONOS)
     out = {}
 
     z4_objects = registry.universe("z4-chain")

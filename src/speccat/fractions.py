@@ -11,6 +11,8 @@ from .catcore import (
     ConcreteMorphism,
     FiniteObject,
     Subobject,
+    _jsonable,
+    _Record,
     _Validated,
     compose,
     enumerate_hom,
@@ -22,14 +24,14 @@ from .errors import (CompositionMismatch, ConsistencyError,
                      PreconditionViolation)
 from .limits import preimage
 from .monoclasses import (MonoFamily, _first_failure, _first_failure_by_key,
-                          _jsonable, _report, canonical_mono)
+                          _report, canonical_mono)
 
 
 # ---------------------------------------------------------------------------
 # Spans
 # ---------------------------------------------------------------------------
 
-class Span(_Validated, namedtuple("Span", "left right")):
+class Span(_Validated, _Record, namedtuple("Span", "left right")):
     """A pair (f, x) with common domain: x: X -> A backwards, f: X -> B forwards.
 
     Fields: ``left: ConcreteMorphism`` (x: X -> A),
@@ -53,9 +55,6 @@ class Span(_Validated, namedtuple("Span", "left right")):
     @property
     def apex(self) -> FiniteObject:
         return self.left.dom
-
-    def to_json(self) -> dict:
-        return {"left": self.left.to_json(), "right": self.right.to_json()}
 
 
 class NormalizedSpan(_Validated, namedtuple("NormalizedSpan", "sub right")):
@@ -106,7 +105,7 @@ def normalize(span: Span) -> NormalizedSpan:
 # Fraction equality (the diamond search)
 # ---------------------------------------------------------------------------
 
-class Diamond(namedtuple("Diamond", "u v through")):
+class Diamond(_Record, namedtuple("Diamond", "u v through")):
     """A commuting diamond witnessing equality of two fractions.
 
     Fields, each a ``ConcreteMorphism``: ``u``, ``v`` and ``through`` (the
@@ -114,10 +113,6 @@ class Diamond(namedtuple("Diamond", "u v through")):
     """
 
     __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"u": self.u.to_json(), "v": self.v.to_json(),
-                "through": self.through.to_json()}
 
 
 def fraction_equal(s: Span | NormalizedSpan, t: Span | NormalizedSpan,
@@ -172,18 +167,14 @@ def fraction_equal(s: Span | NormalizedSpan, t: Span | NormalizedSpan,
 # Focal conditions
 # ---------------------------------------------------------------------------
 
-class ConditionReport(namedtuple("ConditionReport",
-                                 "condition status checked witness",
-                                 defaults=(None,))):
+class ConditionReport(_Record, namedtuple(
+        "ConditionReport", "condition status checked witness",
+        defaults=(None,))):
     """Fields: ``condition: str`` (F0 | F1 | F2 | F3 | Ore-d),
     ``status: str`` ("pass" | "fail"), ``checked: int``,
     ``witness: dict | None``."""
 
     __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"condition": self.condition, "status": self.status,
-                "checked": self.checked, "witness": self.witness}
 
 
 def _family_monos(M: MonoFamily, X: FiniteObject, Y: FiniteObject):

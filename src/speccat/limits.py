@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
 from .catcore import (
     PSET,
@@ -12,11 +13,13 @@ from .catcore import (
     FiniteObject,
     Subobject,
     _short_hash,
+    _Record,
     _Validated,
     enumerate_hom,
     image_subobject,
     normal_closure,
     normal_subalgebras,
+    zero_object,
 )
 from .errors import (
     CompositionMismatch,
@@ -100,27 +103,16 @@ def preimage(table: tuple[int, ...], image) -> frozenset[int]:
 
 def product(A: FiniteObject, B: FiniteObject):
     """Binary product with its two projections."""
-    res = pullback(ConcreteMorphism(A, _zero_like(A), (0,) * A.size),
-                   ConcreteMorphism(B, _zero_like(A), (0,) * B.size))
+    zero = zero_of(A.backend)
+    res = pullback(ConcreteMorphism(A, zero, (0,) * A.size),
+                   ConcreteMorphism(B, zero, (0,) * B.size))
     return res.apex, res.proj_left, res.proj_right
 
 
-_ZERO_LIKE: dict[str, FiniteObject] = {}
-
-
+@cache
 def zero_of(backend: str) -> FiniteObject:
-    obj = _ZERO_LIKE.get(backend)
-    if obj is None:
-        if backend == PSET:
-            obj = FiniteObject(id="0", backend=PSET, size=1)
-        else:
-            obj = FiniteObject(id="0", backend=backend, size=1, op=((0,),), inv=(0,))
-        _ZERO_LIKE[backend] = obj
-    return obj
-
-
-def _zero_like(A: FiniteObject) -> FiniteObject:
-    return zero_of(A.backend)
+    """The zero object of the backend, built once."""
+    return zero_object(backend)
 
 
 def equalizer(f: ConcreteMorphism, g: ConcreteMorphism) -> Subobject:
@@ -199,11 +191,6 @@ class Congruence(_Validated, namedtuple("Congruence", "on blocks")):
         ids = self.block_ids()
         return ids[a] == ids[b]
 
-    @property
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((a, b) for block in self.blocks
-                         for a in block for b in block)
-
     def basepoint_block(self) -> tuple[int, ...]:
         for block in self.blocks:
             if 0 in block:
@@ -278,23 +265,16 @@ def _set_partitions(items: list[int]):
         yield [[first]] + part
 
 
-_CONGRUENCE_CACHE: dict[FiniteObject, tuple[Congruence, ...]] = {}
-
-
+@cache
 def congruences(A: FiniteObject) -> tuple[Congruence, ...]:
     """All congruences on A, canonically ordered (discrete first, full last)."""
-    cached = _CONGRUENCE_CACHE.get(A)
-    if cached is not None:
-        return cached
     if A.op is None:
         found = [congruence_from_partition(A, part)
                  for part in _set_partitions(list(A.elements))]
     else:
         found = [congruence_from_normal_subobject(N)
                  for N in normal_subalgebras(A)]
-    result = tuple(sorted(found, key=lambda c: (-len(c.blocks), c.blocks)))
-    _CONGRUENCE_CACHE[A] = result
-    return result
+    return tuple(sorted(found, key=lambda c: (-len(c.blocks), c.blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +322,12 @@ def is_normal_epi(f: ConcreteMorphism) -> bool:
 # Backend normality report
 # ---------------------------------------------------------------------------
 
-class NormalBackendReport(namedtuple("NormalBackendReport",
-                                     "backend passed checked failures")):
+class NormalBackendReport(_Record, namedtuple(
+        "NormalBackendReport", "backend passed checked failures")):
     """Fields: ``backend: str``, ``passed: bool``, ``checked: int``,
     ``failures: list[dict]``."""
 
     __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"backend": self.backend, "passed": self.passed,
-                "checked": self.checked, "failures": self.failures}
 
 
 def check_normal_backend(backend: str, objects: list[FiniteObject]) -> NormalBackendReport:

@@ -6,6 +6,10 @@ regular quotients, i.e. congruences of the codomain), subobject-essentiality
 the group backends, bounded refutation elsewhere), stabilization of a class,
 and an exhaustive closure/cancellation law harness.
 
+One record type, :class:`MonoFamily`, holds every class of monos, the
+designated class S and the class M that the localization inverts, in seven
+kinds with one constant each.
+
 Every law report counts the cases whose premise holds, up to and including
 the first case whose conclusion fails, and that case is the witness: a
 passing law counts all its cases, a failing one stops at its first failure.
@@ -21,6 +25,8 @@ from .catcore import (
     ConcreteMorphism,
     FiniteObject,
     Subobject,
+    _jsonable,
+    _Record,
     _Validated,
     compose,
     enumerate_monos,
@@ -33,12 +39,18 @@ from .errors import BackendMismatch, PreconditionViolation
 from .limits import congruences, has_zero_kernel, preimage, pullback
 
 # ---------------------------------------------------------------------------
-# The designated class S
+# Classes of monos: the kinds of MonoFamily
 # ---------------------------------------------------------------------------
 
 ALL_MONOS = "all"
 NORMAL_MONOS = "normal"
 EXPLICIT = "explicit"
+ISO_FAMILY = "isos"
+SE_FAMILY = "subobject_essential"
+ESSENTIAL_FAMILY = "essential"
+STABILIZED_FAMILY = "stabilized"
+_KINDS = (ALL_MONOS, NORMAL_MONOS, EXPLICIT, ISO_FAMILY, SE_FAMILY,
+          ESSENTIAL_FAMILY, STABILIZED_FAMILY)
 
 
 def canonical_mono(m: ConcreteMorphism) -> tuple[FiniteObject, frozenset[int]]:
@@ -51,53 +63,79 @@ def _inclusion(cod: FiniteObject, image) -> ConcreteMorphism:
     return Subobject(cod, tuple(sorted(image))).inclusion()
 
 
-class MonoClassSpec(_Validated, namedtuple("MonoClassSpec", "kind members",
-                                           defaults=(None,))):
-    """The designated class S of monomorphisms (the class to be essential for).
+class MonoFamily(_Validated, namedtuple(
+        "MonoFamily", "kind members S universe", defaults=(None, None, None))):
+    """A class of monomorphisms: the designated class S, or the class M of
+    pullback stable S-essential monos that the localization inverts.
 
     Membership depends only on the codomain and image of a mono: that pair
     determines the mono up to canonical iso, and every kind is closed under
     isomorphic copies.  ``contains_image`` decides it from the pair, so an
     inclusion, composite or pullback need not be built to be asked about.
 
+    Seven kinds: all, normal, explicit (a member set), isos,
+    subobject-essential, essential, and stabilized (pullback stable
+    S-essential over a probe universe, decided by a bounded search).
+
     Fields: ``kind: str``,
-    ``members: frozenset[tuple[FiniteObject, frozenset[int]]] | None``.
+    ``members: frozenset[tuple[FiniteObject, frozenset[int]]] | None``
+    (the explicit kind), ``S: MonoFamily | None`` and
+    ``universe: tuple[FiniteObject, ...] | None`` (the stabilized kind).
+    No ``__slots__``: the cached property below needs an instance dict.
     """
 
-    __slots__ = ()
-
     def __post_init__(self):
-        if self.kind not in (ALL_MONOS, NORMAL_MONOS, EXPLICIT):
+        if self.kind not in _KINDS:
             raise PreconditionViolation(f"unknown mono class kind {self.kind!r}")
         if self.kind == EXPLICIT and self.members is None:
             raise PreconditionViolation("explicit mono class needs members")
 
     @staticmethod
-    def explicit(morphisms) -> "MonoClassSpec":
+    def explicit(morphisms) -> "MonoFamily":
         pairs = frozenset(canonical_mono(m) for m in morphisms if m.is_injective)
-        return MonoClassSpec(EXPLICIT, pairs)
+        return MonoFamily(EXPLICIT, pairs)
 
     def contains_image(self, cod: FiniteObject, image: frozenset[int]) -> bool:
-        """Does the mono into cod with this image belong to S?"""
+        """Does the mono into cod with this image belong to the class?"""
+        # the two hot kinds first: S on every CLI path, M in the group backends
         if self.kind == ALL_MONOS:
             return True
+        if self.kind == SE_FAMILY:
+            return _se_refutation(cod, image) is None
         if self.kind == NORMAL_MONOS:
             return is_normal_subset(cod, image)
-        return (cod, image) in self.members
+        if self.kind == ISO_FAMILY:
+            return len(image) == cod.size
+        if self.kind == ESSENTIAL_FAMILY:
+            return _essential_refutation(cod, image) is None
+        if self.kind == EXPLICIT:
+            return (cod, image) in self.members
+        return _stabilized_member(self, cod, image)
 
     def contains(self, m: ConcreteMorphism) -> bool:
         return m.is_injective and self.contains_image(m.cod, m.image)
+
+    @property
+    def exact(self) -> bool:
+        """Are membership answers theorems?  Only the stabilized kind
+        answers by a bounded search."""
+        return self.kind != STABILIZED_FAMILY
+
+    def m_subobjects(self, A: FiniteObject) -> list[Subobject]:
+        """Subobjects of A whose inclusion belongs to the class."""
+        return [sub for sub in subalgebras(A)
+                if self.contains_image(A, frozenset(sub.elems))]
+
+    @cached_property
+    def _stabilized_verdicts(self) -> dict:
+        """This family's dict in ``_STABILIZED_CACHE``, looked up once: the
+        (S, universe) key hashes the whole universe tuple."""
+        return _STABILIZED_CACHE.setdefault((self.S, self.universe), {})
 
 
 # ---------------------------------------------------------------------------
 # Verdicts and caches
 # ---------------------------------------------------------------------------
-
-def _jsonable(**fields) -> dict:
-    """A witness as JSON: each field's ``to_json()``, or the value itself."""
-    return {k: (v.to_json() if hasattr(v, "to_json") else v)
-            for k, v in fields.items()}
-
 
 class Verdict(namedtuple("Verdict", "value exact witness",
                          defaults=(None,))):
@@ -154,7 +192,7 @@ def _se_refutation(cod: FiniteObject, image: frozenset[int]):
 # The three decision procedures
 # ---------------------------------------------------------------------------
 
-def is_essential(m: ConcreteMorphism, S: MonoClassSpec,
+def is_essential(m: ConcreteMorphism, S: MonoFamily,
                  universe: list[FiniteObject] | None = None) -> Verdict:
     """Is m an S-essential monomorphism?
 
@@ -232,7 +270,8 @@ def essential_four_ways(m: ConcreteMorphism) -> dict[str, bool]:
     return results
 
 
-class RefutingPullback(namedtuple("RefutingPullback", "along pulled")):
+class RefutingPullback(_Record, namedtuple(
+        "RefutingPullback", "along pulled")):
     """A pullback of a candidate mono whose projection fails to be essential.
 
     Fields: ``along: ConcreteMorphism``, ``pulled: ConcreteMorphism``.
@@ -240,11 +279,8 @@ class RefutingPullback(namedtuple("RefutingPullback", "along pulled")):
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return {"along": self.along.to_json(), "pulled": self.pulled.to_json()}
 
-
-def _find_refuting_pullback(m: ConcreteMorphism, S: MonoClassSpec,
+def _find_refuting_pullback(m: ConcreteMorphism, S: MonoFamily,
                             universe: list[FiniteObject]) -> RefutingPullback | None:
     """The first pullback of m that is not S-essential, along a subobject
     inclusion of cod(m) or else along a morphism X -> cod(m) from the
@@ -292,7 +328,7 @@ def _find_refuting_pullback(m: ConcreteMorphism, S: MonoClassSpec,
     return None
 
 
-def is_stable_essential(m: ConcreteMorphism, S: MonoClassSpec,
+def is_stable_essential(m: ConcreteMorphism, S: MonoFamily,
                         universe: list[FiniteObject] | None = None) -> Verdict:
     """Is m a pullback stable S-essential monomorphism?
 
@@ -367,7 +403,7 @@ class ClassificationReport(namedtuple(
         }
 
 
-def classify(m: ConcreteMorphism, S: MonoClassSpec,
+def classify(m: ConcreteMorphism, S: MonoFamily,
              universe: list[FiniteObject] | None = None) -> ClassificationReport:
     in_s = S.contains(m)
     if not in_s:
@@ -385,16 +421,12 @@ def classify(m: ConcreteMorphism, S: MonoClassSpec,
 # Closure/cancellation law harness
 # ---------------------------------------------------------------------------
 
-class LawReport(namedtuple("LawReport", "law_id status checked witness",
-                           defaults=(None,))):
+class LawReport(_Record, namedtuple(
+        "LawReport", "law_id status checked witness", defaults=(None,))):
     """Fields: ``law_id: str``, ``status: str`` ("pass" | "fail"),
     ``checked: int``, ``witness: dict | None``."""
 
     __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"law_id": self.law_id, "status": self.status,
-                "checked": self.checked, "witness": self.witness}
 
 
 def _first_failure(cases) -> tuple[int, dict | None]:
@@ -540,7 +572,7 @@ def _mono_flags(universe, S):
 
 
 def closure_law_suite(universe: list[FiniteObject],
-                      S: MonoClassSpec | None = None) -> list[LawReport]:
+                      S: MonoFamily | None = None) -> list[LawReport]:
     """Exhaustively check the closure and cancellation laws of the essential,
     subobject-essential and pullback-stable essential classes over a finite
     universe of objects.  Every failed law carries a concrete witness.
@@ -548,7 +580,7 @@ def closure_law_suite(universe: list[FiniteObject],
     The ``stabilization-*`` laws test the class that :func:`stabilize` makes
     of the S-essential monos between universe objects, a cross-check of the
     ``stable-essential-*`` laws, which use :func:`is_stable_essential`."""
-    S = S or MonoClassSpec(ALL_MONOS)
+    S = S or MonoFamily(ALL_MONOS)
     monos = monos_between(universe)
     in_e, in_se, in_st = _mono_flags(universe, S)
     stabilized = {canonical_mono(m) for m in stabilize(
@@ -624,7 +656,7 @@ def closure_law_suite(universe: list[FiniteObject],
     return reports
 
 
-class WeakLeftCancellationWitness(namedtuple(
+class WeakLeftCancellationWitness(_Record, namedtuple(
         "WeakLeftCancellationWitness", "outer inner composite")):
     """A triple showing essential monos lack weak left cancellation:
     m and m.m' essential while m' is not.
@@ -634,10 +666,6 @@ class WeakLeftCancellationWitness(namedtuple(
     """
 
     __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"outer": self.outer.to_json(), "inner": self.inner.to_json(),
-                "composite": self.composite.to_json()}
 
 
 def find_weak_left_cancellation_witness(universe: list[FiniteObject]):
@@ -661,7 +689,7 @@ def find_weak_left_cancellation_witness(universe: list[FiniteObject]):
 # Hypothesis harness for the designated class S
 # ---------------------------------------------------------------------------
 
-def s_class_report(S: MonoClassSpec, universe: list[FiniteObject]) -> list[LawReport]:
+def s_class_report(S: MonoFamily, universe: list[FiniteObject]) -> list[LawReport]:
     """Bounded verification that S is pullback stable, contains isomorphisms,
     is closed under composition, and has strong left cancellation.
 
@@ -693,68 +721,8 @@ def s_class_report(S: MonoClassSpec, universe: list[FiniteObject]) -> list[LawRe
 
 
 # ---------------------------------------------------------------------------
-# Computed mono families (the classes that get inverted)
+# The class M of pullback stable S-essential monos (the class to invert)
 # ---------------------------------------------------------------------------
-
-SE_FAMILY = "subobject_essential"
-ESSENTIAL_FAMILY = "essential"
-ALL_FAMILY = "all_monos"
-ISO_FAMILY = "isos"
-STABILIZED_FAMILY = "stabilized"
-EXPLICIT_FAMILY = "explicit"
-
-
-class MonoFamily(namedtuple("MonoFamily", "kind S universe members",
-                            defaults=(None, None, None))):
-    """A concrete, testable class of monomorphisms (the class M to invert).
-
-    Membership depends only on the codomain and image of a mono: that pair
-    determines the mono up to canonical iso, and every kind is closed under
-    isomorphic copies.  ``contains_image`` decides it from the pair, so an
-    inclusion, composite or pullback need not be built to be asked about.
-
-    Fields: ``kind: str``, ``S: MonoClassSpec | None``,
-    ``universe: tuple[FiniteObject, ...] | None``,
-    ``members: frozenset[tuple[FiniteObject, frozenset[int]]] | None``.
-    No ``__slots__``: the cached property below needs an instance dict.
-    """
-
-    def contains_image(self, cod: FiniteObject, image: frozenset[int]) -> bool:
-        """Does the mono into cod with this image belong to the family?"""
-        if self.kind == ALL_FAMILY:
-            return True
-        if self.kind == ISO_FAMILY:
-            return len(image) == cod.size
-        if self.kind == SE_FAMILY:
-            return _se_refutation(cod, image) is None
-        if self.kind == ESSENTIAL_FAMILY:
-            return _essential_refutation(cod, image) is None
-        if self.kind == EXPLICIT_FAMILY:
-            return (cod, image) in self.members
-        if self.kind == STABILIZED_FAMILY:
-            return _stabilized_member(self, cod, image)
-        raise PreconditionViolation(f"unknown family kind {self.kind!r}")
-
-    def contains(self, m: ConcreteMorphism) -> bool:
-        return m.is_injective and self.contains_image(m.cod, m.image)
-
-    @property
-    def exact(self) -> bool:
-        """Are membership answers theorems?  Only the stabilized kind
-        answers by a bounded search."""
-        return self.kind != STABILIZED_FAMILY
-
-    def m_subobjects(self, A: FiniteObject) -> list[Subobject]:
-        """Subobjects of A whose inclusion belongs to the family."""
-        return [sub for sub in subalgebras(A)
-                if self.contains_image(A, frozenset(sub.elems))]
-
-    @cached_property
-    def _stabilized_verdicts(self) -> dict:
-        """This family's dict in ``_STABILIZED_CACHE``, looked up once: the
-        (S, universe) key hashes the whole universe tuple."""
-        return _STABILIZED_CACHE.setdefault((self.S, self.universe), {})
-
 
 #: keyed on what the verdict depends on: the class S and the probe universe,
 #: then the (codomain, image) pair
@@ -772,7 +740,7 @@ def _stabilized_member(family: MonoFamily, cod: FiniteObject,
     return hit
 
 
-def stable_essential_family(backend: str, S: MonoClassSpec,
+def stable_essential_family(backend: str, S: MonoFamily,
                             universe: list[FiniteObject]) -> MonoFamily:
     """The class of pullback stable S-essential monos, exact when the backend
     is normal and S is all monos, bounded-stabilized otherwise."""

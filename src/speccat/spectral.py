@@ -12,6 +12,7 @@ from .catcore import (
     ConcreteMorphism,
     FiniteObject,
     Subobject,
+    _jsonable,
     content_key,
     enumerate_hom,
     hom_tables,
@@ -20,10 +21,8 @@ from .catcore import (
 from .errors import ConsistencyError, PreconditionViolation
 from .limits import PullbackResult, pullback
 from .monoclasses import (
-    MonoClassSpec,
     MonoFamily,
     _first_failure,
-    _jsonable,
     _report,
     s_class_report,
     stable_essential_family,
@@ -269,7 +268,7 @@ class SpectralCategory:
                 "exact": self.exact, "homs": homs, "composition": comp}
 
 
-def build_spec(backend: str, S: MonoClassSpec,
+def build_spec(backend: str, S: MonoFamily,
                universe: list[FiniteObject], verify: bool = True
                ) -> SpectralCategory:
     """Assemble the localization at the pullback stable S-essential monos.

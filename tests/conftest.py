@@ -1,13 +1,13 @@
 import pytest
 
-from speccat import ALL_MONOS, MonoClassSpec, stable_essential_family
+from speccat import ALL_MONOS, MonoFamily, stable_essential_family
 from speccat import registry
 from speccat.catcore import AB, GRP
 
 
 @pytest.fixture(scope="session")
 def S_all():
-    return MonoClassSpec(ALL_MONOS)
+    return MonoFamily(ALL_MONOS)
 
 
 @pytest.fixture(scope="session")

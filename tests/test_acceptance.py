@@ -9,7 +9,6 @@ import time
 
 from speccat import (
     ALL_MONOS,
-    MonoClassSpec,
     MonoFamily,
     build_spec,
     check_focal,
@@ -94,7 +93,7 @@ def test_closure_laws_and_cancellation_failure(capsys):
     ok = all(r.status == "pass" for r in s4_reports + z4_reports)
 
     w = find_weak_left_cancellation_witness(registry.universe("a5-chain"))
-    S = MonoClassSpec(ALL_MONOS)
+    S = MonoFamily(ALL_MONOS)
     ok = ok and w is not None and not bool(is_essential(w.inner, S))
 
     # the named family: an order-2 subgroup inside an order-6 subgroup of
@@ -123,7 +122,7 @@ def test_right_fraction_calculus(capsys):
     completion over the order-6 one with the classic cospan as witness."""
     t0 = time.time()
     s4_universe = registry.universe("s4-subgroups")
-    fam = stable_essential_family(GRP, MonoClassSpec(ALL_MONOS), s4_universe)
+    fam = stable_essential_family(GRP, MonoFamily(ALL_MONOS), s4_universe)
     ok = all(r.status == "pass" for r in check_focal(fam, s4_universe))
 
     ess = MonoFamily(kind=ESSENTIAL_FAMILY)
@@ -147,7 +146,7 @@ def test_two_hom_constructions_agree(capsys, se_family_ab, se_family_grp,
     for fam, universe in ((se_family_ab, z4_universe),
                           (se_family_grp, s3_universe)):
         backend = universe[-1].backend
-        spec = build_spec(backend, MonoClassSpec(ALL_MONOS), list(universe),
+        spec = build_spec(backend, MonoFamily(ALL_MONOS), list(universe),
                           verify=True)
         for A in universe:
             for B in universe:
@@ -167,7 +166,7 @@ def test_localization_preserves_pullbacks(capsys):
     ok = True
     for name in ("s3-subgroups", "z4-chain"):
         spec = build_spec(registry.universe_backend(name),
-                          MonoClassSpec(ALL_MONOS), registry.universe(name),
+                          MonoFamily(ALL_MONOS), registry.universe(name),
                           verify=False)
         reports = verify_limit_preservation(
             spec, registry.registered_cospans(name))
@@ -180,7 +179,7 @@ def test_uniform_gives_division_monoid(capsys):
     """Uniform objects get division-monoid endomorphisms in the
     localization (orders 4 and 5); the non-uniform order-6 group does not."""
     t0 = time.time()
-    S = MonoClassSpec(ALL_MONOS)
+    S = MonoFamily(ALL_MONOS)
     spec_ab = build_spec(AB, S, registry.universe("z4-chain"))
     z4 = registry.zab(4)
     d4 = end_spec_division_check(z4, spec_ab)

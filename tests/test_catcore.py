@@ -47,7 +47,7 @@ from speccat.catcore import (
     normal_subalgebras,
 )
 from speccat.limits import congruences
-from speccat.monoclasses import ALL_MONOS, MonoClassSpec, Verdict
+from speccat.monoclasses import ALL_MONOS, MonoFamily, Verdict
 
 
 def brute_force_homs(A, B):
@@ -301,7 +301,7 @@ def test_subobject_inclusion_is_mono(s3):
     (lambda: Subobject(cyclic_group(2), (0,)), "elems"),
     (lambda: next(iter(congruences(cyclic_group(2)))), "blocks"),
     (lambda: Verdict(True, exact=True), "value"),
-    (lambda: MonoClassSpec(ALL_MONOS), "kind"),
+    (lambda: MonoFamily(ALL_MONOS), "kind"),
 ])
 def test_records_are_frozen(make, field):
     record = make()

@@ -28,6 +28,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _cli_env() -> dict:
+    """The environment of a child ``python -m speccat.cli`` that imports
+    this checkout's package."""
+    src = str(Path(speccat.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -67,13 +75,10 @@ def test_classify_p8_within_192_mib_of_address_space(tmp_path):
 
     desc = tmp_path / "p8.json"
     desc.write_text('{"kind": "pointed_set", "name": "P8", "size": 8}')
-    src = str(Path(speccat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     child = subprocess.run(
         [sys.executable, "-m", "speccat.cli", "classify", "--backend", "pset",
          "--input", str(desc)],
-        capture_output=True, env=env, preexec_fn=cap, timeout=60)
+        capture_output=True, env=_cli_env(), preexec_fn=cap, timeout=60)
     assert child.returncode == 0, child.stderr[-2000:]
     reports = json.loads(child.stdout)["reports"]
     assert reports and all(r["in_S"] for r in reports)
@@ -166,6 +171,19 @@ def test_bound_size_exceeded(capsys):
                        "--bound-size", "3")
     assert code == 3
     assert json.loads(err)["error"] == "bound exceeded"
+
+
+def test_input_object_is_bounded_by_its_own_backend(tmp_path):
+    """A pointed-set descriptor given without ``--backend`` gets the
+    pointed-set size bound (16), not that of the default group backend
+    (60), so a 17-element pointed set is refused at once."""
+    desc = tmp_path / "p17.json"
+    desc.write_text('{"kind": "pointed_set", "name": "P17", "size": 17}')
+    child = subprocess.run(
+        [sys.executable, "-m", "speccat.cli", "classify",
+         "--input", str(desc)], capture_output=True, env=_cli_env(), timeout=10)
+    assert child.returncode == 3
+    assert json.loads(child.stderr)["error"] == "bound exceeded"
 
 
 def test_backend_universe_mismatch(capsys):
@@ -399,13 +417,11 @@ def test_closed_output_pipe_exits_141_quietly():
     """The reader takes 10 bytes and goes.  The export of s3-subgroups
     (about 94 KB) outgrows a 64 KB pipe buffer, so the writer is still
     writing when the pipe closes."""
-    src = str(Path(speccat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.Popen(
         [sys.executable, "-m", "speccat.cli", "spec",
          "--universe", "s3-subgroups"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+        env=_cli_env())
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
     err = proc.stderr.read()

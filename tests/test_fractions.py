@@ -30,7 +30,7 @@ from speccat import fractions, registry
 from speccat.catcore import AB, GRP, zero_morphism
 from speccat.limits import (congruence_from_normal_subobject, preimage,
                             pullback)
-from speccat.monoclasses import ESSENTIAL_FAMILY, EXPLICIT_FAMILY, ISO_FAMILY
+from speccat.monoclasses import ESSENTIAL_FAMILY, EXPLICIT, ISO_FAMILY
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +224,7 @@ def test_fraction_equal_takes_the_first_subobject_of_a_size():
     members; the search must pick the same one as the pullback reference."""
     z2 = cyclic_group(2, backend=AB)
     A = direct_product(direct_product(z2, z2), z2)
-    M = MonoFamily(kind=EXPLICIT_FAMILY,
+    M = MonoFamily(kind=EXPLICIT,
                    members=frozenset((A, frozenset(sub.elems))
                                      for sub in subalgebras(A)
                                      if sub.size != 4))
@@ -334,7 +334,7 @@ def test_f3_reports_match_per_hom_loop(universe_name, family, S_all):
         # no member reaches the last object (or any object), so F3 fails
         # there after counting the homs out of every earlier object
         keep = universe[:-1] if family == "identities-but-last" else []
-        M = MonoFamily(kind=EXPLICIT_FAMILY,
+        M = MonoFamily(kind=EXPLICIT,
                        members=frozenset((X, frozenset(X.elements))
                                          for X in keep))
     checked, witness = _reference_f3(M, universe)
@@ -405,9 +405,9 @@ def _focal_family(universe, family, S_all):
         Y, Z = universe[1], universe[-1]
         members = frozenset({(Y, frozenset({0})),
                              (Z, enumerate_monos(Y, Z)[0].image)})
-        return MonoFamily(kind=EXPLICIT_FAMILY, members=members)
+        return MonoFamily(kind=EXPLICIT, members=members)
     keep = universe[:-1] if family == "identities-but-last" else []
-    return MonoFamily(kind=EXPLICIT_FAMILY,
+    return MonoFamily(kind=EXPLICIT,
                       members=frozenset((X, frozenset(X.elements))
                                         for X in keep))
 
@@ -503,7 +503,7 @@ def test_f2_fails_beside_a_passing_key_into_the_same_object():
     S4 = universe[-1]
     order_3 = next(sub for sub in subalgebras(S4) if sub.size == 3)
     out = {(S4, frozenset({0})), (S4, frozenset(order_3.elems))}
-    M = MonoFamily(kind=EXPLICIT_FAMILY, members=frozenset(
+    M = MonoFamily(kind=EXPLICIT, members=frozenset(
         (m.cod, m.image) for X in universe for Y in universe
         for m in enumerate_monos(X, Y)) - out)
     r = {r.condition: r for r in check_focal(M, universe)}["F2"]
@@ -625,7 +625,7 @@ def test_keyed_join_matches_pairwise_quotient_for_meet_free_family(
     never equal, although every one of them agrees on the third subgroup's
     meet with its own domain."""
     order_2 = [sub for sub in subalgebras(s3) if sub.size == 2]
-    M = MonoFamily(kind=EXPLICIT_FAMILY,
+    M = MonoFamily(kind=EXPLICIT,
                    members=frozenset((s3, frozenset(sub.elems))
                                      for sub in order_2))
     for B in s3_universe:
@@ -647,7 +647,7 @@ def test_keyed_join_matches_pairwise_quotient_for_any_family(name, data):
     B = data.draw(st.sampled_from(objects), label="B")
     subs = data.draw(st.sets(st.sampled_from(subalgebras(A)), min_size=1),
                      label="M-subobjects")
-    M = MonoFamily(kind=EXPLICIT_FAMILY,
+    M = MonoFamily(kind=EXPLICIT,
                    members=frozenset((A, frozenset(sub.elems))
                                      for sub in subs))
     assert _class_lists(A, B, M) == _pairwise_poincare_hom(A, B, M)

@@ -7,7 +7,7 @@ from speccat import (
     ALL_MONOS,
     NORMAL_MONOS,
     BackendMismatch,
-    MonoClassSpec,
+    MonoFamily,
     PreconditionViolation,
     Subobject,
     classify,
@@ -37,14 +37,11 @@ from speccat.catcore import (
 )
 from speccat.limits import preimage, pullback
 from speccat.monoclasses import (
-    ALL_FAMILY,
     ESSENTIAL_FAMILY,
     EXPLICIT,
-    EXPLICIT_FAMILY,
     ISO_FAMILY,
     SE_FAMILY,
     STABILIZED_FAMILY,
-    MonoFamily,
     RefutingPullback,
     Verdict,
     monos_between,
@@ -176,7 +173,7 @@ def test_closure_laws_on_s3_universe(s3_universe):
 def test_weak_left_cancellation_fails_for_essentials():
     w = find_weak_left_cancellation_witness(registry.universe("a5-chain"))
     assert w is not None
-    S = MonoClassSpec(ALL_MONOS)
+    S = MonoFamily(ALL_MONOS)
     assert bool(is_essential(w.outer, S))
     assert bool(is_essential(w.composite, S))
     assert not bool(is_essential(w.inner, S))
@@ -191,7 +188,7 @@ def test_no_weak_left_cancellation_witness_in_small_universe(s3_universe):
 # ---------------------------------------------------------------------------
 
 def test_all_monos_hypotheses_pass(s3_universe):
-    reports = s_class_report(MonoClassSpec(ALL_MONOS), s3_universe)
+    reports = s_class_report(MonoFamily(ALL_MONOS), s3_universe)
     assert all(r.status == "pass" for r in reports)
 
 
@@ -200,13 +197,13 @@ def test_normal_monos_composition_fails_in_grp():
     closed under composition in the group backend."""
     universe = [cyclic_group(2), registry.v4(), registry.s4()]
     reports = {r.law_id: r for r in
-               s_class_report(MonoClassSpec(NORMAL_MONOS), universe)}
+               s_class_report(MonoFamily(NORMAL_MONOS), universe)}
     assert reports["S-composition"].status == "fail"
     assert reports["S-composition"].witness is not None
 
 
 def test_normal_monos_pass_in_ab(z4_universe):
-    reports = s_class_report(MonoClassSpec(NORMAL_MONOS), z4_universe)
+    reports = s_class_report(MonoFamily(NORMAL_MONOS), z4_universe)
     assert all(r.status == "pass" for r in reports)
 
 
@@ -232,9 +229,9 @@ def _answers(families, cod, image):
 
 def test_stabilized_families_differing_in_S_do_not_share_answers():
     universe = registry.universe("pointed-le-4")
-    isos = MonoClassSpec.explicit([identity(P) for P in universe])
+    isos = MonoFamily.explicit([identity(P) for P in universe])
     by_isos = stable_essential_family("pset", isos, universe)
-    by_all = stable_essential_family("pset", MonoClassSpec(ALL_MONOS),
+    by_all = stable_essential_family("pset", MonoFamily(ALL_MONOS),
                                      universe)
     P3, image = universe[2], frozenset({0, 1})
     assert _answers([by_isos, by_all], P3, image) == ["not in S", False]
@@ -247,8 +244,8 @@ def test_stabilized_families_differing_in_universe_do_not_share_answers():
     # (it composes with the socle into S but is not in S); without it
     # nothing does.
     zero, z2, z4 = registry.universe("z4-chain")
-    S = MonoClassSpec.explicit([registry.soc_z2_z4(), identity(zero),
-                                identity(z2)])
+    S = MonoFamily.explicit([registry.soc_z2_z4(), identity(zero),
+                             identity(z2)])
     wide = stable_essential_family("ab", S, [zero, z2, z4])
     narrow = stable_essential_family("ab", S, [zero, z2])
     socle = frozenset({0, 2})
@@ -273,7 +270,7 @@ def test_m_subobjects(se_family_ab):
 
 @pytest.mark.parametrize("kind", [ALL_MONOS, NORMAL_MONOS])
 def test_refuting_pullbacks_are_pullbacks(kind, s3_universe):
-    S = MonoClassSpec(kind)
+    S = MonoFamily(kind)
     refuted = 0
     for ms in monos_between(s3_universe).values():
         for m in ms:
@@ -289,17 +286,23 @@ def test_refuting_pullbacks_are_pullbacks(kind, s3_universe):
     assert refuted
 
 
+@pytest.mark.parametrize("kind", ["no-such-kind", EXPLICIT])
+def test_mono_family_checks_its_kind_at_construction(kind):
+    """An unknown kind, and an explicit class without members, are refused
+    when the class is built, not when it is first asked about a mono."""
+    with pytest.raises(PreconditionViolation):
+        MonoFamily(kind)
+
+
 def test_no_class_contains_a_non_injective_map(S_all, s3_universe):
     homs = [f for X in s3_universe for Y in s3_universe
             for f in enumerate_hom(X, Y)]
     images = frozenset((f.cod, f.image) for f in homs)
-    classes = [MonoClassSpec(ALL_MONOS), MonoClassSpec(NORMAL_MONOS),
-               MonoClassSpec(EXPLICIT, images)]
-    classes += [MonoFamily(kind=kind)
-                for kind in (ALL_FAMILY, ISO_FAMILY, SE_FAMILY,
-                             ESSENTIAL_FAMILY)]
-    classes += [MonoFamily(kind=EXPLICIT_FAMILY, members=images),
-                MonoFamily(kind=STABILIZED_FAMILY, S=S_all,
+    # each of the seven kinds once
+    classes = [MonoFamily(kind) for kind in (
+        ALL_MONOS, NORMAL_MONOS, ISO_FAMILY, SE_FAMILY, ESSENTIAL_FAMILY)]
+    classes += [MonoFamily(EXPLICIT, members=images),
+                MonoFamily(STABILIZED_FAMILY, S=S_all,
                            universe=tuple(s3_universe))]
     non_injective = [f for f in homs if not f.is_injective]
     assert non_injective
@@ -491,7 +494,7 @@ def _isos_plus(universe, *extra):
     given (universe index of the codomain, image) keys."""
     isos = {(m.cod, m.image) for ms in monos_between(universe).values()
             for m in ms if m.is_bijective}
-    return MonoClassSpec(EXPLICIT, frozenset(isos) | {
+    return MonoFamily(EXPLICIT, frozenset(isos) | {
         (universe[i], frozenset(image)) for i, image in extra})
 
 
@@ -506,7 +509,7 @@ _S_CLASSES = {
         "fails-late": lambda U: _isos_plus(U, (4, {0}), (5, {0, 3, 4})),
         # the normal monos plus one order-2 subgroup of S3: the failing key
         # has the codomain S3 of the passing key of 0 -> S3
-        "fails-beside-a-passing-key": lambda U: MonoClassSpec(
+        "fails-beside-a-passing-key": lambda U: MonoFamily(
             EXPLICIT, frozenset(
                 {(m.cod, m.image) for ms in monos_between(U).values()
                  for m in ms if is_normal_subset(m.cod, m.image)}
@@ -516,7 +519,7 @@ _S_CLASSES = {
         "fails-early": lambda U: _isos_plus(U, (2, {0})),
         # S-isos fails at its first case, the identity of 0; S-pullback-stable
         # fails when 0 -> Z2 is pulled back along itself to that identity
-        "non-isos": lambda U: MonoClassSpec(EXPLICIT, frozenset(
+        "non-isos": lambda U: MonoFamily(EXPLICIT, frozenset(
             (m.cod, m.image) for ms in monos_between(U).values() for m in ms
             if not m.is_bijective)),
     },
@@ -531,7 +534,7 @@ _LAW_CASES = [(name, kind) for name, explicit in _S_CLASSES.items()
 
 def _law_class(universe_name, universe, kind):
     if kind in (ALL_MONOS, NORMAL_MONOS):
-        return MonoClassSpec(kind)
+        return MonoFamily(kind)
     return _S_CLASSES[universe_name][kind](universe)
 
 
@@ -668,7 +671,7 @@ def _zero_and_top_isos(universe):
     pullback along a map X -> cod(m) from the universe leaves S, so the
     witness comes from the hom-table scan, not from a subobject of cod(m)."""
     zero, top = universe[0], universe[-1]
-    return MonoClassSpec.explicit(
+    return MonoFamily.explicit(
         [identity(zero), *(m for m in enumerate_monos(top, top))])
 
 

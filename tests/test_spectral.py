@@ -13,7 +13,6 @@ from speccat import (
     ALL_MONOS,
     NORMAL_MONOS,
     ConsistencyError,
-    MonoClassSpec,
     MonoFamily,
     NormalizedSpan,
     PreconditionViolation,
@@ -35,17 +34,17 @@ from speccat import (
 )
 from speccat import catcore, registry, spectral
 from speccat.catcore import AB, GRP
-from speccat.monoclasses import ESSENTIAL_FAMILY, EXPLICIT_FAMILY, ISO_FAMILY
+from speccat.monoclasses import ESSENTIAL_FAMILY, EXPLICIT, ISO_FAMILY
 
 
 @pytest.fixture(scope="module")
 def spec_ab(z4_universe):
-    return build_spec(AB, MonoClassSpec(ALL_MONOS), z4_universe, verify=True)
+    return build_spec(AB, MonoFamily(ALL_MONOS), z4_universe, verify=True)
 
 
 @pytest.fixture(scope="module")
 def spec_grp(s3_universe):
-    return build_spec(GRP, MonoClassSpec(ALL_MONOS), s3_universe, verify=True)
+    return build_spec(GRP, MonoFamily(ALL_MONOS), s3_universe, verify=True)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +179,7 @@ def test_class_of_span_rejects_small_domains(spec_ab):
 def test_build_spec_refuses_bad_class():
     universe = [cyclic_group(2), registry.v4(), registry.s4()]
     with pytest.raises(PreconditionViolation):
-        build_spec(GRP, MonoClassSpec(NORMAL_MONOS), universe)
+        build_spec(GRP, MonoFamily(NORMAL_MONOS), universe)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +236,7 @@ def _spec_over(family, name):
     backend = registry.universe_backend(name)
     objects = registry.universe(name)
     if family == "se":
-        return build_spec(backend, MonoClassSpec(ALL_MONOS), objects,
+        return build_spec(backend, MonoFamily(ALL_MONOS), objects,
                           verify=False)
     return SpectralCategory(backend, MonoFamily(kind=family), objects)
 
@@ -490,7 +489,7 @@ def test_z4_endos_form_division_monoid(spec_ab):
 def test_z5_endos_form_division_monoid():
     z5 = registry.zab(5)
     universe = [registry.ab_zero(), z5]
-    spec = build_spec(AB, MonoClassSpec(ALL_MONOS), universe)
+    spec = build_spec(AB, MonoFamily(ALL_MONOS), universe)
     rep = end_spec_division_check(z5, spec)
     assert rep.verdict and rep.size == 5
     assert len(rep.invertible) == 4
@@ -506,8 +505,8 @@ def test_s3_endos_not_division_monoid(spec_grp, s3):
 # ---------------------------------------------------------------------------
 
 def test_export_schema_and_determinism(z4_universe):
-    a = build_spec(AB, MonoClassSpec(ALL_MONOS), z4_universe).to_json()
-    b = build_spec(AB, MonoClassSpec(ALL_MONOS), z4_universe).to_json()
+    a = build_spec(AB, MonoFamily(ALL_MONOS), z4_universe).to_json()
+    b = build_spec(AB, MonoFamily(ALL_MONOS), z4_universe).to_json()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert set(a) == {"objects", "exact", "homs", "composition"}
     assert a["exact"] is True
@@ -544,7 +543,7 @@ def test_export_does_not_share_tables_across_minimal_subobjects():
     leaves amin(Z2b), and the export must still refuse it, though Z2a and
     Z2b have the same content."""
     za, zb = cyclic_group(2, "Z2a"), cyclic_group(2, "Z2b")
-    M = MonoFamily(kind=EXPLICIT_FAMILY,
+    M = MonoFamily(kind=EXPLICIT,
                    members=frozenset({(za, frozenset({0, 1})),
                                       (zb, frozenset({0, 1})),
                                       (zb, frozenset({0}))}))
