@@ -153,7 +153,10 @@ def _json_text(o, level: int, memo: dict) -> str:
         if not o:
             return "{}"
         inner = "\n" + _INDENT * (level + 1)
-        items = [_key_text(k) + ": " + _json_text(v, level + 1, memo)
+        # a str value is written here, not by a call per value
+        items = [_key_text(k) + ": " + (
+                     encode_basestring_ascii(v) if type(v) is str
+                     else _json_text(v, level + 1, memo))
                  for k, v in sorted(o.items())]
         return ("{" + inner + ("," + inner).join(items)
                 + "\n" + _INDENT * level + "}")

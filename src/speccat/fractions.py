@@ -85,7 +85,11 @@ class NormalizedSpan(_Validated, namedtuple("NormalizedSpan", "sub right")):
         return (-self.sub.size, self.sub.elems, self.right.table)
 
     def to_json(self) -> dict:
-        return {"rep_left": self.sub.inclusion().to_json(),
+        # the JSON of sub.inclusion(), written without building it: right
+        # starts at sub.object(), as checked at construction
+        return {"rep_left": {"dom": self.right.dom.id,
+                             "cod": self.sub.ambient.id,
+                             "map": list(self.sub.elems)},
                 "rep_right": self.right.to_json()}
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cache, cached_property
+from operator import itemgetter
 
 from .catcore import (
     NORMAL_BACKENDS,
@@ -29,6 +30,7 @@ from .catcore import (
     _Record,
     _Validated,
     compose,
+    content_key,
     enumerate_monos,
     hom_tables,
     is_normal_subset,
@@ -487,38 +489,77 @@ def _first_failure_by_key(items, key, cases) -> tuple[int, dict | None]:
     return checked, None
 
 
+def _object_keys(universe: list[FiniteObject],
+                 S: MonoFamily | None = None) -> dict[FiniteObject, object]:
+    """The key of each universe object on which the verdicts of a law scan
+    depend: its content key (backend, size, op table), numbered once per
+    call.  An explicit S names objects, and so does a stabilized class over
+    one, so for such an S the key is the object itself.  Every other kind
+    of S, and every class of the closure laws, decides membership from the
+    content of the codomain and the image."""
+    while S is not None and S.kind == STABILIZED_FAMILY:
+        S = S.S
+    if S is not None and S.kind == EXPLICIT:
+        return {X: X for X in universe}
+    ids: dict[tuple, int] = {}
+    return {X: ids.setdefault(content_key(X), len(ids)) for X in universe}
+
+
 def _pullback_stable_law(monos: dict[tuple, tuple], universe: list[FiniteObject],
-                         member) -> tuple[int, dict | None]:
+                         member, key) -> tuple[int, dict | None]:
     """Pull every member mono back along every morphism into its codomain;
     return (checked, witness) for the first pullback that is not a member.
 
-    ``member`` is asked about (codomain, image) keys.  The pullbacks of a
-    mono depend only on its key, so each key is decided once."""
-    def pullbacks(m):
-        Y, image = m.cod, m.image
-        for W in universe:
-            for t in hom_tables(W, Y):
-                pre = preimage(t, image)
-                yield None if member((W, pre)) else _jsonable(
-                    mono=m, along=ConcreteMorphism(W, Y, t),
-                    pulled=_inclusion(W, pre))
+    ``member`` is asked about (codomain, image) keys, and its answer
+    depends on an object only through ``key``.  So the pullbacks of a mono
+    along the maps out of a probe W depend only on (key of the codomain,
+    image, key of W), and each such triple is decided once: a member key is
+    scanned once, and against each probe key once.  The scan runs in the
+    order of one scan per (mono, probe), so a failing law fails at its
+    first failing pullback, with that pullback as its witness."""
+    probes = [(W, key(W)) for W in universe]
 
-    return _first_failure_by_key(
-        (m for ms in monos.values() for m in ms if member(canonical_mono(m))),
-        canonical_mono, pullbacks)
+    def items():
+        """(key, mono, image, probe) per member mono and probe, in order."""
+        for ms in monos.values():
+            for m in ms:
+                Y, image = canonical_mono(m)
+                if member((Y, image)):
+                    k = key(Y), image
+                    for W, kw in probes:
+                        yield (k, kw), m, image, W
+
+    def pullbacks(item):
+        _, m, image, W = item
+        Y = m.cod
+        for t in hom_tables(W, Y):
+            pre = preimage(t, image)
+            yield None if member((W, pre)) else _jsonable(
+                mono=m, along=ConcreteMorphism(W, Y, t),
+                pulled=_inclusion(W, pre))
+
+    return _first_failure_by_key(items(), itemgetter(0), pullbacks)
 
 
-def _composite_scan(monos: dict[tuple, tuple],
-                    laws) -> list[tuple[int, dict | None]]:
+def _composite_scan(monos: dict[tuple, tuple], laws,
+                    key) -> list[tuple[int, dict | None]]:
     """(checked, witness) of each composition-shaped law over the composable
     pairs m': X -> Y, m: Y -> Z, in ``_composable`` order with m' outer.
 
     ``laws`` holds (premise, conclusion) pairs asked about the (codomain,
-    image) keys of m', m and m.m'.  Those keys depend on m' only through
-    its image, so each (inner, outer) block decides every (image of m', m)
-    pair once and adds the number of inner monos with that image.  A block
-    in which a law fails is rescanned pair by pair for that law, so the
-    law's count and witness are those of its first failing pair."""
+    image) keys of m', m and m.m', whose answers depend on an object only
+    through ``key``.  The monos of the (inner, outer) block of X -> Y and
+    Y -> Z monos depend only on the content of X, Y and Z, so whether a law
+    passes on the block, and its count there, depend only on (key(X),
+    key(Y), key(Z)): each such triple is decided once, and a later block
+    with that triple adds its counts again.  In a block the keys depend on
+    m' only through its image, so each (image of m', m) pair is decided
+    once and counts the inner monos with that image.  A law fails at the
+    first block in which it fails, rescanned pair by pair for that law, so
+    its count and witness are those of its first failing pair."""
+    results = [(0, None)] * len(laws)
+    decided: dict[tuple, list[int | None]] = {}
+
     def pairs(inner, outer, premise, conclusion):
         for mp in inner:
             for m in outer:
@@ -528,27 +569,42 @@ def _composite_scan(monos: dict[tuple, tuple],
                     yield None if conclusion(*k) else _jsonable(
                         inner=mp, outer=m, composite=compose(m, mp))
 
-    results = [(0, None)] * len(laws)
-    for inner, outer in _composable(monos):
+    def block_counts(inner, outer):
+        """Each open law's count on the block; None for a law that fails
+        on it or was already decided."""
         Y = inner[0].cod
         images = Counter(mp.image for mp in inner)
         outer_keys = [(m.table, canonical_mono(m)) for m in outer]
         block = [(n, ((Y, image), km,
                       (km[0], frozenset(t[e] for e in image))))
                  for image, n in images.items() for t, km in outer_keys]
-        for i, (premise, conclusion) in enumerate(laws):
+        counts = []
+        for (premise, conclusion), (_, witness) in zip(laws, results):
+            n = None
+            if witness is None:
+                n = 0
+                for multiplicity, k in block:
+                    if premise(*k):
+                        if not conclusion(*k):
+                            n = None
+                            break
+                        n += multiplicity
+            counts.append(n)
+        return counts
+
+    for inner, outer in _composable(monos):
+        k = key(inner[0].dom), key(inner[0].cod), key(outer[0].cod)
+        counts = decided.get(k)
+        if counts is None:
+            counts = decided[k] = block_counts(inner, outer)
+        for i, n in enumerate(counts):
             checked, witness = results[i]
-            if witness is not None:
-                continue
-            n = 0
-            for multiplicity, k in block:
-                if premise(*k):
-                    if not conclusion(*k):
-                        n, witness = _first_failure(
-                            pairs(inner, outer, premise, conclusion))
-                        break
-                    n += multiplicity
-            results[i] = (checked + n, witness)
+            if witness is None:
+                # a law open now was open when its triple was decided, so
+                # None here is a failure on this block
+                if n is None:
+                    n, witness = _first_failure(pairs(inner, outer, *laws[i]))
+                results[i] = (checked + n, witness)
     return results
 
 
@@ -566,7 +622,7 @@ def _mono_flags(universe, S):
         return _se_refutation(*key) is None
 
     def in_st(key):
-        return S.contains_image(*key) and M.contains_image(*key)
+        return M.contains_image(*key)
 
     return in_e, in_se, in_st
 
@@ -582,6 +638,10 @@ def closure_law_suite(universe: list[FiniteObject],
     ``stable-essential-*`` laws, which use :func:`is_stable_essential`."""
     S = S or MonoFamily(ALL_MONOS)
     monos = monos_between(universe)
+    # the classes with S are decided per key of S; the others, and the
+    # inner-factor law, per content key
+    content = _object_keys(universe).__getitem__
+    key_of = _object_keys(universe, S).__getitem__
     in_e, in_se, in_st = _mono_flags(universe, S)
     stabilized = {canonical_mono(m) for m in stabilize(
         [m for ms in monos.values() for m in ms
@@ -619,7 +679,7 @@ def closure_law_suite(universe: list[FiniteObject],
     ]
     reports += [_report(LawReport, law_id, result) for (law_id, _, _), result
                 in zip(comp_laws, _composite_scan(
-                    monos, [law[1:] for law in comp_laws]))]
+                    monos, [law[1:] for law in comp_laws], key_of))]
 
     # -- split mono corollaries ------------------------------------------
     def split_monos(member):
@@ -639,20 +699,27 @@ def closure_law_suite(universe: list[FiniteObject],
     # -- pullback stability ----------------------------------------------
     for law_id, member in (("stabilization-pullback-stable", in_stab), ("stable-essential-pullback-stable", in_st), ("subobject-essential-pullback-stable", in_se)):
         reports.append(_report(LawReport, law_id,
-                               _pullback_stable_law(monos, universe, member)))
+                               _pullback_stable_law(monos, universe, member,
+                                                    key_of)))
 
     # -- a second mono factor is a pullback of the composite --------------
-    def inner_factors():
-        for inner, outer in _composable(monos):
-            for mp in inner:
-                for m in outer:
-                    pb = pullback(compose(m, mp), m)
-                    yield (None if pb.apex.size == mp.dom.size
-                           and pb.proj_right.image == mp.image
-                           else _jsonable(inner=mp, outer=m))
+    # decided once per content triple of a block, which fixes its monos
+    def inner_factors(block):
+        inner, outer = block
+        for mp in inner:
+            for m in outer:
+                pb = pullback(compose(m, mp), m)
+                yield (None if pb.apex.size == mp.dom.size
+                       and pb.proj_right.image == mp.image
+                       else _jsonable(inner=mp, outer=m))
 
-    reports.append(_report(LawReport, "inner-factor-is-pullback-of-composite",
-                           _first_failure(inner_factors())))
+    reports.append(_report(
+        LawReport, "inner-factor-is-pullback-of-composite",
+        _first_failure_by_key(
+            _composable(monos),
+            lambda block: (content(block[0][0].dom), content(block[0][0].cod),
+                           content(block[1][0].cod)),
+            inner_factors)))
     return reports
 
 
@@ -693,11 +760,16 @@ def s_class_report(S: MonoFamily, universe: list[FiniteObject]) -> list[LawRepor
     """Bounded verification that S is pullback stable, contains isomorphisms,
     is closed under composition, and has strong left cancellation.
 
-    S-membership is decided once per (codomain, image) key.  The pullback
-    law decides each member key once, and the composition and cancellation
-    laws decide each (image of the inner mono, outer mono) pair once per
-    block of composable pairs (see :func:`_composite_scan`)."""
+    S-membership is decided once per (codomain, image) key.  Every other
+    decision is made once per content key (backend, size, op table) of the
+    objects it involves, or per object for an explicit S, which names
+    objects: the pullback law decides each (member key, probe) pair once
+    per (content of the codomain, image, content of the probe), and the
+    composition and cancellation laws decide each block of composable
+    pairs once per content triple (see :func:`_composite_scan`).  Counts
+    and witnesses are those of one scan per mono."""
     monos = monos_between(universe)
+    key_of = _object_keys(universe, S).__getitem__
     decided: dict[tuple, bool] = {}
 
     def in_s(key):
@@ -710,11 +782,11 @@ def s_class_report(S: MonoFamily, universe: list[FiniteObject]) -> list[LawRepor
             for ms in monos.values() for m in ms if m.is_bijective)
     composition, cancellation = _composite_scan(monos, [
         (lambda p, m, c: in_s(p) and in_s(m), lambda p, m, c: in_s(c)),
-        (lambda p, m, c: in_s(c), lambda p, m, c: in_s(p))])
+        (lambda p, m, c: in_s(c), lambda p, m, c: in_s(p))], key_of)
     return [
         _report(LawReport, "S-isos", _first_failure(isos)),
         _report(LawReport, "S-pullback-stable",
-                _pullback_stable_law(monos, universe, in_s)),
+                _pullback_stable_law(monos, universe, in_s, key_of)),
         _report(LawReport, "S-composition", composition),
         _report(LawReport, "S-strong-left-cancellation", cancellation),
     ]
@@ -731,12 +803,14 @@ _STABILIZED_CACHE: dict[tuple, dict[tuple, bool]] = {}
 
 def _stabilized_member(family: MonoFamily, cod: FiniteObject,
                        image: frozenset[int]) -> bool:
+    """Is the key pullback stable S-essential?  M is inside S, so a key
+    outside S is not, and is not handed to the search, which refuses it."""
     verdicts = family._stabilized_verdicts
     hit = verdicts.get((cod, image))
     if hit is None:
-        verdict = is_stable_essential(_inclusion(cod, image), family.S,
-                                      list(family.universe or ()))
-        hit = verdicts[cod, image] = verdict.value
+        hit = verdicts[cod, image] = family.S.contains_image(cod, image) and (
+            is_stable_essential(_inclusion(cod, image), family.S,
+                                list(family.universe or ())).value)
     return hit
 
 

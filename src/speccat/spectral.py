@@ -6,6 +6,7 @@ objects, and division-monoid reports.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from functools import partial
 from operator import itemgetter
 
 from .catcore import (
@@ -22,7 +23,7 @@ from .errors import ConsistencyError, PreconditionViolation
 from .limits import PullbackResult, pullback
 from .monoclasses import (
     MonoFamily,
-    _first_failure,
+    _first_failure_by_key,
     _report,
     s_class_report,
     stable_essential_family,
@@ -221,6 +222,17 @@ class SpectralCategory:
         return any(self.compose(d, c) == ida and self.compose(c, d) == idb
                    for d in self.hom(c.dst, c.src))
 
+    def _object_keys(self) -> dict[FiniteObject, int]:
+        """A number per object for what its hom sets and composition
+        tables depend on: its content (backend, size, op table) and the
+        elements of its minimal M-subobject.  A class out of A is a map out
+        of amin(A), so the classes out of two objects with one key have the
+        same labels in the same order."""
+        key_ids: dict[tuple, int] = {}
+        return {A: key_ids.setdefault(content_key(A) + (self.amin(A).elems,),
+                                      len(key_ids))
+                for A in self.objects}
+
     # -- export -----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -240,10 +252,7 @@ class SpectralCategory:
         for A, B in pairs:
             homs.append({"dom": A.id, "cod": B.id,
                          "classes": [c.to_json() for c in self.hom(A, B)]})
-        key_ids: dict[tuple, int] = {}
-        key_of = {A: key_ids.setdefault(
-                      content_key(A) + (self.amin(A).elems,), len(key_ids))
-                  for A in self.objects}
+        key_of = self._object_keys()
         tables: dict[tuple[int, int, int], list[list[int]]] = {}
         for A, B in pairs:
             readers = None
@@ -353,9 +362,15 @@ def verify_limit_preservation(spec: SpectralCategory,
     amin(apex), checked once to be a morphism, so no hom set out of an apex
     is asked for.  Mediators are counted on the hom tables of amin(W) ->
     apex, which the content-keyed search shares with universe objects of
-    the same op table.  The apex's minimal M-subobject is dropped when its
+    the same op table.  Every hom set and mediator count out of a probe W
+    depends on W only through its content and amin(W), the key of
+    :meth:`SpectralCategory.to_json`, so each cospan scans one probe per key
+    and counts its cones again for every later probe with that key; a
+    failing cospan fails at its first failing cone, in probe order, which
+    is its witness.  The apex's minimal M-subobject is dropped when its
     cospan is done."""
     reports = []
+    key_of = spec._object_keys()
     # classes of one hom set are equal exactly when their indices are
     after: dict[tuple, list[int]] = {}
 
@@ -369,21 +384,21 @@ def verify_limit_preservation(spec: SpectralCategory,
                                 for p in spec.hom(W, c.src)]
         return idx
 
-    def cones(pf, pg, apex, pl, pr):
-        """One item per commuting cone (p, q) over the image cospan: None
-        when it has exactly one mediator, the witness when it does not."""
-        for W in spec.objects:
-            pf_p, pg_q = composites(pf, W), composites(pg, W)
-            mediators = _mediator_counts(spec, W, apex, pl, pr)
-            # the q with each composite, in hom order: the commuting pairs
-            qs_at: dict[int, list[SpecClass]] = {}
-            for q in spec.hom(W, pg.src):
-                qs_at.setdefault(pg_q[q.index], []).append(q)
-            for p in spec.hom(W, pf.src):
-                for q in qs_at.get(pf_p[p.index], ()):
-                    n = mediators[p.index, q.index]
-                    yield None if n == 1 else _jsonable(
-                        probe=W.id, p=p, q=q, mediators=n)
+    def cones(pf, pg, apex, pl, pr, W):
+        """One item per commuting cone (p, q) out of W over the image
+        cospan: None when it has exactly one mediator, the witness when it
+        does not."""
+        pf_p, pg_q = composites(pf, W), composites(pg, W)
+        mediators = _mediator_counts(spec, W, apex, pl, pr)
+        # the q with each composite, in hom order: the commuting pairs
+        qs_at: dict[int, list[SpecClass]] = {}
+        for q in spec.hom(W, pg.src):
+            qs_at.setdefault(pg_q[q.index], []).append(q)
+        for p in spec.hom(W, pf.src):
+            for q in qs_at.get(pf_p[p.index], ()):
+                n = mediators[p.index, q.index]
+                yield None if n == 1 else _jsonable(
+                    probe=W.id, p=p, q=q, mediators=n)
 
     for f, g in cospans:
         pb: PullbackResult = pullback(f, g)
@@ -392,7 +407,9 @@ def verify_limit_preservation(spec: SpectralCategory,
         pl, pr = (ConcreteMorphism(amin.object(), proj.cod,
                                    tuple(proj.table[e] for e in amin.elems))
                   for proj in (pb.proj_left, pb.proj_right))
-        result = _first_failure(cones(pf, pg, pb.apex, pl, pr))
+        result = _first_failure_by_key(
+            spec.objects, key_of.__getitem__,
+            partial(cones, pf, pg, pb.apex, pl, pr))
         spec._forget(pb.apex)
         reports.append(_report(
             ConePreservationReport,

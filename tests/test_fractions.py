@@ -30,7 +30,8 @@ from speccat import fractions, registry
 from speccat.catcore import AB, GRP, zero_morphism
 from speccat.limits import (congruence_from_normal_subobject, preimage,
                             pullback)
-from speccat.monoclasses import ESSENTIAL_FAMILY, EXPLICIT, ISO_FAMILY
+from speccat.monoclasses import (ESSENTIAL_FAMILY, EXPLICIT, ISO_FAMILY,
+                                 NORMAL_MONOS, STABILIZED_FAMILY)
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +291,24 @@ def test_iso_family_passes_everything(z4_universe):
 def test_subobject_essential_family_passes(se_family_grp, s3_universe):
     reports = check_focal(se_family_grp, s3_universe)
     assert all(r.status == "pass" for r in reports)
+
+
+@pytest.mark.parametrize("name", ["s3-subgroups", "z4-chain"])
+def test_stabilized_family_over_normal_monos_passes(name):
+    """M for S = the normal monos is a bounded stabilized class inside S.
+    check_focal asks it about every mono, and a mono outside S is simply
+    not in M: on s3-subgroups the order-2 subgroups of S3 are outside S."""
+    universe = registry.universe(name)
+    S = MonoFamily(NORMAL_MONOS)
+    M = stable_essential_family(registry.universe_backend(name), S, universe)
+    assert M.kind == STABILIZED_FAMILY
+    monos = [m for X in universe for Y in universe
+             for m in enumerate_monos(X, Y)]
+    assert all(S.contains(m) for m in monos if M.contains(m))
+    assert (name == "s3-subgroups") == any(not S.contains(m) for m in monos)
+    reports = check_focal(M, universe)
+    assert [r.condition for r in reports] == ["F0", "F1", "F2", "F3", "Ore-d"]
+    assert all(r.status == "pass" and r.checked > 0 for r in reports)
 
 
 def test_essential_family_fails_square_completion(ess_family, s3_universe,

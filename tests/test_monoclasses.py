@@ -218,24 +218,20 @@ def test_stable_essential_family_kinds(S_all, s3_universe):
 def _answers(families, cod, image):
     """Ask each family about (cod, image) in turn, from an empty cache."""
     monoclasses._STABILIZED_CACHE.clear()
-    answers = []
-    for fam in families:
-        try:
-            answers.append(fam.contains_image(cod, image))
-        except PreconditionViolation:
-            answers.append("not in S")
-    return answers
+    return [fam.contains_image(cod, image) for fam in families]
 
 
 def test_stabilized_families_differing_in_S_do_not_share_answers():
-    universe = registry.universe("pointed-le-4")
+    # the socle of Z/4 is pullback stable essential for S = all monos, but
+    # it is outside S = the isos, so not pullback stable S-essential
+    universe = registry.universe("z4-chain")
     isos = MonoFamily.explicit([identity(P) for P in universe])
-    by_isos = stable_essential_family("pset", isos, universe)
-    by_all = stable_essential_family("pset", MonoFamily(ALL_MONOS),
-                                     universe)
-    P3, image = universe[2], frozenset({0, 1})
-    assert _answers([by_isos, by_all], P3, image) == ["not in S", False]
-    assert _answers([by_all, by_isos], P3, image) == [False, "not in S"]
+    by_isos, by_all = (MonoFamily(STABILIZED_FAMILY, S=S,
+                                  universe=tuple(universe))
+                       for S in (isos, MonoFamily(ALL_MONOS)))
+    z4, socle = universe[2], frozenset({0, 2})
+    assert _answers([by_isos, by_all], z4, socle) == [False, True]
+    assert _answers([by_all, by_isos], z4, socle) == [True, False]
 
 
 def test_stabilized_families_differing_in_universe_do_not_share_answers():
@@ -486,6 +482,28 @@ def _reference_closure_laws(universe, S):
             if witness:
                 break
         reports.append((law_id, "fail" if witness else "pass", checked, witness))
+
+    checked, witness = 0, None
+    for (X, Y), inner in monos.items():
+        for (Y2, Z), outer in monos.items():
+            if Y2 != Y:
+                continue
+            for mp in inner:
+                for m in outer:
+                    checked += 1
+                    pb = pullback(compose(m, mp), m)
+                    if not (pb.apex.size == mp.dom.size
+                            and pb.proj_right.image == mp.image):
+                        witness = w(inner=mp, outer=m)
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    reports.append(("inner-factor-is-pullback-of-composite",
+                    "fail" if witness else "pass", checked, witness))
     return reports
 
 
@@ -514,6 +532,12 @@ _S_CLASSES = {
                 {(m.cod, m.image) for ms in monos_between(U).values()
                  for m in ms if is_normal_subset(m.cod, m.image)}
                 | {(U[5], frozenset({0, 1}))})),
+        # the zero mono into the first order-2 subgroup, but not into the
+        # other two, which have its op table: an explicit S names objects,
+        # so its laws are not decided per content key.  S-pullback-stable
+        # fails on the second order-2 subgroup as a probe, and
+        # S-strong-left-cancellation on 0 -> Z2 -> Z2 into the first
+        "one-of-equal-subgroups": lambda U: _isos_plus(U, (1, {0})),
     },
     "z4-chain": {
         "fails-early": lambda U: _isos_plus(U, (2, {0})),
@@ -548,6 +572,50 @@ def test_s_class_report_matches_per_mono_loops(universe_name, kind):
     stable = got[1]
     assert stable[0] == "S-pullback-stable"
     assert (stable[1] == "fail") == (kind not in (ALL_MONOS, NORMAL_MONOS))
+
+
+def test_explicit_S_is_decided_per_object():
+    """The three order-2 subgroups of S3 share their content key, but the
+    explicit S of ``one-of-equal-subgroups`` holds a mono into the first
+    of them only.  Its laws fail where the per-mono loops fail them: a scan
+    per content key would pass both."""
+    universe = registry.universe("s3-subgroups")
+    S = _law_class("s3-subgroups", universe, "one-of-equal-subgroups")
+    z2s = universe[1:4]
+    assert len({catcore.content_key(X) for X in z2s}) == 1
+    reports = {r.law_id: r for r in s_class_report(S, universe)}
+    stable = reports["S-pullback-stable"]
+    assert stable.status == "fail"
+    assert stable.witness["mono"]["cod"] == z2s[0].id
+    assert stable.witness["along"]["dom"] == z2s[1].id
+    cancellation = reports["S-strong-left-cancellation"]
+    assert cancellation.status == "fail"
+    assert cancellation.witness["inner"]["cod"] != z2s[0].id
+    assert cancellation.witness["composite"]["cod"] == z2s[0].id
+
+
+def test_normal_monos_on_s4_match_per_mono_loops():
+    """S = the normal monos of s4-subgroups: S-composition fails at a block
+    whose content triple comes after blocks with repeated content triples,
+    so its count adds the counts of blocks decided once."""
+    universe = registry.universe("s4-subgroups")
+    S = MonoFamily(NORMAL_MONOS)
+    got = [(r.law_id, r.status, r.checked, r.witness)
+           for r in s_class_report(S, universe)]
+    assert got == _reference_s_class_report(S, universe)
+    composition = got[2]
+    assert composition[:2] == ("S-composition", "fail")
+    witness = composition[3]
+    content = {X: catcore.content_key(X) for X in universe}
+    seen, repeated = set(), 0
+    for inner, outer in monoclasses._composable(monos_between(universe)):
+        if (any(mp.to_json() == witness["inner"] for mp in inner)
+                and any(m.to_json() == witness["outer"] for m in outer)):
+            break
+        k = content[inner[0].dom], content[inner[0].cod], content[outer[0].cod]
+        repeated += k in seen
+        seen.add(k)
+    assert repeated > 0
 
 
 def test_failing_key_comes_after_a_repeated_key():

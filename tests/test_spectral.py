@@ -12,6 +12,7 @@ import pytest
 from speccat import (
     ALL_MONOS,
     NORMAL_MONOS,
+    ConcreteMorphism,
     ConsistencyError,
     MonoFamily,
     NormalizedSpan,
@@ -284,6 +285,87 @@ def test_limit_preservation_matches_the_reference_on_s4_cospans():
     assert got == _reference_limit_preservation(spec, cospans)
     assert all(status == "pass" and checked > 0
                for _, status, checked, _ in got)
+
+
+def _per_probe_limit_preservation(spec, cospans):
+    """The cone loop of verify_limit_preservation as it was before probes
+    were keyed: every probe W of every cospan is scanned, with the same
+    composites and mediator counts.  Returns (cospan, status,
+    cones_checked, witness) tuples."""
+    out = []
+    for f, g in cospans:
+        pb = pullback(f, g)
+        pf, pg = canonical_functor(f, spec), canonical_functor(g, spec)
+        amin = spec.amin(pb.apex)
+        pl, pr = (ConcreteMorphism(amin.object(), proj.cod,
+                                   tuple(proj.table[e] for e in amin.elems))
+                  for proj in (pb.proj_left, pb.proj_right))
+        checked, witness = 0, None
+        for W in spec.objects:
+            pf_p = [spec.compose(pf, p).index for p in spec.hom(W, f.dom)]
+            pg_q = [spec.compose(pg, q).index for q in spec.hom(W, g.dom)]
+            mediators = spectral._mediator_counts(spec, W, pb.apex, pl, pr)
+            for p in spec.hom(W, f.dom):
+                for q in spec.hom(W, g.dom):
+                    if pf_p[p.index] != pg_q[q.index]:
+                        continue
+                    checked += 1
+                    n = mediators[p.index, q.index]
+                    if n != 1:
+                        witness = {"probe": W.id, "p": p.to_json(),
+                                   "q": q.to_json(), "mediators": n}
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+        spec._forget(pb.apex)
+        out.append(((f"{f.dom.id}->{f.cod.id}", f"{g.dom.id}->{g.cod.id}"),
+                    "fail" if witness else "pass", checked, witness))
+    return out
+
+
+@pytest.mark.parametrize("family", ["se", ISO_FAMILY])
+def test_keyed_probes_match_the_per_probe_loop(family):
+    """The three order-2 subgroups of s3-subgroups share one probe key, so
+    two of them are counted from the first."""
+    spec = _spec_over(family, "s3-subgroups")
+    keys = spec._object_keys()
+    assert len(set(keys.values())) < len(keys)
+    cospans = registry.registered_cospans("s3-subgroups")
+    got = [(r.cospan, r.status, r.cones_checked, r.witness)
+           for r in verify_limit_preservation(spec, cospans)]
+    assert got == _per_probe_limit_preservation(
+        _spec_over(family, "s3-subgroups"), cospans)
+    assert all(status == "pass" for _, status, _, _ in got)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_keyed_probes_fail_where_the_per_probe_loop_fails(monkeypatch, size):
+    """A broken mediator count that doubles every count out of a probe of
+    the given size, which depends on the probe's key only.  With size 2
+    the first failing probe is the first order-2 subgroup, whose key two
+    later probes repeat; with size 3 it is A3, after the order-2 subgroups
+    that share one key passed.  Each cospan fails at the cone where the
+    per-probe loop fails it."""
+    counts = spectral._mediator_counts
+
+    def miscounted(spec, W, *args):
+        got = counts(spec, W, *args)
+        return Counter({k: 2 * n for k, n in got.items()}) \
+            if W.size == size else got
+
+    monkeypatch.setattr(spectral, "_mediator_counts", miscounted)
+    cospans = registry.registered_cospans("s3-subgroups")
+    got = [(r.cospan, r.status, r.cones_checked, r.witness)
+           for r in verify_limit_preservation(
+               _spec_over("se", "s3-subgroups"), cospans)]
+    assert got == _per_probe_limit_preservation(
+        _spec_over("se", "s3-subgroups"), cospans)
+    probes = {witness["probe"] for _, status, _, witness in got
+              if status == "fail"}
+    assert probes == {registry.universe("s3-subgroups")[1 if size == 2
+                                                         else 4].id}
 
 
 def test_mediator_count_checks_hom_values_against_the_apex(monkeypatch):
