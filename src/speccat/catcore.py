@@ -135,17 +135,6 @@ class FiniteObject(_Validated, namedtuple(
     def elements(self) -> range:
         return range(self.size)
 
-    @property
-    def basepoint(self) -> int:
-        return 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self.size == 1
-
-    def mul(self, a: int, b: int) -> int:
-        return self.op[a][b]
-
     def label(self, e: int) -> str:
         return self.labels[e] if self.labels else str(e)
 
@@ -292,9 +281,6 @@ class ConcreteMorphism(_Validated,
     def __hash__(self):  # pragma: no cover - trivial
         return hash((self.dom.id, self.cod.id, self.table))
 
-    def __call__(self, e: int) -> int:
-        return self.table[e]
-
     @property
     def image(self) -> frozenset[int]:
         return frozenset(self.table)
@@ -337,18 +323,6 @@ def compose(g: ConcreteMorphism, f: ConcreteMorphism) -> ConcreteMorphism:
     return ConcreteMorphism(f.dom, g.cod, tuple(g.table[v] for v in f.table))
 
 
-def is_mono(f: ConcreteMorphism) -> bool:
-    return f.is_injective
-
-
-def is_epi(f: ConcreteMorphism) -> bool:
-    return f.is_surjective
-
-
-def is_iso(f: ConcreteMorphism) -> bool:
-    return f.is_bijective
-
-
 def inverse(f: ConcreteMorphism) -> ConcreteMorphism:
     if not f.is_bijective:
         raise InvalidMorphism("only bijective morphisms are invertible")
@@ -382,10 +356,6 @@ class Subobject(_Validated, namedtuple("Subobject", "ambient elems")):
     @property
     def size(self) -> int:
         return len(self.elems)
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self.elems) == 1
 
     @property
     def is_full(self) -> bool:

@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from collections import namedtuple
 from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
 
@@ -38,7 +37,12 @@ from .catcore import (
     load_objects,
     subalgebras,
 )
-from .errors import BoundExceeded, PreconditionViolation, SpeccatError
+from .errors import (
+    BoundExceeded,
+    InvalidObject,
+    PreconditionViolation,
+    SpeccatError,
+)
 from .fractions import check_focal
 from .limits import pullback
 from .monoclasses import (
@@ -59,22 +63,6 @@ from .spectral import (
     is_uniform,
     verify_limit_preservation,
 )
-
-REPRODUCE_ITEMS = ("remark-6.8", "remark-6.7-search", "thm-6.9-sweep",
-                   "thm-5.2-pullbacks", "focal-suite", "cor-7.3-uniform")
-
-
-class RunConfig(namedtuple(
-        "RunConfig",
-        "command backend universe inputs bound_size fmt out seed item",
-        defaults=(None, None, (), None, "json", None, 0, None))):
-    """Fields: ``command: str``, ``backend: str | None``,
-    ``universe: str | None``, ``inputs: tuple[str, ...]``,
-    ``bound_size: int | None``, ``fmt: str``, ``out: str | None``,
-    ``seed: int``, ``item: str | None``."""
-
-    __slots__ = ()
-
 
 #: exit code for a closed output pipe, as a shell reports death by SIGPIPE
 EXIT_PIPE_CLOSED = 128 + 13
@@ -196,10 +184,11 @@ def _pieces(o, level: int, memo: dict):
         yield _json_text(o, level, memo)
 
 
-def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    with (open(config.out, "w", encoding="utf-8") if config.out
+def _emit(args: argparse.Namespace, payload: dict,
+          text_lines: list[str]) -> None:
+    with (open(args.out, "w", encoding="utf-8") if args.out
           else nullcontext(sys.stdout)) as fh:
-        if config.fmt == "json":
+        if args.format == "json":
             fh.writelines(_json_pieces(payload))
         else:
             fh.write("\n".join(text_lines))
@@ -207,25 +196,35 @@ def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
         fh.flush()
 
 
-def _resolve_universe(config: RunConfig) -> tuple[str, list[FiniteObject]]:
-    if config.universe:
-        backend = registry.universe_backend(config.universe)
-        if config.backend and config.backend != backend:
+def _resolve_universe(args: argparse.Namespace
+                      ) -> tuple[str, list[FiniteObject]]:
+    if args.universe:
+        backend = registry.universe_backend(args.universe)
+        if args.backend and args.backend != backend:
             raise PreconditionViolation(
-                f"universe {config.universe!r} lives in backend {backend!r}, "
-                f"not {config.backend!r}")
-        objects = registry.universe(config.universe)
-    elif config.inputs:
-        backend = config.backend or GRP
+                f"universe {args.universe!r} lives in backend {backend!r}, "
+                f"not {args.backend!r}")
+        objects = registry.universe(args.universe)
+    elif args.input:
+        backend = args.backend or GRP
         objects = []
-        for path in config.inputs:
+        for path in args.input:
             with open(path, encoding="utf-8") as fh:
                 objects.extend(load_objects(fh.read(), backend))
     else:
         raise PreconditionViolation("need --universe or --input")
+    names = set()
     for A in objects:
+        # the export and every witness name an object by its id
+        if A.id in names:
+            raise InvalidObject(f"object name {A.id!r} is given twice")
+        names.add(A.id)
+        if args.backend and A.backend != args.backend:
+            raise PreconditionViolation(
+                f"object {A.id!r} lives in backend {A.backend!r}, "
+                f"not {args.backend!r}")
         # an input object is bounded by its own backend, not the default one
-        bound = config.bound_size or DEFAULT_SIZE_BOUNDS[A.backend]
+        bound = args.bound_size or DEFAULT_SIZE_BOUNDS[A.backend]
         if A.size > bound:
             raise BoundExceeded(
                 f"object {A.id} has size {A.size} > bound {bound}")
@@ -236,15 +235,15 @@ def _resolve_universe(config: RunConfig) -> tuple[str, list[FiniteObject]]:
 # classify
 # ---------------------------------------------------------------------------
 
-def cmd_classify(config: RunConfig) -> int:
-    _, objects = _resolve_universe(config)
+def cmd_classify(args: argparse.Namespace) -> int:
+    _, objects = _resolve_universe(args)
     S = MonoFamily(ALL_MONOS)
     reports = []
     for A in objects:
         for sub in subalgebras(A):
             m = sub.inclusion()
             reports.append(classify(m, S, objects))
-    payload = {"command": "classify", "seed": config.seed,
+    payload = {"command": "classify", "seed": args.seed,
                "reports": [r.to_json() for r in reports]}
     lines = []
     for r in reports:
@@ -254,7 +253,7 @@ def cmd_classify(config: RunConfig) -> int:
             f"essential={bool(r.essential)} "
             f"subobject_essential={bool(r.subobject_essential)} "
             f"stable_essential={bool(r.stable_essential)}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
@@ -262,19 +261,19 @@ def cmd_classify(config: RunConfig) -> int:
 # spec
 # ---------------------------------------------------------------------------
 
-def cmd_spec(config: RunConfig) -> int:
-    backend, objects = _resolve_universe(config)
+def cmd_spec(args: argparse.Namespace) -> int:
+    backend, objects = _resolve_universe(args)
     spec = build_spec(backend, MonoFamily(ALL_MONOS), objects, verify=True)
     export = spec.to_json()
     uniform = [is_uniform(A, spec.M).to_json() for A in objects]
     division = [end_spec_division_check(A, spec).to_json() for A in objects]
     preservation = None
-    if config.universe:
-        cospans = registry.registered_cospans(config.universe)
+    if args.universe:
+        cospans = registry.registered_cospans(args.universe)
         if cospans:
             preservation = [r.to_json()
                             for r in verify_limit_preservation(spec, cospans)]
-    payload = {"command": "spec", "seed": config.seed, "export": export,
+    payload = {"command": "spec", "seed": args.seed, "export": export,
                "summary": {"hom_sizes": [
                    {"dom": h["dom"], "cod": h["cod"],
                     "classes": len(h["classes"])} for h in export["homs"]],
@@ -292,7 +291,7 @@ def cmd_spec(config: RunConfig) -> int:
         ok = all(r["status"] == "pass" for r in preservation)
         lines.append(f"limit_preservation: {'pass' if ok else 'FAIL'} "
                      f"({len(preservation)} cospans)")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
@@ -479,19 +478,21 @@ CHECKS = {
     "cor-7.3-uniform": _check_cor_7_3_uniform,
 }
 
+REPRODUCE_ITEMS = tuple(CHECKS)
 
-def cmd_reproduce(config: RunConfig) -> int:
-    item = config.item
+
+def cmd_reproduce(args: argparse.Namespace) -> int:
+    item = args.item
     if item not in CHECKS:
         print(json.dumps({"error": f"unknown item {item!r}",
                           "known": sorted(CHECKS)}, sort_keys=True),
               file=sys.stderr)
         return 2
     ok, report = CHECKS[item]()
-    payload = {"command": "reproduce", "item": item, "seed": config.seed,
+    payload = {"command": "reproduce", "item": item, "seed": args.seed,
                "status": "pass" if ok else "fail", "report": report}
     lines = [f"{item}: {'pass' if ok else 'FAIL'}"]
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return 0 if ok else 1
 
 
@@ -526,27 +527,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, backend=args.backend,
-                    universe=args.universe, inputs=tuple(args.input),
-                    bound_size=args.bound_size,
-                    fmt=args.format, out=args.out, seed=args.seed,
-                    item=getattr(args, "item", None))
-    if cfg.bound_size is not None and cfg.bound_size <= 0:
-        raise PreconditionViolation("bounds must be positive")
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if config.command == "classify":
-            return cmd_classify(config)
-        if config.command == "spec":
-            return cmd_spec(config)
-        return cmd_reproduce(config)
+        if args.bound_size is not None and args.bound_size <= 0:
+            raise PreconditionViolation("bounds must be positive")
+        if args.command == "classify":
+            return cmd_classify(args)
+        if args.command == "spec":
+            return cmd_spec(args)
+        return cmd_reproduce(args)
     except json.JSONDecodeError as exc:
         print(json.dumps({"error": "malformed JSON", "message": str(exc),
                           "line": exc.lineno, "column": exc.colno,

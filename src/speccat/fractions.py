@@ -285,9 +285,6 @@ class FractionClass(namedtuple("FractionClass",
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return {"index": self.index, **self.rep.to_json()}
-
 
 def poincare_hom(A: FiniteObject, B: FiniteObject,
                  M: MonoFamily) -> list[FractionClass]:

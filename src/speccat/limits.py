@@ -169,9 +169,6 @@ class Congruence(_Validated, namedtuple("Congruence", "on blocks")):
                             raise InvalidObject(
                                 "partition is not compatible with the operation")
 
-    def __hash__(self):  # pragma: no cover - trivial
-        return hash((self.on.id, self.blocks))
-
     def block_ids(self) -> tuple[int, ...]:
         ids = [0] * self.on.size
         for i, block in enumerate(self.blocks):
@@ -244,14 +241,6 @@ def kernel_pair(f: ConcreteMorphism) -> Congruence:
     for e in f.dom.elements:
         fibers.setdefault(f.table[e], []).append(e)
     return congruence_from_partition(f.dom, fibers.values())
-
-
-def delta(A: FiniteObject) -> Congruence:
-    return congruence_from_partition(A, [[e] for e in A.elements])
-
-
-def nabla(A: FiniteObject) -> Congruence:
-    return congruence_from_partition(A, [list(A.elements)])
 
 
 def _set_partitions(items: list[int]):

@@ -129,10 +129,10 @@ class MonoFamily(_Validated, namedtuple(
                 if self.contains_image(A, frozenset(sub.elems))]
 
     @cached_property
-    def _stabilized_verdicts(self) -> dict:
-        """This family's dict in ``_STABILIZED_CACHE``, looked up once: the
-        (S, universe) key hashes the whole universe tuple."""
-        return _STABILIZED_CACHE.setdefault((self.S, self.universe), {})
+    def _stabilized_verdicts(self) -> dict[tuple, bool]:
+        """The stabilized kind's verdicts, by (codomain, image), kept on
+        this family alone: they depend on its S and probe universe."""
+        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -795,11 +795,6 @@ def s_class_report(S: MonoFamily, universe: list[FiniteObject]) -> list[LawRepor
 # ---------------------------------------------------------------------------
 # The class M of pullback stable S-essential monos (the class to invert)
 # ---------------------------------------------------------------------------
-
-#: keyed on what the verdict depends on: the class S and the probe universe,
-#: then the (codomain, image) pair
-_STABILIZED_CACHE: dict[tuple, dict[tuple, bool]] = {}
-
 
 def _stabilized_member(family: MonoFamily, cod: FiniteObject,
                        image: frozenset[int]) -> bool:

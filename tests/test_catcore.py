@@ -41,9 +41,6 @@ from speccat.catcore import (
     closure,
     element_order,
     inverse,
-    is_epi,
-    is_iso,
-    is_mono,
     normal_subalgebras,
 )
 from speccat.limits import congruences
@@ -130,7 +127,7 @@ def test_compose_and_identity(s3):
 def test_iso_and_inverse():
     z4 = cyclic_group(4)
     auto = ConcreteMorphism(z4, z4, (0, 3, 2, 1))
-    assert is_iso(auto)
+    assert auto.is_bijective
     assert compose(inverse(auto), auto) == identity(z4)
 
 
@@ -161,8 +158,8 @@ def test_mono_epi_match_cancellation(s3_universe):
     for A in small:
         for B in small:
             for f in enumerate_hom(A, B):
-                assert is_mono(f) == is_mono_by_cancellation(f, small)
-                assert is_epi(f) == is_epi_by_cancellation(f, small)
+                assert f.is_injective == is_mono_by_cancellation(f, small)
+                assert f.is_surjective == is_epi_by_cancellation(f, small)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,6 @@ import speccat
 from speccat.cli import (
     EXIT_PIPE_CLOSED,
     REPRODUCE_ITEMS,
-    RunConfig,
     _emit,
     _json_pieces,
     main,
@@ -192,6 +192,16 @@ def test_backend_universe_mismatch(capsys):
     assert code == 2
 
 
+def test_backend_input_mismatch(tmp_path, capsys):
+    """The group-backend theorem must not be applied to a pointed set."""
+    desc = tmp_path / "p3.json"
+    desc.write_text('{"kind": "pointed_set", "name": "P3", "size": 3}')
+    code, out, err = run(capsys, "spec", "--backend", "ab",
+                         "--input", str(desc))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "PreconditionViolation"
+
+
 def test_nonpositive_bound_rejected(capsys):
     code, _, err = run(capsys, "classify", "--universe", "z4-chain",
                        "--bound-size", "0")
@@ -216,8 +226,12 @@ def test_input_descriptor_roundtrip(tmp_path, capsys):
               "presentation": {"degree": 3}}]),
     ("grp", [1]),
     ("pset", [{"kind": "pointed_set", "name": "T", "size": True}]),
+    # Z2 and Z3 under one name: the export could not tell them apart
+    ("grp", [{"kind": "group", "name": "A", "cayley": [[0, 1], [1, 0]]},
+             {"kind": "group", "name": "A",
+              "cayley": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}]),
 ], ids=["ragged-cayley", "presentation-without-permutations",
-        "non-object-entry", "boolean-size"])
+        "non-object-entry", "boolean-size", "duplicate-name"])
 def test_malformed_descriptor_is_an_input_error(tmp_path, capsys, backend,
                                                 descriptors):
     bad = tmp_path / "bad.json"
@@ -277,6 +291,20 @@ def test_lattice_outputs_are_byte_identical(argv, digest, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["classify", "--universe", "s3-subgroups"],
+     "021e21f69d52a916aa2cbac348b0316405a9d2e039702b742036aa85f19253ce"),
+    (["spec", "--universe", "z4-chain"],
+     "985ff5aa0edf04e31f8fdc2180012166340d689cc134205ae6c0252d08962d1e"),
+    (["reproduce", "remark-6.8"],
+     "a87179418d3302b9f01386a64472b7187a309e97672e2caaa08ddf74fdaa51f2"),
+], ids=["classify-s3-subgroups", "spec-z4-chain", "reproduce-remark-6.8"])
+def test_text_outputs_are_byte_identical(argv, digest, capsys):
+    assert main(argv + ["--format", "text"]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(stdout).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # streamed output
 # ---------------------------------------------------------------------------
@@ -297,7 +325,7 @@ def _many_pieces():
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_emit_writes_the_json_dumps_text(payload, to_file, tmp_path, capsys):
     out = tmp_path / "out.json"
-    _emit(RunConfig(command="spec", out=str(out) if to_file else None),
+    _emit(Namespace(format="json", out=str(out) if to_file else None),
           payload, ["unused"])
     written = out.read_bytes() if to_file else capsys.readouterr().out.encode()
     assert written == (json.dumps(payload, indent=2, sort_keys=True)
@@ -407,8 +435,8 @@ def test_writer_streams_one_composition_table_per_piece():
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_emit_text_is_one_line_each(lines, to_file, tmp_path, capsys):
     out = tmp_path / "out.txt"
-    _emit(RunConfig(command="spec", fmt="text",
-                    out=str(out) if to_file else None), {"unused": 1}, lines)
+    _emit(Namespace(format="text", out=str(out) if to_file else None),
+          {"unused": 1}, lines)
     written = out.read_bytes() if to_file else capsys.readouterr().out.encode()
     assert written == ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -29,9 +29,7 @@ from speccat.limits import (
     cokernel,
     congruence_from_normal_subobject,
     congruence_from_partition,
-    delta,
     has_zero_kernel,
-    nabla,
 )
 
 
@@ -150,9 +148,12 @@ def test_pset_congruences_are_all_partitions():
 
 
 def test_delta_nabla(s3):
-    assert delta(s3).is_discrete and not delta(s3).is_full
-    assert nabla(s3).is_full
-    assert nabla(s3).basepoint_block() == tuple(range(s3.size))
+    # the discrete and the full congruence, from their partitions
+    delta = congruence_from_partition(s3, [[e] for e in s3.elements])
+    nabla = congruence_from_partition(s3, [list(s3.elements)])
+    assert delta.is_discrete and not delta.is_full
+    assert nabla.is_full
+    assert nabla.basepoint_block() == tuple(range(s3.size))
 
 
 def test_quotient_basepoint_block_first(s3, s3_named):

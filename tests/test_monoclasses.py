@@ -216,9 +216,9 @@ def test_stable_essential_family_kinds(S_all, s3_universe):
 
 
 def _answers(families, cod, image):
-    """Ask each family about (cod, image) in turn, from an empty cache."""
-    monoclasses._STABILIZED_CACHE.clear()
-    return [fam.contains_image(cod, image) for fam in families]
+    """Ask a fresh copy of each family about (cod, image) in turn, so that
+    no family holds a verdict from an earlier call."""
+    return [MonoFamily(*fam).contains_image(cod, image) for fam in families]
 
 
 def test_stabilized_families_differing_in_S_do_not_share_answers():

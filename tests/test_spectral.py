@@ -67,10 +67,36 @@ def test_minimal_subobject_of_zero(se_family_ab):
     assert amin.size == 1
 
 
-def test_minimal_subobject_cross_check(se_family_ab, z4_universe):
-    amin = minimal_M_subobject(registry.zab(4), se_family_ab,
-                               cross_check_targets=list(z4_universe))
-    assert amin.elems == (0, 2)
+def test_minimal_subobject_cross_check(z4_universe):
+    spec = build_spec(AB, MonoFamily(ALL_MONOS), z4_universe, verify=True)
+    assert spec.amin(registry.zab(4)).elems == (0, 2)
+
+
+def test_cross_check_fails_on_a_short_span_quotient(monkeypatch, z4_universe):
+    """build_spec(verify=True) counts every hom set against poincare_hom: a
+    span quotient that loses one class of hom(Z4, Z4) is caught."""
+    full, last = spectral.poincare_hom, z4_universe[-1]
+
+    def short(A, B, M):
+        classes = full(A, B, M)
+        return classes[1:] if A == B == last else classes
+
+    monkeypatch.setattr(spectral, "poincare_hom", short)
+    with pytest.raises(ConsistencyError, match="span quotient has"):
+        build_spec(AB, MonoFamily(ALL_MONOS), z4_universe, verify=True)
+
+
+def test_minimal_subobject_is_computed_once_per_object(monkeypatch):
+    universe = registry.universe("s3-subgroups")
+    full, calls = spectral.minimal_M_subobject, Counter()
+
+    def counted(A, *args, **kwargs):
+        calls[A] += 1
+        return full(A, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "minimal_M_subobject", counted)
+    build_spec(GRP, MonoFamily(ALL_MONOS), universe, verify=True).to_json()
+    assert calls == Counter(universe) and sum(calls.values()) == 6
 
 
 # ---------------------------------------------------------------------------
