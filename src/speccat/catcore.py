@@ -362,34 +362,25 @@ class Subobject(_Validated, namedtuple("Subobject", "ambient elems")):
         return len(self.elems) == self.ambient.size
 
     def object(self) -> FiniteObject:
+        if self.is_full:
+            return self.ambient
         return _subobject_as_object(self.ambient, self.elems)
 
     def inclusion(self) -> ConcreteMorphism:
         return ConcreteMorphism(self.object(), self.ambient, self.elems)
 
 
-_SUB_OBJECT_CACHE: dict[tuple, FiniteObject] = {}
-
-
+@cache
 def _subobject_as_object(ambient: FiniteObject, elems: tuple[int, ...]) -> FiniteObject:
-    if len(elems) == ambient.size:
-        return ambient
-    key = (ambient, elems)
-    obj = _SUB_OBJECT_CACHE.get(key)
-    if obj is not None:
-        return obj
     pos = {e: i for i, e in enumerate(elems)}
     name = f"{ambient.id}{{{','.join(map(str, elems))}}}"
     if ambient.backend == PSET:
-        obj = FiniteObject(id=name, backend=PSET, size=len(elems))
-    else:
-        op = tuple(tuple(pos[ambient.op[a][b]] for b in elems) for a in elems)
-        inv = tuple(pos[ambient.inv[a]] for a in elems)
-        labels = tuple(ambient.label(a) for a in elems) if ambient.labels else None
-        obj = FiniteObject(id=name, backend=ambient.backend, size=len(elems),
-                           op=op, inv=inv, labels=labels)
-    _SUB_OBJECT_CACHE[key] = obj
-    return obj
+        return FiniteObject(id=name, backend=PSET, size=len(elems))
+    op = tuple(tuple(pos[ambient.op[a][b]] for b in elems) for a in elems)
+    inv = tuple(pos[ambient.inv[a]] for a in elems)
+    labels = tuple(ambient.label(a) for a in elems) if ambient.labels else None
+    return FiniteObject(id=name, backend=ambient.backend, size=len(elems),
+                        op=op, inv=inv, labels=labels)
 
 
 def closure(A: FiniteObject, seed) -> tuple[int, ...]:
@@ -518,8 +509,7 @@ def image_subobject(f: ConcreteMorphism) -> Subobject:
 # Hom enumeration
 # ---------------------------------------------------------------------------
 
-_HOM_CACHE: dict[tuple, tuple[ConcreteMorphism, ...]] = {}
-#: map tables keyed on the content keys of the two ends
+#: map tables keyed on the content keys of the two ends: the one hom cache
 _HOM_TABLES: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
 
@@ -574,31 +564,25 @@ def enumerate_hom(A: FiniteObject, B: FiniteObject
                   ) -> tuple[ConcreteMorphism, ...]:
     """All morphisms A -> B, duplicate-free, sorted by map table.
 
-    The map tables depend only on the content of the two ends (backend,
-    sizes, op tables), so they are searched once per content pair and
-    shared by objects with other ids, e.g. every pullback apex with the op
-    table of a universe object.  Morphisms are built once per (A, B) and
-    kept.  A search that reads homs only through their tables, such as the
-    limit check's mediator count into a pullback apex, walks
-    :func:`hom_tables` instead and keeps no morphism.
+    Each call builds and validates its morphisms afresh from
+    :func:`hom_tables`, the one hom cache, and keeps none of them.  A search
+    that reads homs only through their tables walks :func:`hom_tables`
+    instead and builds a ``ConcreteMorphism`` only for what it returns.
     """
-    key = (A, B)
-    homs = _HOM_CACHE.get(key)
-    if homs is None:
-        homs = _HOM_CACHE[key] = tuple(ConcreteMorphism(A, B, t)
-                                       for t in hom_tables(A, B))
-    return homs
+    return tuple(ConcreteMorphism(A, B, t) for t in hom_tables(A, B))
 
 
 def hom_tables(A: FiniteObject, B: FiniteObject
                ) -> tuple[tuple[int, ...], ...]:
-    """The sorted map tables of all morphisms A -> B, searched once per
-    content pair and checked against the homomorphism law by the search.
+    """The sorted map tables of all morphisms A -> B, checked against the
+    homomorphism law by the search.
 
-    Every table is a valid morphism A -> B, so a search that reads a hom
-    only through its table walks these and builds a ``ConcreteMorphism``
-    only for what it returns, such as a witness: it neither validates each
-    table again nor keeps a morphism per table in the hom cache."""
+    This is the one hom cache.  The tables depend only on the content of
+    the two ends (backend, sizes, op tables), so they are searched once per
+    content pair and shared by objects with other ids, e.g. every pullback
+    apex with the op table of a universe object.  Every table is a valid
+    morphism A -> B, so a caller neither validates it again nor needs a
+    ``ConcreteMorphism`` for it."""
     if A.backend != B.backend:
         raise BackendMismatch(f"hom({A.id},{B.id}): backends differ")
     content = (content_key(A), content_key(B))
@@ -648,7 +632,8 @@ def _search_hom_tables(A: FiniteObject, B: FiniteObject
 
 
 def enumerate_monos(A: FiniteObject, B: FiniteObject) -> tuple[ConcreteMorphism, ...]:
-    return tuple(f for f in enumerate_hom(A, B) if f.is_injective)
+    return tuple(ConcreteMorphism(A, B, t) for t in hom_tables(A, B)
+                 if len(set(t)) == A.size)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,8 @@ def _emit(args: argparse.Namespace, payload: dict,
 
 def _resolve_universe(args: argparse.Namespace
                       ) -> tuple[str, list[FiniteObject]]:
+    if args.bound_size is not None and args.bound_size <= 0:
+        raise PreconditionViolation("bounds must be positive")
     if args.universe:
         backend = registry.universe_backend(args.universe)
         if args.backend and args.backend != backend:
@@ -507,23 +509,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     "the localization at pullback stable essential monos.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def output(p):
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.add_argument("--out", default=None)
+        p.add_argument("--seed", type=int, default=0)
+
+    for name, text in (("classify", "flag subobject inclusions"),
+                       ("spec", "materialize and export the localized "
+                                "category")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--backend", choices=sorted(BACKENDS), default=None)
         p.add_argument("--universe", default=None,
                        help=f"named universe: {', '.join(registry.UNIVERSES)}")
         p.add_argument("--input", action="append", default=[],
                        metavar="FILE", help="JSON object-descriptor file")
         p.add_argument("--bound-size", type=int, default=None)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=0)
-
-    common(sub.add_parser("classify", help="flag subobject inclusions"))
-    common(sub.add_parser("spec", help="materialize and export the "
-                                       "localized category"))
+        output(p)
     rep = sub.add_parser("reproduce", help="run a built-in check")
     rep.add_argument("item", help=f"one of: {', '.join(REPRODUCE_ITEMS)}")
-    common(rep)
+    output(rep)
     return parser
 
 
@@ -531,8 +535,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.bound_size is not None and args.bound_size <= 0:
-            raise PreconditionViolation("bounds must be positive")
         if args.command == "classify":
             return cmd_classify(args)
         if args.command == "spec":

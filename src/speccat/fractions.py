@@ -16,6 +16,7 @@ from .catcore import (
     _Validated,
     compose,
     enumerate_hom,
+    hom_tables,
     image_subobject,
     inverse,
     subalgebras,
@@ -83,14 +84,6 @@ class NormalizedSpan(_Validated, namedtuple("NormalizedSpan", "sub right")):
 
     def sort_key(self):
         return (-self.sub.size, self.sub.elems, self.right.table)
-
-    def to_json(self) -> dict:
-        # the JSON of sub.inclusion(), written without building it: right
-        # starts at sub.object(), as checked at construction
-        return {"rep_left": {"dom": self.right.dom.id,
-                             "cod": self.sub.ambient.id,
-                             "map": list(self.sub.elems)},
-                "rep_right": self.right.to_json()}
 
 
 def normalize(span: Span) -> NormalizedSpan:
@@ -182,7 +175,8 @@ class ConditionReport(_Record, namedtuple(
 
 
 def _family_monos(M: MonoFamily, X: FiniteObject, Y: FiniteObject):
-    return [m for m in enumerate_hom(X, Y) if M.contains(m)]
+    return [ConcreteMorphism(X, Y, t) for t in hom_tables(X, Y)
+            if len(set(t)) == X.size and M.contains_image(Y, frozenset(t))]
 
 
 def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionReport]:
@@ -190,9 +184,11 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
     (co)equalizing condition for M over a finite universe.  Each condition
     counts its cases up to and including the first failure, its witness.
 
-    F2 is decided once per (codomain, image) key of a member s: a key that
-    passed adds its count, the sum of |hom(W, A)| over the universe, again
-    for every later member with that key."""
+    The homs quantified over are walked as map tables; a morphism is built
+    only for a member of M or a witness.  F2 is decided once per (codomain,
+    image) key of a member s: a key that passed adds its count, the sum of
+    |hom(W, A)| over the universe, again for every later member with that
+    key."""
     # member lists and "some member reaches X", each built once per call
     members = cache(partial(_family_monos, M))
 
@@ -214,9 +210,9 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
                             # f = id works whenever M is composition closed;
                             # comp.f is a mono exactly when f is one
                             found = M.contains_image(Z, frozenset(comp)) or any(
-                                f.is_injective and M.contains_image(
-                                    Z, frozenset(comp[e] for e in f.table))
-                                for W in universe for f in enumerate_hom(W, X))
+                                len(set(f)) == W.size and M.contains_image(
+                                    Z, frozenset(comp[e] for e in f))
+                                for W in universe for f in hom_tables(W, X))
                             yield None if found else _jsonable(s1=s1, s0=s0)
 
     # F2: every cospan (f, s) with s in M completes to a square with s' in M.
@@ -224,9 +220,9 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
     # square for the other, so each (A, image of s) key is decided once.
     def squares(s):
         for W in universe:
-            for f in enumerate_hom(W, s.cod):
-                yield (None if _f2_square_exists(M, members, universe, s, f)
-                       else _jsonable(s=s, f=f))
+            for f in hom_tables(W, s.cod):
+                yield (None if _f2_square_exists(M, members, universe, s, W, f)
+                       else _jsonable(s=s, f=ConcreteMorphism(W, s.cod, f)))
 
     f2 = _first_failure_by_key(
         (s for A in universe for sX in universe for s in members(sX, A)),
@@ -247,26 +243,27 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
         if not reached(X):
             checked += 1
             witness = _jsonable(parallel_pair=next(
-                f for Y in universe for f in enumerate_hom(X, Y)))
+                ConcreteMorphism(X, Y, f)
+                for Y in universe for f in hom_tables(X, Y)))
             break
-        checked += sum(len(enumerate_hom(X, Y)) for Y in universe)
+        checked += sum(len(hom_tables(X, Y)) for Y in universe)
     for cond in ("F3", "Ore-d"):
         reports.append(_report(ConditionReport, cond, (checked, witness)))
     return reports
 
 
 def _f2_square_exists(M: MonoFamily, members, universe, s: ConcreteMorphism,
-                      f: ConcreteMorphism) -> bool:
-    W = f.dom
+                      W: FiniteObject, f: tuple[int, ...]) -> bool:
+    """Does the cospan of s and the map table f: W -> cod(s) complete to a
+    square with a member of M?"""
     # fast path: the pullback of s along f
-    if M.contains_image(W, preimage(f.table, s.image)):
+    if M.contains_image(W, preimage(f, s.image)):
         return True
     # exhaustive fallback
     for V in universe:
         for sp in members(V, W):
-            for fp in enumerate_hom(V, s.dom):
-                if all(s.table[fp.table[e]] == f.table[sp.table[e]]
-                       for e in V.elements):
+            for fp in hom_tables(V, s.dom):
+                if all(s.table[fp[e]] == f[sp.table[e]] for e in V.elements):
                     return True
     return False
 

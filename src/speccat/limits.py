@@ -324,9 +324,10 @@ def check_normal_backend(backend: str, objects: list[FiniteObject]) -> NormalBac
     normality over all morphisms among the given objects."""
     failures: list[dict] = []
     checked = 0
+    homs = {(A, B): enumerate_hom(A, B) for A in objects for B in objects}
     for A in objects:
         for B in objects:
-            for f in enumerate_hom(A, B):
+            for f in homs[A, B]:
                 if f.is_surjective:
                     checked += 1
                     if not is_normal_epi(f):
@@ -337,10 +338,10 @@ def check_normal_backend(backend: str, objects: list[FiniteObject]) -> NormalBac
     # pullback stability of the (regular epi, mono) factorization
     for B in objects:
         for A in objects:
-            for f in enumerate_hom(A, B):
+            for f in homs[A, B]:
                 fact = factorize(f)
                 for X in objects:
-                    for x in enumerate_hom(X, B):
+                    for x in homs[X, B]:
                         checked += 1
                         pulled = pullback(f, x)
                         epi_part = factorize(pulled.proj_right).regular_epi

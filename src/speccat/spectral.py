@@ -15,7 +15,6 @@ from .catcore import (
     Subobject,
     _jsonable,
     content_key,
-    enumerate_hom,
     hom_tables,
     subalgebras,
 )
@@ -62,13 +61,14 @@ def minimal_M_subobject(A: FiniteObject, M: MonoFamily) -> Subobject:
 # Hom classes of the localization
 # ---------------------------------------------------------------------------
 
-class SpecClass(namedtuple("SpecClass", "src dst index rep label")):
+class SpecClass(namedtuple("SpecClass", "src dst index sub label")):
     """One hom element of the localization: the class of all fractions that
     agree with ``label`` on the minimal M-subobject of the source.
 
     Fields: ``src: FiniteObject``, ``dst: FiniteObject``, ``index: int``,
-    ``rep: NormalizedSpan``, ``label: tuple[int, ...]`` (rep restricted to
-    the minimal M-subobject).
+    ``sub: Subobject`` (the minimal M-subobject of src), ``label:
+    tuple[int, ...]`` (the map table of the class's morphism sub -> dst).
+    The class is written as the fraction (inclusion of sub, label).
     """
 
     __slots__ = ()
@@ -78,7 +78,12 @@ class SpecClass(namedtuple("SpecClass", "src dst index rep label")):
         return all(v == 0 for v in self.label)
 
     def to_json(self) -> dict:
-        return {"index": self.index, **self.rep.to_json()}
+        dom = self.sub.object().id
+        return {"index": self.index,
+                "rep_left": {"dom": dom, "cod": self.src.id,
+                             "map": list(self.sub.elems)},
+                "rep_right": {"dom": dom, "cod": self.dst.id,
+                              "map": list(self.label)}}
 
 
 def _no_class(A: FiniteObject, B: FiniteObject,
@@ -98,12 +103,14 @@ def _reader(positions: list[int]):
 class SpectralCategory:
     """The category of fractions of a backend at a family M of monos.
 
-    Objects are the registered backend objects; hom sets are materialized as
-    :class:`SpecClass` lists via the minimal-M-subobject presentation, with
-    composition reduced to restriction lookups.  Each hom set is built once
-    and kept: the limit check reads a projection out of a pullback apex by
-    its label and never asks for a hom set out of an apex.  ``exact`` is
-    False when M itself is only a bounded-search approximation.
+    Objects are the registered backend objects.  The classes of hom(A, B)
+    are the morphisms amin(A) -> B, so a hom set is materialized as a
+    :class:`SpecClass` per map table of :func:`hom_tables`, the one hom
+    cache, with no morphism built; composition is reduced to restriction
+    lookups.  Each hom set is built once and kept: the limit check reads a
+    projection out of a pullback apex by its label and never asks for a hom
+    set out of an apex.  ``exact`` is False when M itself is only a
+    bounded-search approximation.
     """
 
     def __init__(self, backend: str, M: MonoFamily,
@@ -155,9 +162,8 @@ class SpectralCategory:
         if hit is None:
             amin = self.amin(A)
             classes = tuple(
-                SpecClass(src=A, dst=B, index=i,
-                          rep=NormalizedSpan(amin, f), label=f.table)
-                for i, f in enumerate(enumerate_hom(amin.object(), B)))
+                SpecClass(A, B, i, amin, t)
+                for i, t in enumerate(hom_tables(amin.object(), B)))
             hit = self._homs[key] = classes, {c.label: c.index
                                               for c in classes}
         return hit

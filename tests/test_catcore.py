@@ -196,16 +196,14 @@ def test_hom_cross_object_oracle(s3):
 
 @pytest.fixture
 def empty_hom_caches(monkeypatch):
-    """Both hom caches emptied for the test and restored after it."""
-    monkeypatch.setattr(catcore, "_HOM_CACHE", {})
+    """The hom cache emptied for the test and restored after it."""
     monkeypatch.setattr(catcore, "_HOM_TABLES", {})
     return catcore
 
 
 def _cold_homs(A, B):
-    """enumerate_hom(A, B) run with emptied caches, which are then put back."""
+    """enumerate_hom(A, B) run with an emptied cache, which is then put back."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(catcore, "_HOM_CACHE", {})
         mp.setattr(catcore, "_HOM_TABLES", {})
         return enumerate_hom(A, B)
 
@@ -222,7 +220,6 @@ def test_equal_op_tables_share_hom_tables(empty_hom_caches, s3):
         _assert_homs(enumerate_hom(A, B), A, B)
     # one entry per content pair: Z4 -> S3, S3 -> Z4 and Z4 -> Z4
     assert len(empty_hom_caches._HOM_TABLES) == 3
-    assert len(empty_hom_caches._HOM_CACHE) == 6
     left, right = enumerate_hom(za, s3), enumerate_hom(zb, s3)
     assert all(f.table is g.table for f, g in zip(left, right))
     assert left != right

@@ -208,6 +208,28 @@ def test_nonpositive_bound_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "spec"])
+def test_nonpositive_bound_is_refused_before_any_input_is_read(capsys,
+                                                               command):
+    code, out, err = run(capsys, command, "--input", "/nonexistent.json",
+                         "--bound-size", "-1")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "PreconditionViolation",
+                               "message": "bounds must be positive"}
+
+
+def test_reproduce_takes_no_universe_options(capsys):
+    """A reproduce item builds its own objects, so --backend, --universe,
+    --input and --bound-size are usage errors there, not ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "remark-6.8", "--universe", "s4-subgroups",
+              "--backend", "pset", "--input", "/nonexistent.json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 def test_input_descriptor_roundtrip(tmp_path, capsys):
     objs = tmp_path / "objs.json"
     objs.write_text(json.dumps([

@@ -1,6 +1,8 @@
 """Spans, fraction equality, the right-fraction condition suite, and the two
 constructions of localized hom sets."""
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +34,10 @@ from speccat.limits import (congruence_from_normal_subobject, preimage,
                             pullback)
 from speccat.monoclasses import (ESSENTIAL_FAMILY, EXPLICIT, ISO_FAMILY,
                                  NORMAL_MONOS, STABILIZED_FAMILY)
+
+# the reference loops ask for one hom set many times, and enumerate_hom
+# builds its morphisms afresh on each call: memoize them for this module
+enumerate_hom = cache(enumerate_hom)
 
 
 @pytest.fixture(scope="module")

@@ -35,7 +35,8 @@ from speccat import (
 )
 from speccat import catcore, registry, spectral
 from speccat.catcore import AB, GRP
-from speccat.monoclasses import ESSENTIAL_FAMILY, EXPLICIT, ISO_FAMILY
+from speccat.monoclasses import (ESSENTIAL_FAMILY, EXPLICIT, ISO_FAMILY,
+                                 SE_FAMILY)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,30 @@ def test_minimal_subobject_is_computed_once_per_object(monkeypatch):
     monkeypatch.setattr(spectral, "minimal_M_subobject", counted)
     build_spec(GRP, MonoFamily(ALL_MONOS), universe, verify=True).to_json()
     assert calls == Counter(universe) and sum(calls.values()) == 6
+
+
+def test_hom_sets_and_export_validate_no_morphism(monkeypatch):
+    """A class is a map table out of the minimal M-subobject, read off the
+    hom cache, so building every hom set and the export validates no
+    morphism.  The objects are freshly named: no earlier call has built a
+    morphism out of them."""
+    G = catcore.group_from_permutations("S3-unbuilt", 3, [[1, 0, 2], [1, 2, 0]])
+    universe = registry.subgroup_universe(G) + [cyclic_group(4, "Z4-unbuilt")]
+    spec = SpectralCategory(GRP, MonoFamily(kind=SE_FAMILY), universe)
+    for A in universe:
+        spec.amin(A)
+    built = [0]
+    validate = ConcreteMorphism.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        validate(self)
+
+    monkeypatch.setattr(ConcreteMorphism, "__post_init__", counting)
+    classes = sum(len(spec.hom(A, B)) for A in universe for B in universe)
+    export = spec.to_json()
+    assert built[0] == 0
+    assert classes == sum(len(h["classes"]) for h in export["homs"]) > 36
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +440,11 @@ def test_mediator_count_checks_hom_values_against_the_apex(monkeypatch):
                                   registry.registered_cospans("s3-subgroups"))
 
 
-def test_limit_preservation_keeps_no_apex_state(monkeypatch):
+def test_limit_preservation_keeps_no_apex_state():
     """Once checked, a cospan leaves nothing behind about its pullback apex:
     the spec keeps hom sets and minimal M-subobjects of registered objects
-    only, and the morphism cache holds no hom set with an apex, or a
-    subobject of one, at either end."""
+    only."""
     spec = _spec_over("se", "s3-subgroups")
-    monkeypatch.setattr(catcore, "_HOM_CACHE", {})
     cospans = registry.registered_cospans("s3-subgroups")
     assert all(r.status == "pass"
                for r in verify_limit_preservation(spec, cospans))
@@ -429,15 +452,11 @@ def test_limit_preservation_keeps_no_apex_state(monkeypatch):
     assert spec._homs
     assert all(A in objects and B in objects for A, B in spec._homs)
     assert set(spec._amin) <= objects and set(spec._apos) <= objects
-    apexes = tuple(pullback(f, g).apex.id for f, g in cospans)
-    assert catcore._HOM_CACHE
-    assert not [key for key in catcore._HOM_CACHE
-                if any(X.id.startswith(apexes) for X in key)]
 
 
 def test_limit_check_asks_for_no_hom_set_out_of_an_apex(monkeypatch):
     """A projection out of a pullback apex is read by its label, so the
-    check asks for no hom set, of classes or of morphisms, out of an apex
+    check asks for no hom set, of classes or of map tables, out of an apex
     or out of a subobject of one (their ids start with ``Pb[``)."""
     domains = []
 
@@ -450,9 +469,9 @@ def test_limit_check_asks_for_no_hom_set_out_of_an_apex(monkeypatch):
 
     monkeypatch.setattr(SpectralCategory, "_hom",
                         recording(SpectralCategory._hom, 1))
-    enumerate_hom_ = recording(catcore.enumerate_hom, 0)
+    hom_tables_ = recording(catcore.hom_tables, 0)
     for module in (catcore, spectral):
-        monkeypatch.setattr(module, "enumerate_hom", enumerate_hom_)
+        monkeypatch.setattr(module, "hom_tables", hom_tables_)
     for name in ("s3-subgroups", "pointed-le-4"):
         reports = verify_limit_preservation(
             _spec_over("se", name), registry.registered_cospans(name))
