@@ -640,8 +640,11 @@ def enumerate_monos(A: FiniteObject, B: FiniteObject) -> tuple[ConcreteMorphism,
 # JSON descriptors
 # ---------------------------------------------------------------------------
 
-def object_from_descriptor(desc: dict, backend: str | None = None) -> FiniteObject:
-    """Build an object from a JSON descriptor.
+def object_from_descriptor(desc: dict, backend: str | None = None,
+                           size_bound: int | None = None) -> FiniteObject:
+    """Build an object from a JSON descriptor.  A presentation is closed
+    under composition only up to ``size_bound`` elements, by default the
+    backend's bound.
 
     Formats::
 
@@ -678,17 +681,19 @@ def object_from_descriptor(desc: dict, backend: str | None = None) -> FiniteObje
                 raise InvalidObject(
                     f"{name}: presentation needs 'permutations', "
                     f"a list of integer lists of length {degree}")
-            return group_from_permutations(name, degree, perms, backend=target)
+            return group_from_permutations(name, degree, perms, backend=target,
+                                           size_bound=size_bound)
         if "cayley" in desc:
             return group_from_cayley(name, desc["cayley"], backend=target)
         raise InvalidObject(f"{name}: group descriptor needs 'presentation' or 'cayley'")
     raise InvalidObject(f"unknown descriptor kind {kind!r}")
 
 
-def load_objects(text: str, backend: str | None = None) -> list[FiniteObject]:
+def load_objects(text: str, backend: str | None = None,
+                 size_bound: int | None = None) -> list[FiniteObject]:
     data = json.loads(text)
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
         raise InvalidObject("input must be a descriptor object or a list of them")
-    return [object_from_descriptor(d, backend) for d in data]
+    return [object_from_descriptor(d, backend, size_bound) for d in data]

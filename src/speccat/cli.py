@@ -7,10 +7,12 @@ theorem checks.  Output is deterministic: canonical orders everywhere and
 sorted JSON keys.  JSON is written as it is rendered, one piece per entry
 of the largest lists (a ``composition`` table, a ``homs`` entry), never held
 as one string, and is byte for byte the text of
-``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.  A
-composition table that the export shares between entries is rendered at
-most twice per indent level.  Peak RSS of ``spec --universe s4-subgroups``
-(24 MB of JSON) is about 38 MB on CPython 3.11, x86-64.
+``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.  The
+entries of a large list are rendered column by column, a few hundred at a
+time, and each distinct composition table the export shares between
+entries is rendered once per indent level.  Peak RSS of
+``spec --universe s4-subgroups`` (24 MB of JSON) is about 42 MB on
+CPython 3.11, x86-64.
 
 Exit codes: 0 success, 1 property failure (witness JSON on stdout),
 2 input error, 3 resource bound exceeded, 141 (128 + SIGPIPE) the reader
@@ -24,7 +26,9 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import registry
 from .catcore import (
@@ -69,10 +73,13 @@ EXIT_PIPE_CLOSED = 128 + 13
 
 # ---------------------------------------------------------------------------
 # JSON output: the text of json.dumps(obj, indent=2, sort_keys=True), built
-# with str.join instead of the stdlib's pure-Python indenting encoder
+# column by column with str.join and % templates instead of the stdlib's
+# pure-Python indenting encoder
 # ---------------------------------------------------------------------------
 
 _INDENT = "  "
+#: items of a large list rendered as one column; each is still one piece
+_BLOCK = 256
 
 
 def _scalar_text(o) -> str:
@@ -108,58 +115,120 @@ def _key_text(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _json_text(o, level: int, memo: dict) -> str:
-    """The text of o with its first line at indent ``level``.  The text of
-    a list of lists is kept in ``memo`` under (id, level), so a table that
-    the payload holds many times is rendered at most twice per indent
-    level.  Only an exact list or tuple is an array: a record (a namedtuple
-    subclass) is refused like any other object."""
-    if type(o) in (list, tuple):
-        if not o:
-            return "[]"
-        nested = type(o) is list and type(o[0]) is list
-        if nested:
-            key = id(o), level
-            text = memo.get(key)
-            if text:
-                return text
-        inner = "\n" + _INDENT * (level + 1)
-        # exact ints only (type, not isinstance: a bool is written true, not
-        # 1), whose repr is int.__repr__
-        if set(map(type, o)) == {int}:
-            items = map(repr, o)
-        else:
-            items = [_json_text(x, level + 1, memo) for x in o]
-        text = ("[" + inner + ("," + inner).join(items)
-                + "\n" + _INDENT * level + "]")
-        if nested:
-            # the text is kept from the second time on: a table met once
-            # holds no memory past its piece
-            memo[key] = text if key in memo else ""
-        return text
+def _texts(values, level: int, memo: dict) -> list[str]:
+    """The text of each of ``values``, with its first line at indent
+    ``level``.
+
+    A column of one exact type is rendered as a whole: str and int by one
+    C-level map each (type, not isinstance: a bool is written true, not 1),
+    lists and tuples flattened into one column, and dicts that share one
+    tuple of str keys by one column per key.  Any other column is rendered
+    value by value.  Only an exact list or tuple is an array: a record (a
+    namedtuple subclass) is refused like any other object."""
+    types = set(map(type, values))
+    if len(types) == 1:
+        kind, = types
+        if kind is str:
+            return list(map(encode_basestring_ascii, values))
+        if kind is int:
+            return list(map(repr, values))
+        if kind is list or kind is tuple:
+            return _array_texts(values, level, memo)
+        if kind is dict:
+            keys = set(map(tuple, values))
+            if len(keys) == 1:
+                keys, = keys
+                if all(type(k) is str for k in keys):
+                    return _dict_texts(values, tuple(sorted(keys)), level,
+                                       memo)
+        if len(values) == 1:
+            return [_value_text(values[0], level, memo)]
+    return [_texts((v,), level, memo)[0] for v in values]
+
+
+def _value_text(o, level: int, memo: dict) -> str:
+    """One value that no column rule covers: a dict subclass or a dict with
+    a key that is not an exact str, or a scalar."""
     if isinstance(o, dict):
         if not o:
             return "{}"
+        items = sorted(o.items())
         inner = "\n" + _INDENT * (level + 1)
-        # a str value is written here, not by a call per value
-        items = [_key_text(k) + ": " + (
-                     encode_basestring_ascii(v) if type(v) is str
-                     else _json_text(v, level + 1, memo))
-                 for k, v in sorted(o.items())]
-        return ("{" + inner + ("," + inner).join(items)
+        texts = _texts([v for _, v in items], level + 1, memo)
+        return ("{" + inner + ("," + inner).join(
+                    _key_text(k) + ": " + text
+                    for (k, _), text in zip(items, texts))
                 + "\n" + _INDENT * level + "}")
     return _scalar_text(o)
+
+
+def _dict_texts(dicts, keys: tuple[str, ...], level: int,
+                memo: dict) -> list[str]:
+    """Dicts with the sorted str keys ``keys``: the values under each key
+    are one column, and each row of columns fills a ``%`` template kept in
+    ``memo`` under (keys, level)."""
+    if not keys:
+        return ["{}"] * len(dicts)
+    template = memo.get((keys, level))
+    if template is None:
+        inner = "\n" + _INDENT * (level + 1)
+        template = memo[keys, level] = (
+            "{" + inner + ("," + inner).join(
+                encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                for k in keys)
+            + "\n" + _INDENT * level + "}")
+    columns = [_texts(list(map(itemgetter(k), dicts)), level + 1, memo)
+               for k in keys]
+    return [template % row for row in zip(*columns)]
+
+
+def _array_texts(arrays, level: int, memo: dict) -> list[str]:
+    """Lists, or tuples: their items, flattened into one column, are
+    rendered together and regrouped, except that arrays of exact ints are
+    each joined from their items' reprs.  A list of lists (a composition
+    table) is rendered once per indent level: its text is kept in ``memo``
+    under (id, level)."""
+    inner = "\n" + _INDENT * (level + 1)
+    sep, close = "," + inner, "\n" + _INDENT * level + "]"
+    # the type of each array's first item, None for an empty array
+    if list not in set(map(type, map(next, map(iter, arrays),
+                                     repeat(None)))):
+        if set(map(type, chain.from_iterable(arrays))) <= {int}:
+            # rows of a table and maps: no text per item is held for the
+            # whole column
+            return ["[" + inner + sep.join(map(repr, a)) + close if a
+                    else "[]" for a in arrays]
+        items = iter(_texts(list(chain.from_iterable(arrays)), level + 1,
+                            memo))
+        return ["[" + inner + sep.join(islice(items, n)) + close if n
+                else "[]" for n in map(len, arrays)]
+    texts: dict[int, str | None] = {}
+    todo = []
+    for a in arrays:
+        i = id(a)
+        if i not in texts:
+            texts[i] = "[]" if not a else memo.get((i, level))
+            if texts[i] is None:
+                todo.append(a)
+    items = iter(_texts(list(chain.from_iterable(todo)), level + 1, memo))
+    for a in todo:
+        text = texts[id(a)] = ("[" + inner + sep.join(islice(items, len(a)))
+                               + close)
+        if type(a) is list and type(a[0]) is list:
+            memo[id(a), level] = text
+    return [texts[id(a)] for a in arrays]
 
 
 def _json_pieces(o):
     """Yield the text of o in pieces: a dict piece by key, a list of
     containers piece by item, every other value whole.
 
-    A list of lists (a composition table) is rendered at most twice per
-    indent level and its text reused wherever the payload holds the same
-    list again.  The memo is keyed on ``id`` and made fresh for each call:
-    the payload keeps every list it holds alive while it is written, so no
-    id is reused inside one call."""
+    The items of a list of containers are rendered as columns of
+    ``_BLOCK`` items.  A list of lists (a composition table) is rendered
+    once per indent level and its text reused wherever the payload holds
+    the same list again.  The memo is keyed on ``id`` and made fresh for
+    each call: the payload keeps every list it holds alive while it is
+    written, so no id is reused inside one call."""
     yield from _pieces(o, 0, {})
 
 
@@ -176,12 +245,13 @@ def _pieces(o, level: int, memo: dict):
           and any(isinstance(x, (dict, list, tuple)) for x in o)):
         inner = "\n" + _INDENT * (level + 1)
         sep = "[" + inner
-        for x in o:
-            yield sep + _json_text(x, level + 1, memo)
-            sep = "," + inner
+        for start in range(0, len(o), _BLOCK):
+            for text in _texts(o[start:start + _BLOCK], level + 1, memo):
+                yield sep + text
+                sep = "," + inner
         yield "\n" + _INDENT * level + "]"
     else:
-        yield _json_text(o, level, memo)
+        yield _texts((o,), level, memo)[0]
 
 
 def _emit(args: argparse.Namespace, payload: dict,
@@ -212,7 +282,8 @@ def _resolve_universe(args: argparse.Namespace
         objects = []
         for path in args.input:
             with open(path, encoding="utf-8") as fh:
-                objects.extend(load_objects(fh.read(), backend))
+                objects.extend(load_objects(fh.read(), backend,
+                                            args.bound_size))
     else:
         raise PreconditionViolation("need --universe or --input")
     names = set()

@@ -107,10 +107,11 @@ class SpectralCategory:
     are the morphisms amin(A) -> B, so a hom set is materialized as a
     :class:`SpecClass` per map table of :func:`hom_tables`, the one hom
     cache, with no morphism built; composition is reduced to restriction
-    lookups.  Each hom set is built once and kept: the limit check reads a
-    projection out of a pullback apex by its label and never asks for a hom
-    set out of an apex.  ``exact`` is False when M itself is only a
-    bounded-search approximation.
+    lookups, made once per composition table.  Each hom set and table is
+    built once and kept: the limit check reads a projection out of a
+    pullback apex by its label and never asks for a hom set out of an apex.
+    ``exact`` is False when M itself is only a bounded-search
+    approximation.
     """
 
     def __init__(self, backend: str, M: MonoFamily,
@@ -124,6 +125,13 @@ class SpectralCategory:
         # (A, B) -> (classes of hom(A, B), class index by label)
         self._homs: dict[tuple, tuple[tuple[SpecClass, ...],
                                       dict[tuple, int]]] = {}
+        # A -> its key number; the key itself -> its number
+        self._keys: dict[FiniteObject, int] = {}
+        self._key_ids: dict[tuple, int] = {}
+        # pair of key numbers -> readers of the labels of that hom set
+        self._pair_readers: dict[tuple[int, int], list] = {}
+        # triple of key numbers -> composition table
+        self._tables: dict[tuple[int, int, int], list[list[int]]] = {}
 
     # -- hom sets ---------------------------------------------------------
 
@@ -139,20 +147,26 @@ class SpectralCategory:
         """Drop the minimal M-subobject of an unregistered object A."""
         self._amin.pop(A, None)
         self._apos.pop(A, None)
+        self._keys.pop(A, None)
 
-    def _restriction(self, A: FiniteObject, B: FiniteObject,
-                     label: tuple[int, ...]) -> list[int]:
-        """Positions in the minimal M-subobject of B of a label of
-        hom(A, B): a class c2 out of B composes with the class of that label
-        to the label read off c2's label at these positions."""
+    def _readers(self, A: FiniteObject, B: FiniteObject,
+                 labels) -> list:
+        """For each of the labels of hom(A, B), the reader of its positions
+        in the minimal M-subobject of B: a class c2 out of B composes with
+        the class of that label to the label the reader reads off c2's
+        label."""
         self.amin(B)
         bpos = self._apos[B]
-        for v in label:
-            if v not in bpos:
+        readers = []
+        for label in labels:
+            positions = list(map(bpos.get, label))
+            if None in positions:
                 raise ConsistencyError(
-                    f"class label value {v} of hom({A.id},{B.id}) "
-                    f"leaves the minimal M-subobject of {B.id}")
-        return [bpos[v] for v in label]
+                    f"class label value {label[positions.index(None)]} of "
+                    f"hom({A.id},{B.id}) leaves the minimal M-subobject of "
+                    f"{B.id}")
+            readers.append(_reader(positions))
+        return readers
 
     def _hom(self, A: FiniteObject, B: FiniteObject
              ) -> tuple[tuple[SpecClass, ...], dict[tuple, int]]:
@@ -201,75 +215,90 @@ class SpectralCategory:
         return self.class_of_label(A, B, (0,) * self.amin(A).size)
 
     def compose(self, c2: SpecClass, c1: SpecClass) -> SpecClass:
-        """Composite of c1: A -> B and c2: B -> C.
+        """Composite of c1: A -> B and c2: B -> C, read off the composition
+        table of (A, B, C)."""
+        if c1.dst != c2.src:
+            raise PreconditionViolation("classes are not composable")
+        A, C = c1.src, c2.dst
+        return self.hom(A, C)[self._table(A, c1.dst, C)[c1.index][c2.index]]
+
+    def is_invertible(self, c: SpecClass) -> bool:
+        A, B = c.src, c.dst
+        ida, idb = self.identity_class(A).index, self.identity_class(B).index
+        # d.c for each class d of hom(B, A), and the table holding c.d
+        after, before = self._table(A, B, A)[c.index], self._table(B, A, B)
+        return any(after[d] == ida and before[d][c.index] == idb
+                   for d in range(len(after)))
+
+    def _key(self, A: FiniteObject) -> int:
+        """A number for what the hom sets and composition tables of A
+        depend on: its content (backend, size, op table) and the elements
+        of its minimal M-subobject.  A class out of A is a map out of
+        amin(A), so the classes out of two objects with one key have the
+        same labels in the same order."""
+        key = self._keys.get(A)
+        if key is None:
+            key = self._keys[A] = self._key_ids.setdefault(
+                content_key(A) + (self.amin(A).elems,), len(self._key_ids))
+        return key
+
+    def _table(self, A: FiniteObject, B: FiniteObject,
+               C: FiniteObject) -> list[list[int]]:
+        """The composition table of (A, B, C): row i, column j holds the
+        index in hom(A, C) of class j of hom(B, C) after class i of
+        hom(A, B).
 
         Closure of M under composition and pullback forces every fraction
         out of A to map the minimal M-subobject of A into the minimal
-        M-subobject of B, so composition is a double restriction lookup.
-        """
-        if c1.dst != c2.src:
-            raise PreconditionViolation("classes are not composable")
-        read = _reader(self._restriction(c1.src, c1.dst, c1.label))
-        return self.class_of_label(c1.src, c2.dst, read(c2.label))
-
-    def is_invertible(self, c: SpecClass) -> bool:
-        ida, idb = self.identity_class(c.src), self.identity_class(c.dst)
-        return any(self.compose(d, c) == ida and self.compose(c, d) == idb
-                   for d in self.hom(c.dst, c.src))
-
-    def _object_keys(self) -> dict[FiniteObject, int]:
-        """A number per object for what its hom sets and composition
-        tables depend on: its content (backend, size, op table) and the
-        elements of its minimal M-subobject.  A class out of A is a map out
-        of amin(A), so the classes out of two objects with one key have the
-        same labels in the same order."""
-        key_ids: dict[tuple, int] = {}
-        return {A: key_ids.setdefault(content_key(A) + (self.amin(A).elems,),
-                                      len(key_ids))
-                for A in self.objects}
+        M-subobject of B, so a composite is a double restriction lookup.
+        The table depends on each end only through its key, so it is
+        computed once per triple of keys and triples with equal keys share
+        one list.  The minimal M-subobject is part of the key so that the
+        checks made here also hold for every triple that shares the
+        table."""
+        key = self._key(A), self._key(B), self._key(C)
+        table = self._tables.get(key)
+        if table is None:
+            readers = self._pair_readers.get(key[:2])
+            if readers is None:
+                readers = self._pair_readers[key[:2]] = self._readers(
+                    A, B, [c1.label for c1 in self.hom(A, B)])
+            index = self._hom(A, C)[1]
+            labels = [c2.label for c2 in self.hom(B, C)]
+            try:
+                table = [list(map(index.__getitem__, map(read, labels)))
+                         for read in readers]
+            except KeyError as err:
+                raise _no_class(A, C, err.args[0]) from None
+            self._tables[key] = table
+        return table
 
     # -- export -----------------------------------------------------------
 
     def to_json(self) -> dict:
         """The objects, the classes of every hom set and the composition
         table of every triple (A, B, C), in the order of ``objects``.
-
-        A class out of X is a map out of amin(X), so a composition table
-        depends on each end only through its content (backend, size, op
-        table) and the elements of its minimal M-subobject.  Each table is
-        computed once per triple of such keys, with the checks of
-        :meth:`compose`, and triples with equal keys share one list.  The
-        minimal M-subobject is part of the key so that the checks of one
-        triple also hold for every triple that shares its table."""
-        homs = []
+        Entries whose triples have equal keys share one table."""
+        objects = self.objects
+        ids = [A.id for A in objects]
+        keys = [self._key(A) for A in objects]
+        homs = [{"dom": A.id, "cod": B.id,
+                 "classes": [c.to_json() for c in self.hom(A, B)]}
+                for A in objects for B in objects]
+        tables = self._tables
         comp = []
-        pairs = [(A, B) for A in self.objects for B in self.objects]
-        for A, B in pairs:
-            homs.append({"dom": A.id, "cod": B.id,
-                         "classes": [c.to_json() for c in self.hom(A, B)]})
-        key_of = self._object_keys()
-        tables: dict[tuple[int, int, int], list[list[int]]] = {}
-        for A, B in pairs:
-            readers = None
-            for C in self.objects:
-                key = key_of[A], key_of[B], key_of[C]
-                table = tables.get(key)
-                if table is None:
-                    if readers is None:
-                        readers = [_reader(self._restriction(A, B, c1.label))
-                                   for c1 in self.hom(A, B)]
-                    index = self._hom(A, C)[1]
-                    labels = [c2.label for c2 in self.hom(B, C)]
-                    try:
-                        table = [[index[read(lab)] for lab in labels]
-                                 for read in readers]
-                    except KeyError as err:
-                        raise _no_class(A, C, err.args[0]) from None
-                    tables[key] = table
-                comp.append({"dom": A.id, "mid": B.id, "cod": C.id,
-                             "table": table})
-        return {"objects": [A.id for A in self.objects],
-                "exact": self.exact, "homs": homs, "composition": comp}
+        n = range(len(objects))
+        for a in n:
+            for b in n:
+                for c in n:
+                    # a hit skips the three key lookups of _table
+                    table = (tables.get((keys[a], keys[b], keys[c]))
+                             or self._table(objects[a], objects[b],
+                                            objects[c]))
+                    comp.append({"dom": ids[a], "mid": ids[b],
+                                 "cod": ids[c], "table": table})
+        return {"objects": ids, "exact": self.exact, "homs": homs,
+                "composition": comp}
 
 
 def build_spec(backend: str, S: MonoFamily,
@@ -337,11 +366,11 @@ def _mediator_counts(spec: SpectralCategory, W: FiniteObject,
     The classes of hom(W, apex) are the homs amin(W) -> apex, so they are
     read off the content-keyed hom tables with no class or morphism built
     per h: the label of pl.h is pl's table at the positions in amin(apex)
-    of h's values, as in :meth:`SpectralCategory.compose`."""
+    of h's values, as in :meth:`SpectralCategory._table`."""
     left, right = spec._hom(W, pl.cod)[1], spec._hom(W, pr.cod)[1]
     counts: Counter = Counter()
-    for h in hom_tables(spec.amin(W).object(), apex):
-        read = _reader(spec._restriction(W, apex, h))
+    for read in spec._readers(W, apex,
+                              hom_tables(spec.amin(W).object(), apex)):
         label_l, label_r = read(pl.table), read(pr.table)
         p, q = left.get(label_l), right.get(label_r)
         if p is None:
@@ -366,26 +395,19 @@ def verify_limit_preservation(spec: SpectralCategory,
     is asked for.  Mediators are counted on the hom tables of amin(W) ->
     apex, which the content-keyed search shares with universe objects of
     the same op table.  Every hom set and mediator count out of a probe W
-    depends on W only through its content and amin(W), the key of
-    :meth:`SpectralCategory.to_json`, so each cospan scans one probe per key
+    depends on W only through its content and amin(W), its
+    :meth:`SpectralCategory._key`, so each cospan scans one probe per key
     and counts its cones again for every later probe with that key; a
     failing cospan fails at its first failing cone, in probe order, which
     is its witness.  The apex's minimal M-subobject is dropped when its
     cospan is done."""
     reports = []
-    key_of = spec._object_keys()
-    # classes of one hom set are equal exactly when their indices are
-    after: dict[tuple, list[int]] = {}
+    key_of = {W: spec._key(W) for W in spec.objects}
 
     def composites(c: SpecClass, W: FiniteObject) -> list[int]:
-        """Indices of c.p for the classes p of hom(W, c.src), in order;
-        computed once per (class, probe), since cospans share legs."""
-        key = (c.src, c.dst, c.index, W)
-        idx = after.get(key)
-        if idx is None:
-            idx = after[key] = [spec.compose(c, p).index
-                                for p in spec.hom(W, c.src)]
-        return idx
+        """Indices of c.p for the classes p of hom(W, c.src), in order: the
+        column of c in the composition table of (W, c.src, c.dst)."""
+        return [row[c.index] for row in spec._table(W, c.src, c.dst)]
 
     def cones(pf, pg, apex, pl, pr, W):
         """One item per commuting cone (p, q) out of W over the image

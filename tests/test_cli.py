@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 from argparse import Namespace
+from collections import OrderedDict
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -184,6 +186,53 @@ def test_input_object_is_bounded_by_its_own_backend(tmp_path):
          "--input", str(desc)], capture_output=True, env=_cli_env(), timeout=10)
     assert child.returncode == 3
     assert json.loads(child.stderr)["error"] == "bound exceeded"
+
+
+def _presentation(name, degree):
+    """The symmetric group on ``degree`` points, as a permutation
+    presentation by an n-cycle and a transposition."""
+    return {"kind": "group", "name": name, "presentation": {
+        "degree": degree,
+        "permutations": [[*range(1, degree), 0],
+                         [1, 0, *range(2, degree)]]}}
+
+
+def test_bound_size_reaches_a_permutation_presentation(tmp_path, capsys):
+    """The 120-element S5 given as a presentation is refused under the
+    default group bound (60) and classified under ``--bound-size 200``,
+    with the verdicts of S5 given as its Cayley table."""
+    pres = tmp_path / "s5-pres.json"
+    pres.write_text(json.dumps(_presentation("S5", 5)))
+    table = tmp_path / "s5-cayley.json"
+    table.write_text(json.dumps({"kind": "group", "name": "S5", "cayley": [
+        list(row) for row in speccat.load_objects(pres.read_text(), None,
+                                                  200)[0].op]}))
+    code, out, err = run(capsys, "classify", "--input", str(pres))
+    assert code == 3 and out == ""
+    assert "exceeds size bound 60" in json.loads(err)["message"]
+    verdicts = []
+    for desc in (pres, table):
+        code, out, err = run(capsys, "classify", "--bound-size", "200",
+                             "--input", str(desc))
+        assert code == 0 and not err
+        verdicts.append([
+            {k: r[k] for k in ("in_S", "essential", "subobject_essential",
+                               "stable_essential")}
+            for r in json.loads(out)["reports"]])
+    # S5 has 156 subgroups
+    assert len(verdicts[0]) == 156 and verdicts[0] == verdicts[1]
+
+
+def test_large_presentation_is_refused_at_once(tmp_path, capsys):
+    """S9 (362,880 elements) given as a presentation stops at the default
+    bound while it is closed, long before it is built."""
+    desc = tmp_path / "s9.json"
+    desc.write_text(json.dumps(_presentation("S9", 9)))
+    start = perf_counter()
+    code, out, err = run(capsys, "classify", "--input", str(desc))
+    assert perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "bound exceeded"
 
 
 def test_backend_universe_mismatch(capsys):
@@ -376,6 +425,28 @@ _KEYS = st.one_of(_TEXT, st.integers(), st.floats(), st.booleans(),
 _LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
                     st.integers(-2 ** 80, 2 ** 80), st.floats(), _TEXT)
 _UNSERIALIZABLE = st.sampled_from([object(), {1}, b"1", 1j])
+# keys a % template or a JSON string must escape
+_ODD_KEYS = st.sampled_from(["%", "%s", "%%", "%(k)s", '"', "\\", "\u00e9",
+                             "\U0001f600", "", "\n"]) | _TEXT
+# a column that mixes ints with bools, None and floats
+_MIXED = st.lists(st.one_of(st.integers(), st.booleans(), st.none(),
+                            st.floats()), max_size=8)
+
+
+def _rows(keys, inner):
+    """Lists of dicts with one key set: in one key order (a column the
+    writer fills one template for), or, mapped, in two orders."""
+    rows = st.lists(st.fixed_dictionaries({k: inner for k in keys}),
+                    max_size=5)
+    return rows | rows.map(lambda ds: [dict(reversed(d.items())) if i % 2
+                                       else d for i, d in enumerate(ds)])
+
+
+def _shared(value):
+    """One value held at three indent levels and twice at one."""
+    return [{"table": value}, [value, {"t": value}], value]
+
+
 _VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
     st.lists(inner, max_size=4),
     st.lists(st.integers() | st.booleans(), max_size=6),
@@ -385,10 +456,42 @@ _VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
     st.lists(inner | _UNSERIALIZABLE, max_size=3),
     st.dictionaries(st.one_of(st.integers(), st.floats()), inner,
                     max_size=3),
+    # columns
+    st.lists(_ODD_KEYS, unique=True, max_size=4).flatmap(
+        lambda keys: _rows(keys, inner)),
+    st.lists(st.fixed_dictionaries({"v": _MIXED | inner}), max_size=4),
+    _MIXED,
+    st.lists(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=4),
+             max_size=4),
+    st.lists(st.lists(st.integers(0, 9), max_size=3), min_size=1,
+             max_size=3).map(_shared),
+    st.lists(st.lists(inner, max_size=3).map(tuple), max_size=3),
+    st.lists(st.dictionaries(_TEXT, inner, max_size=3).map(OrderedDict),
+             max_size=3),
+    st.lists(st.dictionaries(_KEYS, inner, max_size=2), max_size=3),
 ), max_leaves=12)
 
 
 _TABLE = [[0, 1], [1, 0]]
+
+
+def _composition(entries):
+    """A composition-shaped export: each of 40 tables is shared by many
+    entries, and each class dict holds two maps."""
+    objects = [f"X{i}" for i in range(13)]
+    tables = [[[(i * r + c) % 7 for c in range(i % 4 + 1)]
+               for r in range(i % 3 + 1)] for i in range(40)]
+    return {"export": {
+        "objects": objects,
+        "homs": [{"dom": a, "cod": b, "classes": [
+            {"index": i, "rep_left": {"dom": a + "0", "cod": a, "map": [0]},
+             "rep_right": {"dom": a + "0", "cod": b, "map": [i, -i]}}
+            for i in range(len(a) + len(b))]}
+            for a in objects for b in objects[:3]],
+        "composition": [{"dom": objects[i % 13], "mid": objects[i // 13 % 13],
+                         "cod": objects[i // 169 % 13],
+                         "table": tables[i * 7 % 40]}
+                        for i in range(entries)]}}
 
 
 def _deep(depth):
@@ -418,7 +521,16 @@ def _deep(depth):
 # writer keeps the text of such a list, which depends on its level
 @example(obj=[{"table": _TABLE}] * 3)
 @example(obj=[{"table": _TABLE}, [{"table": _TABLE}]] * 3)
+@example(obj=_shared(_TABLE) + [_shared(_TABLE)])
+@example(obj=[{"%s": 1, "\"": "%", "\\": [], "\u00e9": None, "": 2.5}] * 3)
+@example(obj=[{"a%%": 1, "b": 2}, {"b": 3, "a%%": 4}])
+@example(obj=[1, True, None, 2.5, -7, False, 2 ** 100, -2 ** 100])
+@example(obj=[[1, 2], (3, 4), []])
+@example(obj=_composition(5_000))
 def test_writer_text_is_the_json_dumps_text(obj):
+    """Every column the writer renders as a whole (exact str, exact int,
+    lists, dicts with one tuple of str keys) and every column it renders
+    value by value gives the text of json.dumps."""
     assert _written(obj) == _dumps(obj)
 
 
@@ -426,7 +538,8 @@ def test_writer_refuses_a_record():
     """A record is a tuple subclass; json.dumps would write it as a list,
     the writer refuses it like any other object, alone or in a list."""
     m = speccat.identity(speccat.cyclic_group(2))
-    for payload in ({"m": m}, {"m": [m]}):
+    for payload in ({"m": m}, {"m": [m]}, {"m": [{"a": m}, {"a": m}]},
+                    {"m": [[m, m]]}):
         with pytest.raises(TypeError):
             list(_json_pieces(payload))
 

@@ -381,7 +381,7 @@ def test_keyed_probes_match_the_per_probe_loop(family):
     """The three order-2 subgroups of s3-subgroups share one probe key, so
     two of them are counted from the first."""
     spec = _spec_over(family, "s3-subgroups")
-    keys = spec._object_keys()
+    keys = {A: spec._key(A) for A in spec.objects}
     assert len(set(keys.values())) < len(keys)
     cospans = registry.registered_cospans("s3-subgroups")
     got = [(r.cospan, r.status, r.cones_checked, r.witness)
@@ -648,6 +648,41 @@ def test_export_schema_and_determinism(z4_universe):
             if h["dom"] == block["dom"] and h["cod"] == block["mid"])["classes"])
 
 
+def _restriction_compose(spec, c2, c1):
+    """The composite of c1: A -> B and c2: B -> C computed for this one
+    pair, with no composition table: c2's label read at the positions in
+    amin(B) of c1's label, looked up among the classes of hom(A, C)."""
+    if c1.dst != c2.src:
+        raise PreconditionViolation("classes are not composable")
+    bpos = {e: i for i, e in enumerate(spec.amin(c1.dst).elems)}
+    for v in c1.label:
+        if v not in bpos:
+            raise ConsistencyError(f"label value {v} leaves amin")
+    return spec.class_of_label(c1.src, c2.dst,
+                               tuple(c2.label[bpos[v]] for v in c1.label))
+
+
+def _composable_pairs(spec):
+    objects = spec.objects
+    for A in objects:
+        for B in objects:
+            for C in objects:
+                for c1 in spec.hom(A, B):
+                    for c2 in spec.hom(B, C):
+                        yield c2, c1
+
+
+def _oracle_mismatches(spec):
+    """The composable pairs on which ``spec.compose`` and the per-pair
+    oracle disagree, and the number of pairs."""
+    bad, pairs = [], 0
+    for c2, c1 in _composable_pairs(spec):
+        pairs += 1
+        if spec.compose(c2, c1) != _restriction_compose(spec, c2, c1):
+            bad.append((c2, c1))
+    return bad, pairs
+
+
 # pointed sets carry no op table: their content key rests on the size
 @pytest.mark.parametrize("name", ["s3-subgroups", "z4-chain", "pointed-le-4"])
 def test_export_composition_tables_match_compose(name):
@@ -658,10 +693,82 @@ def test_export_composition_tables_match_compose(name):
         A, B, C = by_id[block["dom"]], by_id[block["mid"]], by_id[block["cod"]]
         assert len(block["table"]) == len(spec.hom(A, B))
         for c1, row in zip(spec.hom(A, B), block["table"]):
-            assert row == [spec.compose(c2, c1).index
+            assert row == [_restriction_compose(spec, c2, c1).index
                            for c2 in spec.hom(B, C)]
             entries += len(row)
     assert entries
+
+
+@pytest.mark.parametrize("name", ["s3-subgroups", "z4-chain", "pointed-le-4"])
+def test_compose_and_division_check_match_the_per_pair_oracle(name):
+    """Every composable pair, read off the composition tables, against
+    the per-pair oracle; and each endomorphism monoid's invertibles
+    against the oracle's."""
+    spec = _spec_over("se", name)
+    bad, pairs = _oracle_mismatches(spec)
+    assert pairs and not bad
+    for A in spec.objects:
+        ida = spec.identity_class(A)
+        invertible = tuple(
+            c.index for c in spec.hom(A, A)
+            if any(_restriction_compose(spec, d, c) == ida
+                   and _restriction_compose(spec, c, d) == ida
+                   for d in spec.hom(A, A)))
+        assert end_spec_division_check(A, spec).invertible == invertible
+
+
+class _CountingTables(dict):
+    """A table cache that counts how often each key is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = Counter()
+
+    def __setitem__(self, key, value):
+        self.stored[key] += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("name", ["s3-subgroups", "z4-chain", "pointed-le-4"])
+def test_each_key_triple_table_is_computed_once(name):
+    """The export, every composite, the division checks and the limit
+    check all read one table per key triple, computed once; the export's
+    entries hold that very list."""
+    spec = _spec_over("se", name)
+    spec._tables = tables = _CountingTables()
+    export = spec.to_json()
+    for A in spec.objects:
+        end_spec_division_check(A, spec)
+    verify_limit_preservation(spec, registry.registered_cospans(name))
+    for c2, c1 in _composable_pairs(spec):
+        spec.compose(c2, c1)
+    assert spec.to_json() == export
+    key = {A.id: spec._key(A) for A in spec.objects}
+    triples = {(key[e["dom"]], key[e["mid"]], key[e["cod"]])
+               for e in export["composition"]}
+    assert set(tables.stored) == triples
+    assert set(tables.stored.values()) == {1}
+    for e in export["composition"]:
+        assert e["table"] is tables[key[e["dom"]], key[e["mid"]],
+                                    key[e["cod"]]]
+    if name == "s3-subgroups":
+        # the three order-2 subgroups share one key
+        assert len(triples) < len(export["composition"])
+
+
+def test_swapped_table_cells_fail_the_oracle():
+    """Swap two different cells of one composition table: the composites
+    read from it no longer match the per-pair oracle."""
+    spec = _spec_over("se", "s3-subgroups")
+    spec.to_json()
+    table = next(t for t in spec._tables.values()
+                 if len({x for row in t for x in row}) > 1)
+    cells = [(i, j) for i, row in enumerate(table) for j in range(len(row))]
+    (i, j), (k, m) = next((a, b) for a in cells for b in cells
+                          if table[a[0]][a[1]] != table[b[0]][b[1]])
+    table[i][j], table[k][m] = table[k][m], table[i][j]
+    bad, _ = _oracle_mismatches(spec)
+    assert bad
 
 
 def test_export_does_not_share_tables_across_minimal_subobjects():
