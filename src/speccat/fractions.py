@@ -226,7 +226,7 @@ def check_focal(M: MonoFamily, universe: list[FiniteObject]) -> list[ConditionRe
 
     f2 = _first_failure_by_key(
         (s for A in universe for sX in universe for s in members(sX, A)),
-        canonical_mono, squares)
+        canonical_mono, lambda s: _first_failure(squares(s)))
 
     reports = [_report(ConditionReport, "F0", _first_failure(f0)),
                _report(ConditionReport, "F1", _first_failure(f1())),

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cache, cached_property
-from operator import itemgetter
 
 from .catcore import (
     NORMAL_BACKENDS,
@@ -468,20 +467,21 @@ def _composable(monos: dict[tuple, tuple]):
             yield inner, outer
 
 
-def _first_failure_by_key(items, key, cases) -> tuple[int, dict | None]:
+def _first_failure_by_key(items, key, decide) -> tuple[int, dict | None]:
     """(checked, witness) of a first-failure check whose cases come in one
     group per item, where whether a group passes, and its count when it
-    does, depend only on ``key(item)``.  ``cases(item)`` yields the group as
-    for :func:`_first_failure`.  Each key is scanned once: a key that passed
-    adds its count again, and a failing key fails at its first item, so the
-    count and witness are those of one scan per item."""
+    does, depend only on ``key(item)``.  ``decide(item)`` returns the
+    group's (checked, witness), as :func:`_first_failure` does for it.
+    Each key is decided once: a key that passed adds its count again for
+    each later item with that key, and a failing key fails at its first
+    item, so the count and witness are those of one scan per item."""
     passed: dict = {}
     checked = 0
     for item in items:
         k = key(item)
         n = passed.get(k)
         if n is None:
-            n, witness = _first_failure(cases(item))
+            n, witness = decide(item)
             if witness is not None:
                 return checked + n, witness
             passed[k] = n
@@ -512,33 +512,36 @@ def _pullback_stable_law(monos: dict[tuple, tuple], universe: list[FiniteObject]
 
     ``member`` is asked about (codomain, image) keys, and its answer
     depends on an object only through ``key``.  So the pullbacks of a mono
-    along the maps out of a probe W depend only on (key of the codomain,
-    image, key of W), and each such triple is decided once: a member key is
-    scanned once, and against each probe key once.  The scan runs in the
-    order of one scan per (mono, probe), so a failing law fails at its
+    depend only on its member key (key of the codomain, image), and those
+    along the maps out of a probe W only on that and key(W).  A member key
+    is decided against every probe the first time it is met, each probe
+    key once, and each later mono with that key adds its total.  Against
+    one probe, ``member`` is asked once per distinct preimage; when one is
+    not a member, the maps are scanned in order.  So the scan runs in the
+    order of one scan per (mono, probe), and a failing law fails at its
     first failing pullback, with that pullback as its witness."""
-    probes = [(W, key(W)) for W in universe]
 
-    def items():
-        """(key, mono, image, probe) per member mono and probe, in order."""
-        for ms in monos.values():
-            for m in ms:
-                Y, image = canonical_mono(m)
-                if member((Y, image)):
-                    k = key(Y), image
-                    for W, kw in probes:
-                        yield (k, kw), m, image, W
-
-    def pullbacks(item):
-        _, m, image, W = item
-        Y = m.cod
+    def pullbacks(m, W):
+        Y, image = m.cod, m.image
         for t in hom_tables(W, Y):
             pre = preimage(t, image)
             yield None if member((W, pre)) else _jsonable(
                 mono=m, along=ConcreteMorphism(W, Y, t),
                 pulled=_inclusion(W, pre))
 
-    return _first_failure_by_key(items(), itemgetter(0), pullbacks)
+    def along(m, W):
+        tables, image = hom_tables(W, m.cod), m.image
+        if all(member((W, pre))
+               for pre in {preimage(t, image) for t in tables}):
+            return len(tables), None
+        return _first_failure(pullbacks(m, W))
+
+    def along_every_probe(m):
+        return _first_failure_by_key(universe, key, lambda W: along(m, W))
+
+    return _first_failure_by_key(
+        (m for ms in monos.values() for m in ms if member(canonical_mono(m))),
+        lambda m: (key(m.cod), m.image), along_every_probe)
 
 
 def _composite_scan(monos: dict[tuple, tuple], laws,
@@ -703,14 +706,23 @@ def closure_law_suite(universe: list[FiniteObject],
                                                     key_of)))
 
     # -- a second mono factor is a pullback of the composite --------------
-    # decided once per content triple of a block, which fixes its monos
+    # the pullback of m.m' along m is the pairs (x, y) with m(m'(x)) = m(y),
+    # read off the tables; decided once per content triple of a block,
+    # which fixes its monos
     def inner_factors(block):
         inner, outer = block
+        fibres = []
+        for m in outer:
+            fibre: dict[int, list[int]] = {}
+            for y, z in enumerate(m.table):
+                fibre.setdefault(z, []).append(y)
+            fibres.append(fibre)
         for mp in inner:
-            for m in outer:
-                pb = pullback(compose(m, mp), m)
-                yield (None if pb.apex.size == mp.dom.size
-                       and pb.proj_right.image == mp.image
+            for m, fibre in zip(outer, fibres):
+                # the y of each pair, one x after another: m'(x) runs over
+                # the table of m'
+                ys = [y for v in mp.table for y in fibre[m.table[v]]]
+                yield (None if len(ys) == mp.dom.size and set(ys) == mp.image
                        else _jsonable(inner=mp, outer=m))
 
     reports.append(_report(
@@ -719,7 +731,7 @@ def closure_law_suite(universe: list[FiniteObject],
             _composable(monos),
             lambda block: (content(block[0][0].dom), content(block[0][0].cod),
                            content(block[1][0].cod)),
-            inner_factors)))
+            lambda block: _first_failure(inner_factors(block)))))
     return reports
 
 
@@ -763,11 +775,12 @@ def s_class_report(S: MonoFamily, universe: list[FiniteObject]) -> list[LawRepor
     S-membership is decided once per (codomain, image) key.  Every other
     decision is made once per content key (backend, size, op table) of the
     objects it involves, or per object for an explicit S, which names
-    objects: the pullback law decides each (member key, probe) pair once
-    per (content of the codomain, image, content of the probe), and the
-    composition and cancellation laws decide each block of composable
-    pairs once per content triple (see :func:`_composite_scan`).  Counts
-    and witnesses are those of one scan per mono."""
+    objects: the pullback law decides each member key (content of the
+    codomain, image) once, against each content of a probe once (see
+    :func:`_pullback_stable_law`), and the composition and cancellation
+    laws decide each block of composable pairs once per content triple
+    (see :func:`_composite_scan`).  Counts and witnesses are those of one
+    scan per mono."""
     monos = monos_between(universe)
     key_of = _object_keys(universe, S).__getitem__
     decided: dict[tuple, bool] = {}

@@ -22,7 +22,9 @@ from .errors import ConsistencyError, PreconditionViolation
 from .limits import PullbackResult, pullback
 from .monoclasses import (
     MonoFamily,
+    _first_failure,
     _first_failure_by_key,
+    _object_keys,
     _report,
     s_class_report,
     stable_essential_family,
@@ -309,7 +311,12 @@ def build_spec(backend: str, S: MonoFamily,
     Refuses to build when S fails its required hypotheses on the universe
     (pullback stability, isomorphisms, composition, strong left cancellation);
     with ``verify`` every hom set of the spec, as ``to_json`` exports it, is
-    counted against the independent span-quotient construction.
+    counted against the independent span-quotient construction.  The span
+    quotient of hom(A, B) depends on A only through its key in S (its
+    content, or the object itself for an explicit S) and its
+    :meth:`SpectralCategory._key`, and on B only through its content, so it
+    is built once per such key and compared with every hom set of the key,
+    pair by pair in universe order.
     """
     failures = [r for r in s_class_report(S, universe) if r.status != "pass"]
     if failures:
@@ -319,16 +326,21 @@ def build_spec(backend: str, S: MonoFamily,
     M = stable_essential_family(backend, S, universe)
     spec = SpectralCategory(backend, M, universe)
     if verify:
+        s_key, content = _object_keys(universe, S), _object_keys(universe)
+        counted: dict[tuple, int] = {}
         for A in universe:
             for B in universe:
                 # the spec first: an object with no M-member fails there
                 direct = spec.hom(A, B)
-                quotient = poincare_hom(A, B, M)
-                if len(quotient) != len(direct):
+                key = s_key[A], spec._key(A), content[B]
+                n = counted.get(key)
+                if n is None:
+                    n = counted[key] = len(poincare_hom(A, B, M))
+                if n != len(direct):
                     raise ConsistencyError(
-                        f"hom({A.id},{B.id}): span quotient has "
-                        f"{len(quotient)} classes but hom from the minimal "
-                        f"M-subobject has {len(direct)} elements")
+                        f"hom({A.id},{B.id}): span quotient has {n} classes "
+                        f"but hom from the minimal M-subobject has "
+                        f"{len(direct)} elements")
     return spec
 
 
@@ -358,19 +370,20 @@ class ConePreservationReport(namedtuple(
 
 
 def _mediator_counts(spec: SpectralCategory, W: FiniteObject,
-                     apex: FiniteObject, pl: ConcreteMorphism,
-                     pr: ConcreteMorphism) -> Counter:
+                     pl: ConcreteMorphism, pr: ConcreteMorphism,
+                     readers: list) -> Counter:
     """For the projections pl, pr out of a pullback apex, restricted to
     amin(apex): how many classes h of hom(W, apex) give each (pl.h, pr.h).
 
     The classes of hom(W, apex) are the homs amin(W) -> apex, so they are
     read off the content-keyed hom tables with no class or morphism built
-    per h: the label of pl.h is pl's table at the positions in amin(apex)
-    of h's values, as in :meth:`SpectralCategory._table`."""
+    per h: ``readers`` holds the reader of each hom amin(W) -> apex, from
+    :meth:`SpectralCategory._readers`, and the label of pl.h is pl's table
+    at the positions in amin(apex) of h's values, as in
+    :meth:`SpectralCategory._table`."""
     left, right = spec._hom(W, pl.cod)[1], spec._hom(W, pr.cod)[1]
     counts: Counter = Counter()
-    for read in spec._readers(W, apex,
-                              hom_tables(spec.amin(W).object(), apex)):
+    for read in readers:
         label_l, label_r = read(pl.table), read(pr.table)
         p, q = left.get(label_l), right.get(label_r)
         if p is None:
@@ -396,25 +409,41 @@ def verify_limit_preservation(spec: SpectralCategory,
     apex, which the content-keyed search shares with universe objects of
     the same op table.  Every hom set and mediator count out of a probe W
     depends on W only through its content and amin(W), its
-    :meth:`SpectralCategory._key`, so each cospan scans one probe per key
-    and counts its cones again for every later probe with that key; a
-    failing cospan fails at its first failing cone, in probe order, which
-    is its witness.  The apex's minimal M-subobject is dropped when its
-    cospan is done."""
+    :meth:`SpectralCategory._key`, so each cospan decides one probe per key
+    and counts its cones again for every later probe with that key.
+
+    A probe passes without a visit to its cones when the mediator count
+    has exactly one entry per commuting cone: every entry commutes, counts
+    1, and there are as many entries as commuting cones.  Otherwise its
+    cones are scanned in the order (p, q), so a failing cospan fails at its
+    first failing cone, in probe order, which is its witness.  Within one
+    call the composite columns and the mediator readers are kept by
+    integer keys, built once each.  The apex's minimal
+    M-subobject is dropped when its cospan is done."""
     reports = []
     key_of = {W: spec._key(W) for W in spec.objects}
+    # (probe key, class key) -> the composite column of the class and the
+    # count of each value in it; (probe key, apex key) -> the readers of
+    # hom(amin(W), apex).
+    # An apex key numbers what the readers depend on, as _key does, here
+    # rather than in the spec, which keeps no apex state.
+    columns: dict[tuple, tuple[list[int], Counter]] = {}
+    readers: dict[tuple[int, int], list] = {}
+    apex_keys: dict[tuple, int] = {}
 
-    def composites(c: SpecClass, W: FiniteObject) -> list[int]:
+    def column(c: SpecClass, kc: tuple, W: FiniteObject, kw: int):
         """Indices of c.p for the classes p of hom(W, c.src), in order: the
         column of c in the composition table of (W, c.src, c.dst)."""
-        return [row[c.index] for row in spec._table(W, c.src, c.dst)]
+        hit = columns.get((kw, kc))
+        if hit is None:
+            col = [row[c.index] for row in spec._table(W, c.src, c.dst)]
+            hit = columns[kw, kc] = col, Counter(col)
+        return hit
 
-    def cones(pf, pg, apex, pl, pr, W):
+    def cones(pf, pg, pf_p, pg_q, mediators, W):
         """One item per commuting cone (p, q) out of W over the image
         cospan: None when it has exactly one mediator, the witness when it
         does not."""
-        pf_p, pg_q = composites(pf, W), composites(pg, W)
-        mediators = _mediator_counts(spec, W, apex, pl, pr)
         # the q with each composite, in hom order: the commuting pairs
         qs_at: dict[int, list[SpecClass]] = {}
         for q in spec.hom(W, pg.src):
@@ -425,6 +454,23 @@ def verify_limit_preservation(spec: SpectralCategory,
                 yield None if n == 1 else _jsonable(
                     probe=W.id, p=p, q=q, mediators=n)
 
+    def decide(pf, kf, pg, kg, apex, ka, pl, pr, W):
+        """(checked, witness) of the cones out of W over the image cospan."""
+        kw = key_of[W]
+        pf_p, f_values = column(pf, kf, W, kw)
+        pg_q, g_values = column(pg, kg, W, kw)
+        read = readers.get((kw, ka))
+        if read is None:
+            read = readers[kw, ka] = spec._readers(
+                W, apex, hom_tables(spec.amin(W).object(), apex))
+        mediators = _mediator_counts(spec, W, pl, pr, read)
+        commuting = sum(n * g_values[v] for v, n in f_values.items())
+        if (len(mediators) == commuting
+                and all(n == 1 for n in mediators.values())
+                and all(pf_p[p] == pg_q[q] for p, q in mediators)):
+            return commuting, None
+        return _first_failure(cones(pf, pg, pf_p, pg_q, mediators, W))
+
     for f, g in cospans:
         pb: PullbackResult = pullback(f, g)
         pf, pg = canonical_functor(f, spec), canonical_functor(g, spec)
@@ -432,9 +478,13 @@ def verify_limit_preservation(spec: SpectralCategory,
         pl, pr = (ConcreteMorphism(amin.object(), proj.cod,
                                    tuple(proj.table[e] for e in amin.elems))
                   for proj in (pb.proj_left, pb.proj_right))
+        kf = spec._key(f.dom), spec._key(f.cod), pf.index
+        kg = spec._key(g.dom), spec._key(g.cod), pg.index
+        ka = apex_keys.setdefault(content_key(pb.apex) + (amin.elems,),
+                                  len(apex_keys))
         result = _first_failure_by_key(
             spec.objects, key_of.__getitem__,
-            partial(cones, pf, pg, pb.apex, pl, pr))
+            partial(decide, pf, kf, pg, kg, pb.apex, ka, pl, pr))
         spec._forget(pb.apex)
         reports.append(_report(
             ConePreservationReport,

@@ -250,6 +250,62 @@ def test_pointed_sets_share_hom_tables_by_size(empty_hom_caches):
     assert len(empty_hom_caches._HOM_TABLES) == 3
 
 
+def _reference_element_words(A, gens):
+    """Each element of A as a word (sequence of generator indices)."""
+    words = [None] * A.size
+    words[0] = ()
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gi, g in enumerate(gens):
+                y = A.op[x][g]
+                if words[y] is None:
+                    words[y] = words[x] + (gi,)
+                    nxt.append(y)
+        frontier = nxt
+    assert all(w is not None for w in words)
+    return words
+
+
+def _reference_search_hom_tables(A, B):
+    """The group hom search as it was before the spanning-tree check: each
+    candidate's table is evaluated word by word, then tested against the
+    homomorphism law on every pair of elements."""
+    gens = catcore.generating_sequence(A)
+    words = _reference_element_words(A, gens)
+    choice_sets = [[b for b in B.elements
+                    if element_order(A, g) % element_order(B, b) == 0]
+                   for g in gens]
+    tables = []
+    for images in itertools.product(*choice_sets):
+        table = []
+        for w in words:
+            v = 0
+            for gi in w:
+                v = B.op[v][images[gi]]
+            table.append(v)
+        if all(table[A.op[a][b]] == B.op[table[a]][table[b]]
+               for a in A.elements for b in A.elements):
+            tables.append(tuple(table))
+    return tuple(sorted(set(tables)))
+
+
+def test_spanning_tree_search_matches_the_word_search():
+    """Every ordered pair of distinct contents over four group universes
+    (22 contents, 484 pairs): the spanning-tree search finds the tables
+    that the word evaluation and full homomorphism test find."""
+    contents = {}
+    for name in ("s3-subgroups", "s4-subgroups", "order-le-24", "a5-chain"):
+        for X in registry.universe(name):
+            contents.setdefault(catcore.content_key(X), X)
+    assert len(contents) == 22
+    for A in contents.values():
+        for B in contents.values():
+            assert catcore._search_hom_tables(A, B) == \
+                _reference_search_hom_tables(A, B), (A, B)
+
+
 # ---------------------------------------------------------------------------
 # Subalgebras
 # ---------------------------------------------------------------------------

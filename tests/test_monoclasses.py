@@ -1,6 +1,7 @@
 """Essential, subobject-essential and pullback stable essential monos, the
 closure-law harness, and the hypothesis harness for the designated class S."""
 
+import sys
 from functools import cache
 
 import pytest
@@ -414,9 +415,10 @@ def _reference_s_class_report(S, universe):
 
 
 def _reference_closure_laws(universe, S):
-    """The composition-shaped and pullback-stability laws of
+    """The composition-shaped, pullback-stability and inner-factor laws of
     closure_law_suite as they were before the per-(codomain, image) memo and
-    the outer monos indexed by domain."""
+    the outer monos indexed by domain.  The inner-factor law builds the
+    generic pullback of m.m' along m for every composable pair."""
     monos = monos_between(universe)
     in_e, in_se, in_st = monoclasses._mono_flags(universe, S)
     reports = []
@@ -650,6 +652,26 @@ def test_closure_laws_match_per_mono_loops(universe_name, kind):
     got = {r.law_id: (r.law_id, r.status, r.checked, r.witness)
            for r in closure_law_suite(universe, S)}
     assert [got[law[0]] for law in reference] == reference
+
+
+def test_inner_factor_law_fails_where_the_generic_pullback_fails(
+        monkeypatch):
+    """With the zero map Z2 -> Z4 slipped in among the monos of z4-chain,
+    the pullback of m.m' along it has two pairs per element of dom m': the
+    law decided from tables fails at the pair, and with the count, at which
+    the generic pullback loop fails."""
+    universe = registry.universe("z4-chain")
+    _, z2, z4 = universe
+    monos = dict(monos_between(universe))
+    monos[z2, z4] += (ConcreteMorphism(z2, z4, (0, 0)),)
+    for namespace in (monoclasses, sys.modules[__name__]):
+        monkeypatch.setattr(namespace, "monos_between", lambda U: monos)
+    S = MonoFamily(ALL_MONOS)
+    want = _reference_closure_laws(universe, S)[-1]
+    assert want[:2] == ("inner-factor-is-pullback-of-composite", "fail")
+    got = {r.law_id: (r.law_id, r.status, r.checked, r.witness)
+           for r in closure_law_suite(universe, S)}
+    assert got[want[0]] == want
 
 
 def test_keys_outside_S_are_not_stable_essential():

@@ -2,6 +2,7 @@
 limit preservation, uniform objects, and division-monoid endomorphisms."""
 
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -34,7 +35,7 @@ from speccat import (
     verify_limit_preservation,
 )
 from speccat import catcore, registry, spectral
-from speccat.catcore import AB, GRP
+from speccat.catcore import AB, GRP, hom_tables
 from speccat.monoclasses import (ESSENTIAL_FAMILY, EXPLICIT, ISO_FAMILY,
                                  SE_FAMILY)
 
@@ -85,6 +86,92 @@ def test_cross_check_fails_on_a_short_span_quotient(monkeypatch, z4_universe):
     monkeypatch.setattr(spectral, "poincare_hom", short)
     with pytest.raises(ConsistencyError, match="span quotient has"):
         build_spec(AB, MonoFamily(ALL_MONOS), z4_universe, verify=True)
+
+
+def _per_object_cross_check(spec, universe):
+    """The cross-check of build_spec as it was before it was keyed: the
+    span quotient of every ordered pair of objects, counted against the
+    spec's hom set.  Raises the same ConsistencyError."""
+    for A in universe:
+        for B in universe:
+            direct = spec.hom(A, B)
+            quotient = spectral.poincare_hom(A, B, spec.M)
+            if len(quotient) != len(direct):
+                raise ConsistencyError(
+                    f"hom({A.id},{B.id}): span quotient has "
+                    f"{len(quotient)} classes but hom from the minimal "
+                    f"M-subobject has {len(direct)} elements")
+
+
+@pytest.mark.parametrize("name,calls", [("s3-subgroups", 16),
+                                        ("s4-subgroups", 169)])
+def test_cross_check_builds_one_span_quotient_per_key(monkeypatch, name,
+                                                      calls):
+    """The span quotient is built once per (key of A, content of B): 4 and
+    13 content keys, against 36 and 900 ordered pairs of objects."""
+    full, built = spectral.poincare_hom, [0]
+
+    def counted(*args):
+        built[0] += 1
+        return full(*args)
+
+    monkeypatch.setattr(spectral, "poincare_hom", counted)
+    build_spec(GRP, MonoFamily(ALL_MONOS), registry.universe(name),
+               verify=True)
+    assert built[0] == calls
+
+
+_GROUP_UNIVERSES = [name for name in registry.UNIVERSES
+                    if registry.universe_backend(name) != catcore.PSET]
+
+
+@pytest.mark.parametrize("name", _GROUP_UNIVERSES)
+def test_keyed_cross_check_matches_the_per_object_loop(monkeypatch, name):
+    """Both checks pass on every named group universe.  With a span
+    quotient that loses a class wherever A has the content of the first
+    nonzero object and B is the last object, both fail at the same first
+    pair, with the same message."""
+    universe, backend = registry.universe(name), registry.universe_backend(name)
+    S = MonoFamily(ALL_MONOS)
+    _per_object_cross_check(build_spec(backend, S, universe, verify=True),
+                            universe)
+    full, first = spectral.poincare_hom, catcore.content_key(universe[1])
+
+    def short(A, B, M):
+        classes = full(A, B, M)
+        return (classes[1:] if catcore.content_key(A) == first
+                and B == universe[-1] else classes)
+
+    monkeypatch.setattr(spectral, "poincare_hom", short)
+    with pytest.raises(ConsistencyError) as keyed:
+        build_spec(backend, S, universe, verify=True)
+    with pytest.raises(ConsistencyError) as loop:
+        _per_object_cross_check(build_spec(backend, S, universe, verify=False),
+                                universe)
+    assert str(keyed.value) == str(loop.value)
+    assert f"hom({universe[1].id},{universe[-1].id})" in str(keyed.value)
+
+
+def test_explicit_S_cross_checks_every_object(monkeypatch):
+    """An explicit S names objects, so the cross-check is keyed on the
+    source object itself: a span quotient short only out of the second of
+    the three order-2 subgroups of S3, which share their content, is
+    caught there."""
+    universe = registry.universe("s3-subgroups")
+    second, s3 = universe[2], universe[-1]
+    assert catcore.content_key(second) == catcore.content_key(universe[1])
+    S = MonoFamily.explicit(
+        m for X in universe for Y in universe for m in enumerate_monos(X, Y))
+    full = spectral.poincare_hom
+
+    def short(A, B, M):
+        classes = full(A, B, M)
+        return classes[1:] if A == second and B == s3 else classes
+
+    monkeypatch.setattr(spectral, "poincare_hom", short)
+    with pytest.raises(ConsistencyError,
+                       match=re.escape(f"hom({second.id},{s3.id})")):
+        build_spec(GRP, S, universe, verify=True)
 
 
 def test_minimal_subobject_is_computed_once_per_object(monkeypatch):
@@ -355,7 +442,9 @@ def _per_probe_limit_preservation(spec, cospans):
         for W in spec.objects:
             pf_p = [spec.compose(pf, p).index for p in spec.hom(W, f.dom)]
             pg_q = [spec.compose(pg, q).index for q in spec.hom(W, g.dom)]
-            mediators = spectral._mediator_counts(spec, W, pb.apex, pl, pr)
+            readers = spec._readers(
+                W, pb.apex, hom_tables(spec.amin(W).object(), pb.apex))
+            mediators = spectral._mediator_counts(spec, W, pl, pr, readers)
             for p in spec.hom(W, f.dom):
                 for q in spec.hom(W, g.dom):
                     if pf_p[p.index] != pg_q[q.index]:
@@ -419,6 +508,50 @@ def test_keyed_probes_fail_where_the_per_probe_loop_fails(monkeypatch, size):
                                                          else 4].id}
 
 
+@pytest.mark.parametrize("name", ["s3-subgroups", "s4-subgroups"])
+def test_a_non_commuting_mediator_sends_the_probe_to_its_cones(monkeypatch,
+                                                               name):
+    """A probe passes uncounted cone by cone only when its mediator count
+    has one entry per commuting cone.  A count with one more entry, a
+    non-commuting (p, q) counted once, makes every such probe scan its
+    cones instead; they all pass, with the counts of the per-probe loop.
+    On the true counts no probe scans its cones."""
+    spec = _spec_over("se", name)
+    cospans = registry.registered_cospans(name)[::7]
+    scans, full_scan = [0], spectral._first_failure
+
+    def counted_scan(cases):
+        scans[0] += 1
+        return full_scan(cases)
+
+    monkeypatch.setattr(spectral, "_first_failure", counted_scan)
+    want = _per_probe_limit_preservation(_spec_over("se", name), cospans)
+    got = [(r.cospan, r.status, r.cones_checked, r.witness)
+           for r in verify_limit_preservation(spec, cospans)]
+    assert got == want and scans[0] == 0
+
+    counts, extra = spectral._mediator_counts, [0]
+
+    def with_extra(spec, W, pl, pr, *args):
+        """The true counts, plus the first (p, q) they leave out.  Every
+        commuting cone has a mediator, so that pair does not commute."""
+        got = counts(spec, W, pl, pr, *args)
+        pq = next(((p, q) for p in range(len(spec.hom(W, pl.cod)))
+                   for q in range(len(spec.hom(W, pr.cod)))
+                   if (p, q) not in got), None)
+        if pq is not None:
+            got[pq] = 1
+            extra[0] += 1
+        return got
+
+    monkeypatch.setattr(spectral, "_mediator_counts", with_extra)
+    got = [(r.cospan, r.status, r.cones_checked, r.witness)
+           for r in verify_limit_preservation(_spec_over("se", name), cospans)]
+    assert got == want
+    assert all(status == "pass" for _, status, _, _ in got)
+    assert scans[0] == extra[0] > 0
+
+
 def test_mediator_count_checks_hom_values_against_the_apex(monkeypatch):
     """The mediator count refuses a hom into the apex with a value outside
     the minimal M-subobject of the apex.  Dropping the top element of each
@@ -440,6 +573,18 @@ def test_mediator_count_checks_hom_values_against_the_apex(monkeypatch):
                                   registry.registered_cospans("s3-subgroups"))
 
 
+def _assert_no_apex_state(spec):
+    """The spec keeps hom sets, minimal M-subobjects and key numbers of
+    registered objects only."""
+    objects = set(spec.objects)
+    assert spec._homs
+    assert all(A in objects and B in objects for A, B in spec._homs)
+    assert set(spec._amin) <= objects and set(spec._apos) <= objects
+    assert set(spec._keys) <= objects
+    assert sorted(spec._key_ids.values()) == sorted(
+        set(map(spec._key, objects)))
+
+
 def test_limit_preservation_keeps_no_apex_state():
     """Once checked, a cospan leaves nothing behind about its pullback apex:
     the spec keeps hom sets and minimal M-subobjects of registered objects
@@ -448,10 +593,20 @@ def test_limit_preservation_keeps_no_apex_state():
     cospans = registry.registered_cospans("s3-subgroups")
     assert all(r.status == "pass"
                for r in verify_limit_preservation(spec, cospans))
-    objects = set(spec.objects)
-    assert spec._homs
-    assert all(A in objects and B in objects for A, B in spec._homs)
-    assert set(spec._amin) <= objects and set(spec._apos) <= objects
+    _assert_no_apex_state(spec)
+
+
+def test_limit_check_numbers_no_apex_in_the_spec():
+    """Pointed cospans with 5-element apexes, a content no registered object
+    has: the apex keys of the mediator readers are numbered within the call
+    and leave no key number in the spec."""
+    spec = _spec_over(ISO_FAMILY, "pointed-le-4")
+    cospans = [(f, g) for f, g, size in _pointed_hom_cospans()
+               if size == 5][:4]
+    assert len(cospans) == 4
+    assert all(r.status == "pass"
+               for r in verify_limit_preservation(spec, cospans))
+    _assert_no_apex_state(spec)
 
 
 def test_limit_check_asks_for_no_hom_set_out_of_an_apex(monkeypatch):
