@@ -83,26 +83,13 @@ _BLOCK = 256
 
 
 def _scalar_text(o) -> str:
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == float("inf"):
-            return "Infinity"
-        if o == float("-inf"):
-            return "-Infinity"
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} "
-                    f"is not JSON serializable")
+    """json's text of a scalar.  A list or tuple that reaches here is a
+    subclass, such as a record, which json.dumps would write as an array:
+    it is refused like any other object."""
+    if isinstance(o, (list, tuple)):
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        f"is not JSON serializable")
+    return json.dumps(o)
 
 
 def _key_text(key) -> str:
@@ -110,7 +97,7 @@ def _key_text(key) -> str:
         return encode_basestring_ascii(key)
     # bools are ints; none of these texts needs escaping
     if key is None or isinstance(key, (int, float)):
-        return '"' + _scalar_text(key) + '"'
+        return '"' + json.dumps(key) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {key.__class__.__name__}")
 

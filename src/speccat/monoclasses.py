@@ -90,6 +90,8 @@ class MonoFamily(_Validated, namedtuple(
             raise PreconditionViolation(f"unknown mono class kind {self.kind!r}")
         if self.kind == EXPLICIT and self.members is None:
             raise PreconditionViolation("explicit mono class needs members")
+        if self.kind == STABILIZED_FAMILY and self.S is None:
+            raise PreconditionViolation("stabilized mono class needs S")
 
     @staticmethod
     def explicit(morphisms) -> "MonoFamily":
@@ -116,6 +118,17 @@ class MonoFamily(_Validated, namedtuple(
     def contains(self, m: ConcreteMorphism) -> bool:
         return m.is_injective and self.contains_image(m.cod, m.image)
 
+    def key(self, A: FiniteObject):
+        """What every verdict of the class on a mono into A depends on, and
+        so everything built from those verdicts, such as the minimal
+        M-subobject of A: the content of A (backend, size, op table), or A
+        itself when the class names objects, as an explicit class does and
+        a stabilized class built over one."""
+        family = self
+        while family.kind == STABILIZED_FAMILY:
+            family = family.S
+        return A if family.kind == EXPLICIT else content_key(A)
+
     @property
     def exact(self) -> bool:
         """Are membership answers theorems?  Only the stabilized kind
@@ -140,7 +153,8 @@ class MonoFamily(_Validated, namedtuple(
 
 class Verdict(namedtuple("Verdict", "value exact witness",
                          defaults=(None,))):
-    """Fields: ``value: bool``, ``exact: bool``, ``witness: object``."""
+    """Fields: ``value: bool``, ``exact: bool``, ``witness:
+    ConcreteMorphism | RefutingPullback | None``."""
 
     __slots__ = ()
 
@@ -149,13 +163,9 @@ class Verdict(namedtuple("Verdict", "value exact witness",
 
     def to_json(self) -> dict:
         w = self.witness
-        if isinstance(w, dict):
-            w = _jsonable(**w)
-        elif hasattr(w, "to_json"):
-            w = w.to_json()
         return {"value": self.value,
                 "mode": "exact" if self.exact else "bounded",
-                "witness": w}
+                "witness": None if w is None else w.to_json()}
 
 
 def _discrete_on(cong, image: frozenset[int]) -> bool:
@@ -490,19 +500,12 @@ def _first_failure_by_key(items, key, decide) -> tuple[int, dict | None]:
 
 
 def _object_keys(universe: list[FiniteObject],
-                 S: MonoFamily | None = None) -> dict[FiniteObject, object]:
-    """The key of each universe object on which the verdicts of a law scan
-    depend: its content key (backend, size, op table), numbered once per
-    call.  An explicit S names objects, and so does a stabilized class over
-    one, so for such an S the key is the object itself.  Every other kind
-    of S, and every class of the closure laws, decides membership from the
-    content of the codomain and the image."""
-    while S is not None and S.kind == STABILIZED_FAMILY:
-        S = S.S
-    if S is not None and S.kind == EXPLICIT:
-        return {X: X for X in universe}
-    ids: dict[tuple, int] = {}
-    return {X: ids.setdefault(content_key(X), len(ids)) for X in universe}
+                 S: MonoFamily) -> dict[FiniteObject, int]:
+    """A number for each universe object, equal for two objects exactly
+    when their keys in S (:meth:`MonoFamily.key`) are equal: the verdicts
+    of a law scan over S depend on an object only through that key."""
+    ids: dict[object, int] = {}
+    return {X: ids.setdefault(S.key(X), len(ids)) for X in universe}
 
 
 def _pullback_stable_law(monos: dict[tuple, tuple], universe: list[FiniteObject],
@@ -643,7 +646,7 @@ def closure_law_suite(universe: list[FiniteObject],
     monos = monos_between(universe)
     # the classes with S are decided per key of S; the others, and the
     # inner-factor law, per content key
-    content = _object_keys(universe).__getitem__
+    content = _object_keys(universe, MonoFamily(ALL_MONOS)).__getitem__
     key_of = _object_keys(universe, S).__getitem__
     in_e, in_se, in_st = _mono_flags(universe, S)
     stabilized = {canonical_mono(m) for m in stabilize(

@@ -14,7 +14,6 @@ from .catcore import (
     FiniteObject,
     Subobject,
     _jsonable,
-    content_key,
     hom_tables,
     subalgebras,
 )
@@ -24,7 +23,6 @@ from .monoclasses import (
     MonoFamily,
     _first_failure,
     _first_failure_by_key,
-    _object_keys,
     _report,
     s_class_report,
     stable_essential_family,
@@ -112,6 +110,9 @@ class SpectralCategory:
     lookups, made once per composition table.  Each hom set and table is
     built once and kept: the limit check reads a projection out of a
     pullback apex by its label and never asks for a hom set out of an apex.
+    Everything built out of an object depends on it only through its key
+    in M (:meth:`MonoFamily.key`), so the minimal M-subobject, the label
+    readers and the composition tables are kept per key number.
     ``exact`` is False when M itself is only a bounded-search
     approximation.
     """
@@ -122,34 +123,47 @@ class SpectralCategory:
         self.M = M
         self.objects = tuple(objects)
         self.exact = M.exact
-        self._amin: dict[FiniteObject, Subobject] = {}
-        self._apos: dict[FiniteObject, dict[int, int]] = {}
         # (A, B) -> (classes of hom(A, B), class index by label)
         self._homs: dict[tuple, tuple[tuple[SpecClass, ...],
                                       dict[tuple, int]]] = {}
-        # A -> its key number; the key itself -> its number
+        # a key in M -> its number; a registered object -> its key number
+        self._key_ids: dict[object, int] = {}
         self._keys: dict[FiniteObject, int] = {}
-        self._key_ids: dict[tuple, int] = {}
+        # key number -> the elements of the minimal M-subobject, and the
+        # position of each element among them
+        self._elems: dict[int, tuple[int, ...]] = {}
+        self._positions: dict[int, dict[int, int]] = {}
         # pair of key numbers -> readers of the labels of that hom set
-        self._pair_readers: dict[tuple[int, int], list] = {}
+        self._pairs: dict[tuple[int, int], list] = {}
         # triple of key numbers -> composition table
         self._tables: dict[tuple[int, int, int], list[list[int]]] = {}
+        self._keys = {A: self._key(A) for A in self.objects}
 
     # -- hom sets ---------------------------------------------------------
 
     def amin(self, A: FiniteObject) -> Subobject:
-        sub = self._amin.get(A)
-        if sub is None:
+        """The minimal M-subobject of A, found once per key of A."""
+        k = self._key(A)
+        elems = self._elems.get(k)
+        if elems is None:
             sub = minimal_M_subobject(A, self.M)
-            self._amin[A] = sub
-            self._apos[A] = {e: i for i, e in enumerate(sub.elems)}
-        return sub
+            self._elems[k] = sub.elems
+            self._positions[k] = {e: i for i, e in enumerate(sub.elems)}
+            return sub
+        return Subobject(A, elems)
 
-    def _forget(self, A: FiniteObject) -> None:
-        """Drop the minimal M-subobject of an unregistered object A."""
-        self._amin.pop(A, None)
-        self._apos.pop(A, None)
-        self._keys.pop(A, None)
+    def _key(self, A: FiniteObject) -> int:
+        """The number of ``M.key(A)``, the key that the hom sets,
+        composition tables and minimal M-subobject of A depend on: a class
+        out of A is a map out of amin(A), so the classes out of two objects
+        with one key have the same labels in the same order.  Registered
+        objects are numbered at construction; any other object, such as a
+        pullback apex, is numbered by its key each time it is asked about,
+        with no entry of its own."""
+        k = self._keys.get(A)
+        if k is None:
+            k = self._key_ids.setdefault(self.M.key(A), len(self._key_ids))
+        return k
 
     def _readers(self, A: FiniteObject, B: FiniteObject,
                  labels) -> list:
@@ -158,7 +172,7 @@ class SpectralCategory:
         the class of that label to the label the reader reads off c2's
         label."""
         self.amin(B)
-        bpos = self._apos[B]
+        bpos = self._positions[self._key(B)]
         readers = []
         for label in labels:
             positions = list(map(bpos.get, label))
@@ -232,17 +246,15 @@ class SpectralCategory:
         return any(after[d] == ida and before[d][c.index] == idb
                    for d in range(len(after)))
 
-    def _key(self, A: FiniteObject) -> int:
-        """A number for what the hom sets and composition tables of A
-        depend on: its content (backend, size, op table) and the elements
-        of its minimal M-subobject.  A class out of A is a map out of
-        amin(A), so the classes out of two objects with one key have the
-        same labels in the same order."""
-        key = self._keys.get(A)
-        if key is None:
-            key = self._keys[A] = self._key_ids.setdefault(
-                content_key(A) + (self.amin(A).elems,), len(self._key_ids))
-        return key
+    def _pair(self, A: FiniteObject, B: FiniteObject) -> list:
+        """The readers of the labels of hom(A, B), from :meth:`_readers`,
+        in hom order, kept per pair of keys."""
+        key = self._key(A), self._key(B)
+        readers = self._pairs.get(key)
+        if readers is None:
+            readers = self._pairs[key] = self._readers(
+                A, B, hom_tables(self.amin(A).object(), B))
+        return readers
 
     def _table(self, A: FiniteObject, B: FiniteObject,
                C: FiniteObject) -> list[list[int]]:
@@ -255,16 +267,12 @@ class SpectralCategory:
         M-subobject of B, so a composite is a double restriction lookup.
         The table depends on each end only through its key, so it is
         computed once per triple of keys and triples with equal keys share
-        one list.  The minimal M-subobject is part of the key so that the
-        checks made here also hold for every triple that shares the
-        table."""
+        one list.  The key determines the minimal M-subobject, so the checks
+        made here also hold for every triple that shares the table."""
         key = self._key(A), self._key(B), self._key(C)
         table = self._tables.get(key)
         if table is None:
-            readers = self._pair_readers.get(key[:2])
-            if readers is None:
-                readers = self._pair_readers[key[:2]] = self._readers(
-                    A, B, [c1.label for c1 in self.hom(A, B)])
+            readers = self._pair(A, B)
             index = self._hom(A, C)[1]
             labels = [c2.label for c2 in self.hom(B, C)]
             try:
@@ -312,11 +320,11 @@ def build_spec(backend: str, S: MonoFamily,
     (pullback stability, isomorphisms, composition, strong left cancellation);
     with ``verify`` every hom set of the spec, as ``to_json`` exports it, is
     counted against the independent span-quotient construction.  The span
-    quotient of hom(A, B) depends on A only through its key in S (its
-    content, or the object itself for an explicit S) and its
-    :meth:`SpectralCategory._key`, and on B only through its content, so it
-    is built once per such key and compared with every hom set of the key,
-    pair by pair in universe order.
+    quotient of hom(A, B) depends on A and B only through their keys in M
+    (:meth:`MonoFamily.key`: the content, or the object itself over an
+    explicit S), so it is built once per pair of key numbers,
+    :meth:`SpectralCategory._key`, and compared with every hom set of the
+    pair, pair by pair in universe order.
     """
     failures = [r for r in s_class_report(S, universe) if r.status != "pass"]
     if failures:
@@ -326,13 +334,12 @@ def build_spec(backend: str, S: MonoFamily,
     M = stable_essential_family(backend, S, universe)
     spec = SpectralCategory(backend, M, universe)
     if verify:
-        s_key, content = _object_keys(universe, S), _object_keys(universe)
         counted: dict[tuple, int] = {}
         for A in universe:
             for B in universe:
                 # the spec first: an object with no M-member fails there
                 direct = spec.hom(A, B)
-                key = s_key[A], spec._key(A), content[B]
+                key = spec._key(A), spec._key(B)
                 n = counted.get(key)
                 if n is None:
                     n = counted[key] = len(poincare_hom(A, B, M))
@@ -378,8 +385,8 @@ def _mediator_counts(spec: SpectralCategory, W: FiniteObject,
     The classes of hom(W, apex) are the homs amin(W) -> apex, so they are
     read off the content-keyed hom tables with no class or morphism built
     per h: ``readers`` holds the reader of each hom amin(W) -> apex, from
-    :meth:`SpectralCategory._readers`, and the label of pl.h is pl's table
-    at the positions in amin(apex) of h's values, as in
+    :meth:`SpectralCategory._pair`, and the label of pl.h is pl's table at
+    the positions in amin(apex) of h's values, as in
     :meth:`SpectralCategory._table`."""
     left, right = spec._hom(W, pl.cod)[1], spec._hom(W, pr.cod)[1]
     counts: Counter = Counter()
@@ -405,10 +412,11 @@ def verify_limit_preservation(spec: SpectralCategory,
 
     A projection out of an apex is read by its label, its table on
     amin(apex), checked once to be a morphism, so no hom set out of an apex
-    is asked for.  Mediators are counted on the hom tables of amin(W) ->
-    apex, which the content-keyed search shares with universe objects of
-    the same op table.  Every hom set and mediator count out of a probe W
-    depends on W only through its content and amin(W), its
+    is asked for.  The spec numbers an apex by its key in M, as it numbers
+    a registered object, so amin(apex) and the mediator readers of
+    hom(amin(W), apex) are found once per key and an apex with the key of a
+    registered object finds neither anew.  Every hom set and mediator
+    count out of a probe W depends on W only through its key,
     :meth:`SpectralCategory._key`, so each cospan decides one probe per key
     and counts its cones again for every later probe with that key.
 
@@ -417,19 +425,11 @@ def verify_limit_preservation(spec: SpectralCategory,
     1, and there are as many entries as commuting cones.  Otherwise its
     cones are scanned in the order (p, q), so a failing cospan fails at its
     first failing cone, in probe order, which is its witness.  Within one
-    call the composite columns and the mediator readers are kept by
-    integer keys, built once each.  The apex's minimal
-    M-subobject is dropped when its cospan is done."""
+    call the composite columns are kept by integer keys, built once each."""
     reports = []
-    key_of = {W: spec._key(W) for W in spec.objects}
     # (probe key, class key) -> the composite column of the class and the
-    # count of each value in it; (probe key, apex key) -> the readers of
-    # hom(amin(W), apex).
-    # An apex key numbers what the readers depend on, as _key does, here
-    # rather than in the spec, which keeps no apex state.
+    # count of each value in it
     columns: dict[tuple, tuple[list[int], Counter]] = {}
-    readers: dict[tuple[int, int], list] = {}
-    apex_keys: dict[tuple, int] = {}
 
     def column(c: SpecClass, kc: tuple, W: FiniteObject, kw: int):
         """Indices of c.p for the classes p of hom(W, c.src), in order: the
@@ -454,16 +454,12 @@ def verify_limit_preservation(spec: SpectralCategory,
                 yield None if n == 1 else _jsonable(
                     probe=W.id, p=p, q=q, mediators=n)
 
-    def decide(pf, kf, pg, kg, apex, ka, pl, pr, W):
+    def decide(pf, kf, pg, kg, apex, pl, pr, W):
         """(checked, witness) of the cones out of W over the image cospan."""
-        kw = key_of[W]
+        kw = spec._key(W)
         pf_p, f_values = column(pf, kf, W, kw)
         pg_q, g_values = column(pg, kg, W, kw)
-        read = readers.get((kw, ka))
-        if read is None:
-            read = readers[kw, ka] = spec._readers(
-                W, apex, hom_tables(spec.amin(W).object(), apex))
-        mediators = _mediator_counts(spec, W, pl, pr, read)
+        mediators = _mediator_counts(spec, W, pl, pr, spec._pair(W, apex))
         commuting = sum(n * g_values[v] for v, n in f_values.items())
         if (len(mediators) == commuting
                 and all(n == 1 for n in mediators.values())
@@ -480,12 +476,9 @@ def verify_limit_preservation(spec: SpectralCategory,
                   for proj in (pb.proj_left, pb.proj_right))
         kf = spec._key(f.dom), spec._key(f.cod), pf.index
         kg = spec._key(g.dom), spec._key(g.cod), pg.index
-        ka = apex_keys.setdefault(content_key(pb.apex) + (amin.elems,),
-                                  len(apex_keys))
         result = _first_failure_by_key(
-            spec.objects, key_of.__getitem__,
-            partial(decide, pf, kf, pg, kg, pb.apex, ka, pl, pr))
-        spec._forget(pb.apex)
+            spec.objects, spec._key,
+            partial(decide, pf, kf, pg, kg, pb.apex, pl, pr))
         reports.append(_report(
             ConePreservationReport,
             (f"{f.dom.id}->{f.cod.id}", f"{g.dom.id}->{g.cod.id}"), result))

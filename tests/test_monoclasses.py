@@ -289,10 +289,12 @@ def test_refuting_pullbacks_are_pullbacks(kind, s3_universe):
     assert refuted
 
 
-@pytest.mark.parametrize("kind", ["no-such-kind", EXPLICIT])
+@pytest.mark.parametrize("kind", ["no-such-kind", EXPLICIT,
+                                  monoclasses.STABILIZED_FAMILY])
 def test_mono_family_checks_its_kind_at_construction(kind):
-    """An unknown kind, and an explicit class without members, are refused
-    when the class is built, not when it is first asked about a mono."""
+    """An unknown kind, an explicit class without members and a stabilized
+    class without the S it stabilizes are refused when the class is built,
+    not when it is first asked about a mono or a key."""
     with pytest.raises(PreconditionViolation):
         MonoFamily(kind)
 

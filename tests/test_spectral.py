@@ -32,9 +32,10 @@ from speccat import (
     minimal_M_subobject,
     poincare_hom,
     pullback,
+    stable_essential_family,
     verify_limit_preservation,
 )
-from speccat import catcore, registry, spectral
+from speccat import catcore, monoclasses, registry, spectral
 from speccat.catcore import AB, GRP, hom_tables
 from speccat.monoclasses import (ESSENTIAL_FAMILY, EXPLICIT, ISO_FAMILY,
                                  SE_FAMILY)
@@ -107,8 +108,8 @@ def _per_object_cross_check(spec, universe):
                                         ("s4-subgroups", 169)])
 def test_cross_check_builds_one_span_quotient_per_key(monkeypatch, name,
                                                       calls):
-    """The span quotient is built once per (key of A, content of B): 4 and
-    13 content keys, against 36 and 900 ordered pairs of objects."""
+    """The span quotient is built once per pair of keys in M: 4 and 13
+    content keys, against 36 and 900 ordered pairs of objects."""
     full, built = spectral.poincare_hom, [0]
 
     def counted(*args):
@@ -174,7 +175,10 @@ def test_explicit_S_cross_checks_every_object(monkeypatch):
         build_spec(GRP, S, universe, verify=True)
 
 
-def test_minimal_subobject_is_computed_once_per_object(monkeypatch):
+def test_minimal_subobject_is_computed_once_per_key(monkeypatch):
+    """The minimal M-subobject depends on an object only through its key
+    in M, so the six objects of s3-subgroups, with four contents, ask for
+    it four times: once for the first object of each content."""
     universe = registry.universe("s3-subgroups")
     full, calls = spectral.minimal_M_subobject, Counter()
 
@@ -184,7 +188,69 @@ def test_minimal_subobject_is_computed_once_per_object(monkeypatch):
 
     monkeypatch.setattr(spectral, "minimal_M_subobject", counted)
     build_spec(GRP, MonoFamily(ALL_MONOS), universe, verify=True).to_json()
-    assert calls == Counter(universe) and sum(calls.values()) == 6
+    firsts = {}
+    for A in universe:
+        firsts.setdefault(catcore.content_key(A), A)
+    assert calls == Counter(firsts.values()) and sum(calls.values()) == 4
+
+
+def _with_renamed_copies(universe):
+    """The universe and, after it, a copy of each object under a new id:
+    the same content, another object."""
+    return universe + [catcore.FiniteObject(**{**X._asdict(), "id": X.id + "'"})
+                       for X in universe]
+
+
+def _key_oracle_families(backend, universe):
+    return [stable_essential_family(backend, MonoFamily(ALL_MONOS), universe),
+            MonoFamily(kind=ISO_FAMILY), MonoFamily(kind=ESSENTIAL_FAMILY),
+            MonoFamily(NORMAL_MONOS), MonoFamily(ALL_MONOS)]
+
+
+@pytest.mark.parametrize("name", sorted(registry.UNIVERSES))
+def test_one_key_gives_one_minimal_subobject(name):
+    """The rule of MonoFamily.key: two objects with one key in M have the
+    same minimal M-subobject, computed per object, or both are refused
+    with the same error.  Over every named universe with a renamed copy of
+    each object, and M the stable S-essential class of all monos, the
+    isos, the essential, the normal and all monos."""
+    backend = registry.universe_backend(name)
+    universe = _with_renamed_copies(registry.universe(name))
+    for M in _key_oracle_families(backend, universe):
+        answers: dict = {}
+        for A in universe:
+            try:
+                answer = minimal_M_subobject(A, M).elems
+            except (PreconditionViolation, ConsistencyError) as err:
+                answer = type(err)
+            answers.setdefault(M.key(A), set()).add(answer)
+        assert all(len(got) == 1 for got in answers.values()), (M.kind, name)
+        # the copies share the keys of their originals
+        assert len(answers) <= len(universe) // 2
+
+
+def test_limit_check_on_s4_finds_no_minimal_subobject(monkeypatch):
+    """Every pullback apex of the 465 s4-subgroups cospans has the key of a
+    registered object, so once the spec is built and exported the limit
+    check finds no minimal M-subobject and leaves no entry in the
+    subalgebra or subobject-essential refutation caches."""
+    spec = build_spec(GRP, MonoFamily(ALL_MONOS),
+                      registry.universe("s4-subgroups"), verify=True)
+    spec.to_json()
+    full, calls = spectral.minimal_M_subobject, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return full(*args)
+
+    monkeypatch.setattr(spectral, "minimal_M_subobject", counted)
+    caches = (catcore.subalgebras, monoclasses._se_refutation)
+    before = [cache.cache_info().currsize for cache in caches]
+    reports = verify_limit_preservation(
+        spec, registry.registered_cospans("s4-subgroups"))
+    assert len(reports) == 465 and all(r.status == "pass" for r in reports)
+    assert calls[0] == 0
+    assert [cache.cache_info().currsize for cache in caches] == before
 
 
 def test_hom_sets_and_export_validate_no_morphism(monkeypatch):
@@ -459,7 +525,6 @@ def _per_probe_limit_preservation(spec, cospans):
                     break
             if witness:
                 break
-        spec._forget(pb.apex)
         out.append(((f"{f.dom.id}->{f.cod.id}", f"{g.dom.id}->{g.cod.id}"),
                     "fail" if witness else "pass", checked, witness))
     return out
@@ -552,61 +617,74 @@ def test_a_non_commuting_mediator_sends_the_probe_to_its_cones(monkeypatch,
     assert scans[0] == extra[0] > 0
 
 
+def _five_element_apex_cospans():
+    """Four pointed-le-4 hom cospans whose pullback apex has 5 elements, a
+    content that no registered object has."""
+    cospans = [(f, g) for f, g, size in _pointed_hom_cospans()
+               if size == 5][:4]
+    assert len(cospans) == 4
+    return cospans
+
+
 def test_mediator_count_checks_hom_values_against_the_apex(monkeypatch):
     """The mediator count refuses a hom into the apex with a value outside
-    the minimal M-subobject of the apex.  Dropping the top element of each
-    apex's position map makes the homs that reach it such values; the
-    registered objects, and so the composites of the cones, are left
-    alone."""
-    spec = _spec_over("se", "s3-subgroups")
-    registered, amin = set(spec.objects), spec.amin
+    the minimal M-subobject of the apex.  Dropping the top element from the
+    position map of the one key that the 5-element apexes add makes the
+    homs that reach it such values; the keys of the registered objects,
+    and so the composites of the cones, are left alone."""
+    spec = _spec_over(ISO_FAMILY, "pointed-le-4")
+    registered, amin = set(spec._keys.values()), spec.amin
 
     def amin_missing_its_top(A):
         sub = amin(A)
-        if A not in registered:
-            spec._apos[A].pop(sub.elems[-1], None)
+        if spec._key(A) not in registered:
+            spec._positions[spec._key(A)].pop(sub.elems[-1], None)
         return sub
 
     monkeypatch.setattr(spec, "amin", amin_missing_its_top)
     with pytest.raises(ConsistencyError, match="leaves the minimal"):
-        verify_limit_preservation(spec,
-                                  registry.registered_cospans("s3-subgroups"))
+        verify_limit_preservation(spec, _five_element_apex_cospans())
 
 
 def _assert_no_apex_state(spec):
-    """The spec keeps hom sets, minimal M-subobjects and key numbers of
-    registered objects only."""
+    """The spec keeps hom sets and key numbers of registered objects only,
+    and one number and one minimal M-subobject per key: no apex object is
+    stored, only the keys of apexes."""
     objects = set(spec.objects)
     assert spec._homs
     assert all(A in objects and B in objects for A, B in spec._homs)
-    assert set(spec._amin) <= objects and set(spec._apos) <= objects
-    assert set(spec._keys) <= objects
-    assert sorted(spec._key_ids.values()) == sorted(
-        set(map(spec._key, objects)))
+    assert set(spec._keys) == objects
+    assert sorted(spec._key_ids.values()) == list(range(len(spec._key_ids)))
+    assert set(spec._elems) == set(spec._positions) <= set(
+        spec._key_ids.values())
 
 
 def test_limit_preservation_keeps_no_apex_state():
-    """Once checked, a cospan leaves nothing behind about its pullback apex:
-    the spec keeps hom sets and minimal M-subobjects of registered objects
-    only."""
+    """Once checked, a cospan leaves nothing behind about its pullback apex
+    object: every apex of s3-subgroups has the content of a registered
+    object, so the check adds no key to the spec."""
     spec = _spec_over("se", "s3-subgroups")
+    spec.to_json()
+    keys = dict(spec._key_ids)
     cospans = registry.registered_cospans("s3-subgroups")
     assert all(r.status == "pass"
                for r in verify_limit_preservation(spec, cospans))
     _assert_no_apex_state(spec)
+    assert spec._key_ids == keys
 
 
 def test_limit_check_numbers_no_apex_in_the_spec():
     """Pointed cospans with 5-element apexes, a content no registered object
-    has: the apex keys of the mediator readers are numbered within the call
-    and leave no key number in the spec."""
+    has: the four apexes are numbered by their one key, not stored as
+    objects, so they add exactly one key number and one minimal
+    M-subobject to the spec."""
     spec = _spec_over(ISO_FAMILY, "pointed-le-4")
-    cospans = [(f, g) for f, g, size in _pointed_hom_cospans()
-               if size == 5][:4]
-    assert len(cospans) == 4
-    assert all(r.status == "pass"
-               for r in verify_limit_preservation(spec, cospans))
+    spec.to_json()
+    keys = len(spec._key_ids)
+    assert all(r.status == "pass" for r in verify_limit_preservation(
+        spec, _five_element_apex_cospans()))
     _assert_no_apex_state(spec)
+    assert len(spec._key_ids) == keys + 1 and len(spec._elems) == keys + 1
 
 
 def test_limit_check_asks_for_no_hom_set_out_of_an_apex(monkeypatch):
