@@ -18,6 +18,7 @@ import itertools
 import json
 from collections import namedtuple
 from functools import cache
+from operator import itemgetter
 
 from .errors import (
     BackendMismatch,
@@ -114,17 +115,21 @@ class FiniteObject(_Validated, namedtuple(
             b = inv[a]
             if op[a][b] != 0 or op[b][a] != 0:
                 raise InvalidObject(f"{self.id}: inv table is not two-sided")
-        for a in rng:
-            for b in rng:
-                ab = op[a][b]
-                for c in rng:
-                    if op[ab][c] != op[a][op[b][c]]:
-                        raise InvalidObject(f"{self.id}: op is not associative")
+        gens = generating_sequence(self)
+        # Light's test: the g with (x.g).y == x.(g.y) for all x, y are
+        # closed under the operation, so they are everything once they hold
+        # the generators; row x.g of the table against row x read at row g
+        for g in gens:
+            row_g = op[g]
+            for row_x in op:
+                if tuple(op[row_x[g]]) != tuple(map(row_x.__getitem__, row_g)):
+                    raise InvalidObject(f"{self.id}: op is not associative")
         if backend == AB:
-            for a in rng:
-                for b in rng:
-                    if op[a][b] != op[b][a]:
-                        raise InvalidObject(f"{self.id}: ab object must be commutative")
+            # in an associative table the elements that commute with every
+            # element are closed under the operation
+            for g in gens:
+                if tuple(op[g]) != tuple(map(itemgetter(g), op)):
+                    raise InvalidObject(f"{self.id}: ab object must be commutative")
 
     # hash of the id alone (str caches its hash); equal objects have equal
     # ids, so this agrees with the structural equality
@@ -271,12 +276,14 @@ class ConcreteMorphism(_Validated,
             raise InvalidMorphism("map does not preserve the basepoint")
         op_a = dom.op
         if op_a is not None:
-            op_b, elems = cod.op, dom.elements
-            for a in elems:
-                for b in elems:
-                    if t[op_a[a][b]] != op_b[t[a]][t[b]]:
-                        raise InvalidMorphism(
-                            f"map {dom.id}->{cod.id} is not a homomorphism")
+            # both ends are groups, so the g with t(g.x) == t(g).t(x) for
+            # every x are closed under the operation: the generators suffice
+            op_b, at = cod.op, t.__getitem__
+            for g in generating_sequence(dom):
+                row = op_b[t[g]]
+                if list(map(at, op_a[g])) != list(map(row.__getitem__, t)):
+                    raise InvalidMorphism(
+                        f"map {dom.id}->{cod.id} is not a homomorphism")
 
     def __hash__(self):  # pragma: no cover - trivial
         return hash((self.dom.id, self.cod.id, self.table))
@@ -521,8 +528,14 @@ def element_order(A: FiniteObject, a: int) -> int:
     return k
 
 
+@cache
 def generating_sequence(A: FiniteObject) -> tuple[int, ...]:
-    """Greedy minimal generating sequence in canonical element order."""
+    """Greedy minimal generating sequence in canonical element order.
+
+    Every element of A is a left-nested product of the sequence, whatever
+    the op table: an element not yet reached is appended.  The
+    construction validators rely on this, so it holds before A is known to
+    be a group."""
     gens: tuple[int, ...] = ()
     have = closure(A, gens)
     for a in A.elements:

@@ -266,6 +266,13 @@ def congruences(A: FiniteObject) -> tuple[Congruence, ...]:
     return tuple(sorted(found, key=lambda c: (-len(c.blocks), c.blocks)))
 
 
+@cache
+def regular_quotients(A: FiniteObject) -> tuple[ConcreteMorphism, ...]:
+    """The projection onto the quotient by each congruence on A, in the
+    order of :func:`congruences`, built once per object."""
+    return tuple(cong.quotient()[1] for cong in congruences(A))
+
+
 # ---------------------------------------------------------------------------
 # Factorizations and cokernels
 # ---------------------------------------------------------------------------

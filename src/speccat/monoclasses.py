@@ -37,7 +37,8 @@ from .catcore import (
     subalgebras,
 )
 from .errors import BackendMismatch, PreconditionViolation
-from .limits import congruences, has_zero_kernel, preimage, pullback
+from .limits import (congruences, has_zero_kernel, preimage, pullback,
+                     regular_quotients)
 
 # ---------------------------------------------------------------------------
 # Classes of monos: the kinds of MonoFamily
@@ -261,7 +262,7 @@ def essential_four_ways(m: ConcreteMorphism) -> dict[str, bool]:
     results: dict[str, bool] = {}
 
     # the regular quotients, read by the first and the last route
-    quotients = [cong.quotient()[1] for cong in congruences(A)]
+    quotients = regular_quotients(A)
 
     results["via_regular_quotients"] = not any(
         compose(e, m).is_injective and not e.is_injective for e in quotients)

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import partial
-from operator import itemgetter
 
 from .catcore import (
     ConcreteMorphism,
     FiniteObject,
     Subobject,
     _jsonable,
+    generating_sequence,
     hom_tables,
     subalgebras,
 )
@@ -92,12 +92,11 @@ def _no_class(A: FiniteObject, B: FiniteObject,
         f"no class of hom({A.id},{B.id}) carries label {label}")
 
 
-def _reader(positions: list[int]):
-    """The function reading a label at the given positions, as a tuple."""
-    if len(positions) == 1:
-        i, = positions
-        return lambda label: (label[i],)
-    return itemgetter(*positions)
+def _no_class_at(A: FiniteObject, B: FiniteObject,
+                 values: tuple[int, ...]) -> ConsistencyError:
+    return ConsistencyError(
+        f"no class of hom({A.id},{B.id}) takes the values {values} at the "
+        f"generators of the minimal M-subobject of {A.id}")
 
 
 class SpectralCategory:
@@ -107,12 +106,16 @@ class SpectralCategory:
     are the morphisms amin(A) -> B, so a hom set is materialized as a
     :class:`SpecClass` per map table of :func:`hom_tables`, the one hom
     cache, with no morphism built; composition is reduced to restriction
-    lookups, made once per composition table.  Each hom set and table is
-    built once and kept: the limit check reads a projection out of a
-    pullback apex by its label and never asks for a hom set out of an apex.
-    Everything built out of an object depends on it only through its key
-    in M (:meth:`MonoFamily.key`), so the minimal M-subobject, the label
-    readers and the composition tables are kept per key number.
+    lookups, made once per composition table.  A morphism is fixed by its
+    values on a generating sequence of its domain, so a class out of A is
+    looked up by its label's values at the generator positions of amin(A)
+    (position 0 when amin(A) is zero and its sequence empty), not by the
+    whole label.  Each hom set and table is built once and kept: the limit
+    check reads a projection out of a pullback apex by its label and never
+    asks for a hom set out of an apex.  Everything built out of an object
+    depends on it only through its key in M (:meth:`MonoFamily.key`), so
+    the minimal M-subobject, its generator positions, the label readers
+    and the composition tables are kept per key number.
     ``exact`` is False when M itself is only a bounded-search
     approximation.
     """
@@ -123,9 +126,11 @@ class SpectralCategory:
         self.M = M
         self.objects = tuple(objects)
         self.exact = M.exact
-        # (A, B) -> (classes of hom(A, B), class index by label)
+        # (A, B) -> (classes of hom(A, B), class index by the label's
+        # values at the generators of amin(A), the labels' columns)
         self._homs: dict[tuple, tuple[tuple[SpecClass, ...],
-                                      dict[tuple, int]]] = {}
+                                      dict[tuple, int],
+                                      list[tuple[int, ...]]]] = {}
         # a key in M -> its number; a registered object -> its key number
         self._key_ids: dict[object, int] = {}
         self._keys: dict[FiniteObject, int] = {}
@@ -133,10 +138,15 @@ class SpectralCategory:
         # position of each element among them
         self._elems: dict[int, tuple[int, ...]] = {}
         self._positions: dict[int, dict[int, int]] = {}
-        # pair of key numbers -> readers of the labels of that hom set
-        self._pairs: dict[tuple[int, int], list] = {}
-        # triple of key numbers -> composition table
+        # key number -> the generator positions in the minimal M-subobject
+        self._gens: dict[int, tuple[int, ...]] = {}
+        # pair of key numbers -> generator positions of the labels of that
+        # hom set, from _readers
+        self._pairs: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        # triple of key numbers -> composition table; each distinct table
+        # is one list, kept under its rows
         self._tables: dict[tuple[int, int, int], list[list[int]]] = {}
+        self._distinct: dict[tuple, list[list[int]]] = {}
         self._keys = {A: self._key(A) for A in self.objects}
 
     # -- hom sets ---------------------------------------------------------
@@ -149,8 +159,17 @@ class SpectralCategory:
             sub = minimal_M_subobject(A, self.M)
             self._elems[k] = sub.elems
             self._positions[k] = {e: i for i, e in enumerate(sub.elems)}
+            self._gens[k] = generating_sequence(sub.object()) or (0,)
             return sub
         return Subobject(A, elems)
+
+    def _gens_of(self, A: FiniteObject) -> tuple[int, ...]:
+        """The positions in amin(A) of its generating sequence: the label
+        positions that fix a class out of A."""
+        k = self._key(A)
+        if k not in self._gens:
+            self.amin(A)
+        return self._gens[k]
 
     def _key(self, A: FiniteObject) -> int:
         """The number of ``M.key(A)``, the key that the hom sets,
@@ -166,13 +185,16 @@ class SpectralCategory:
         return k
 
     def _readers(self, A: FiniteObject, B: FiniteObject,
-                 labels) -> list:
-        """For each of the labels of hom(A, B), the reader of its positions
-        in the minimal M-subobject of B: a class c2 out of B composes with
-        the class of that label to the label the reader reads off c2's
-        label."""
+                 labels) -> list[tuple[int, ...]]:
+        """For each of the labels of hom(A, B), the positions in the
+        minimal M-subobject of B of its values at the generators of
+        amin(A): a class c2 out of B composes with the class of that label
+        to the class whose values at those generators are c2's label read
+        at these positions.  Every value of a label, not only those at the
+        generators, must lie in amin(B)."""
         self.amin(B)
         bpos = self._positions[self._key(B)]
+        at_gens = self._gens_of(A)
         readers = []
         for label in labels:
             positions = list(map(bpos.get, label))
@@ -181,21 +203,26 @@ class SpectralCategory:
                     f"class label value {label[positions.index(None)]} of "
                     f"hom({A.id},{B.id}) leaves the minimal M-subobject of "
                     f"{B.id}")
-            readers.append(_reader(positions))
+            readers.append(tuple(map(positions.__getitem__, at_gens)))
         return readers
 
     def _hom(self, A: FiniteObject, B: FiniteObject
-             ) -> tuple[tuple[SpecClass, ...], dict[tuple, int]]:
-        """The classes of hom(A, B) and their indices by label."""
+             ) -> tuple[tuple[SpecClass, ...], dict[tuple, int],
+                        list[tuple[int, ...]]]:
+        """The classes of hom(A, B), their indices by the values of their
+        labels at the generators of amin(A), and the columns of their
+        labels: column j holds every label's value at position j."""
         key = (A, B)
         hit = self._homs.get(key)
         if hit is None:
             amin = self.amin(A)
-            classes = tuple(
-                SpecClass(A, B, i, amin, t)
-                for i, t in enumerate(hom_tables(amin.object(), B)))
-            hit = self._homs[key] = classes, {c.label: c.index
-                                              for c in classes}
+            tables = hom_tables(amin.object(), B)
+            classes = tuple(SpecClass(A, B, i, amin, t)
+                            for i, t in enumerate(tables))
+            columns = list(zip(*tables))
+            hit = self._homs[key] = classes, dict(zip(
+                zip(*map(columns.__getitem__, self._gens_of(A))),
+                range(len(classes)))), columns
         return hit
 
     def hom(self, A: FiniteObject, B: FiniteObject) -> tuple[SpecClass, ...]:
@@ -203,11 +230,15 @@ class SpectralCategory:
 
     def class_of_label(self, A: FiniteObject, B: FiniteObject,
                        label: tuple[int, ...]) -> SpecClass:
-        homs, index = self._hom(A, B)
-        idx = index.get(label)
-        if idx is None:
-            raise _no_class(A, B, label)
-        return homs[idx]
+        """The class with this label, looked up by its values at the
+        generators and then compared in full."""
+        homs, index, _ = self._hom(A, B)
+        label = tuple(label)
+        if len(label) == len(homs[0].label):
+            idx = index.get(tuple(map(label.__getitem__, self._gens_of(A))))
+            if idx is not None and homs[idx].label == label:
+                return homs[idx]
+        raise _no_class(A, B, label)
 
     def class_of_span(self, span: NormalizedSpan) -> SpecClass:
         """Identify the class of any fraction by restricting it to the
@@ -246,10 +277,12 @@ class SpectralCategory:
         return any(after[d] == ida and before[d][c.index] == idb
                    for d in range(len(after)))
 
-    def _pair(self, A: FiniteObject, B: FiniteObject) -> list:
-        """The readers of the labels of hom(A, B), from :meth:`_readers`,
-        in hom order, kept per pair of keys."""
-        key = self._key(A), self._key(B)
+    def _pair(self, A: FiniteObject, B: FiniteObject,
+              key: tuple[int, int] | None = None) -> list[tuple[int, ...]]:
+        """The generator positions of the labels of hom(A, B), from
+        :meth:`_readers`, in hom order, kept per pair of keys.  ``key`` is
+        that pair of key numbers, when the caller has it."""
+        key = key or (self._key(A), self._key(B))
         readers = self._pairs.get(key)
         if readers is None:
             readers = self._pairs[key] = self._readers(
@@ -264,22 +297,27 @@ class SpectralCategory:
 
         Closure of M under composition and pullback forces every fraction
         out of A to map the minimal M-subobject of A into the minimal
-        M-subobject of B, so a composite is a double restriction lookup.
-        The table depends on each end only through its key, so it is
-        computed once per triple of keys and triples with equal keys share
-        one list.  The key determines the minimal M-subobject, so the checks
+        M-subobject of B, so a composite is a double restriction lookup,
+        made at the generators of amin(A) only: row i zips the columns of
+        the labels of hom(B, C) at the positions of class i.  The table
+        depends on each end only through its key, so it is computed once
+        per triple of keys, and triples whose tables are equal share one
+        list.  The key determines the minimal M-subobject, so the checks
         made here also hold for every triple that shares the table."""
         key = self._key(A), self._key(B), self._key(C)
         table = self._tables.get(key)
         if table is None:
-            readers = self._pair(A, B)
-            index = self._hom(A, C)[1]
-            labels = [c2.label for c2 in self.hom(B, C)]
+            index, columns = self._hom(A, C)[1], self._hom(B, C)[2]
             try:
-                table = [list(map(index.__getitem__, map(read, labels)))
-                         for read in readers]
+                rows = tuple(
+                    tuple(map(index.__getitem__,
+                              zip(*map(columns.__getitem__, positions))))
+                    for positions in self._pair(A, B))
             except KeyError as err:
-                raise _no_class(A, C, err.args[0]) from None
+                raise _no_class_at(A, C, err.args[0]) from None
+            table = self._distinct.get(rows)
+            if table is None:
+                table = self._distinct[rows] = list(map(list, rows))
             self._tables[key] = table
         return table
 
@@ -378,25 +416,27 @@ class ConePreservationReport(namedtuple(
 
 def _mediator_counts(spec: SpectralCategory, W: FiniteObject,
                      pl: ConcreteMorphism, pr: ConcreteMorphism,
-                     readers: list) -> Counter:
+                     readers: list[tuple[int, ...]]) -> Counter:
     """For the projections pl, pr out of a pullback apex, restricted to
     amin(apex): how many classes h of hom(W, apex) give each (pl.h, pr.h).
 
     The classes of hom(W, apex) are the homs amin(W) -> apex, so they are
     read off the content-keyed hom tables with no class or morphism built
-    per h: ``readers`` holds the reader of each hom amin(W) -> apex, from
-    :meth:`SpectralCategory._pair`, and the label of pl.h is pl's table at
-    the positions in amin(apex) of h's values, as in
-    :meth:`SpectralCategory._table`."""
+    per h: ``readers`` holds, for each hom amin(W) -> apex, the positions
+    in amin(apex) of its values at the generators of amin(W), from
+    :meth:`SpectralCategory._pair`, and pl.h takes pl's table at those
+    positions there, as in :meth:`SpectralCategory._table`."""
     left, right = spec._hom(W, pl.cod)[1], spec._hom(W, pr.cod)[1]
+    at_l, at_r = pl.table.__getitem__, pr.table.__getitem__
     counts: Counter = Counter()
-    for read in readers:
-        label_l, label_r = read(pl.table), read(pr.table)
-        p, q = left.get(label_l), right.get(label_r)
+    for positions in readers:
+        values_l = tuple(map(at_l, positions))
+        values_r = tuple(map(at_r, positions))
+        p, q = left.get(values_l), right.get(values_r)
         if p is None:
-            raise _no_class(W, pl.cod, label_l)
+            raise _no_class_at(W, pl.cod, values_l)
         if q is None:
-            raise _no_class(W, pr.cod, label_r)
+            raise _no_class_at(W, pr.cod, values_r)
         counts[p, q] += 1
     return counts
 
@@ -454,12 +494,13 @@ def verify_limit_preservation(spec: SpectralCategory,
                 yield None if n == 1 else _jsonable(
                     probe=W.id, p=p, q=q, mediators=n)
 
-    def decide(pf, kf, pg, kg, apex, pl, pr, W):
+    def decide(pf, kf, pg, kg, apex, ka, pl, pr, W):
         """(checked, witness) of the cones out of W over the image cospan."""
         kw = spec._key(W)
         pf_p, f_values = column(pf, kf, W, kw)
         pg_q, g_values = column(pg, kg, W, kw)
-        mediators = _mediator_counts(spec, W, pl, pr, spec._pair(W, apex))
+        mediators = _mediator_counts(spec, W, pl, pr,
+                                     spec._pair(W, apex, (kw, ka)))
         commuting = sum(n * g_values[v] for v, n in f_values.items())
         if (len(mediators) == commuting
                 and all(n == 1 for n in mediators.values())
@@ -478,7 +519,8 @@ def verify_limit_preservation(spec: SpectralCategory,
         kg = spec._key(g.dom), spec._key(g.cod), pg.index
         result = _first_failure_by_key(
             spec.objects, spec._key,
-            partial(decide, pf, kf, pg, kg, pb.apex, pl, pr))
+            partial(decide, pf, kf, pg, kg, pb.apex, spec._key(pb.apex),
+                    pl, pr))
         reports.append(_report(
             ConePreservationReport,
             (f"{f.dom.id}->{f.cod.id}", f"{g.dom.id}->{g.cod.id}"), result))

@@ -118,6 +118,178 @@ def test_morphism_validation():
     assert soc.is_injective and not soc.is_surjective
 
 
+# ---------------------------------------------------------------------------
+# The validators against the full-law loops
+# ---------------------------------------------------------------------------
+
+def reference_object_check(id, backend, n, op, inv):
+    """Oracle: the checks of ``FiniteObject`` for an op table, in its order
+    and with its messages, with associativity tried on every triple and
+    commutativity on every pair.  Raises InvalidObject."""
+    if op is None or inv is None:
+        raise InvalidObject(f"{backend} objects need op and inv tables")
+    if len(op) != n or any(len(row) != n for row in op):
+        raise InvalidObject(f"{id}: op table is not {n}x{n}")
+    rng = range(n)
+    if any(v not in rng for row in op for v in row):
+        raise InvalidObject(f"{id}: op table entry out of range")
+    for a in rng:
+        if op[0][a] != a or op[a][0] != a:
+            raise InvalidObject(f"{id}: element 0 is not the identity")
+    for a in rng:
+        b = inv[a]
+        if op[a][b] != 0 or op[b][a] != 0:
+            raise InvalidObject(f"{id}: inv table is not two-sided")
+    for a in rng:
+        for b in rng:
+            ab = op[a][b]
+            for c in rng:
+                if op[ab][c] != op[a][op[b][c]]:
+                    raise InvalidObject(f"{id}: op is not associative")
+    if backend == AB:
+        for a in rng:
+            for b in rng:
+                if op[a][b] != op[b][a]:
+                    raise InvalidObject(f"{id}: ab object must be commutative")
+
+
+def reference_morphism_check(dom, cod, t):
+    """Oracle: the checks of ``ConcreteMorphism`` between two objects of
+    one backend, with the homomorphism law tried on every pair.  Raises
+    InvalidMorphism."""
+    if len(t) != dom.size:
+        raise InvalidMorphism("map table has wrong length")
+    if any(v not in cod.elements for v in t):
+        raise InvalidMorphism("map table value out of range")
+    if t[0] != 0:
+        raise InvalidMorphism("map does not preserve the basepoint")
+    if dom.op is not None:
+        for a in dom.elements:
+            for b in dom.elements:
+                if t[dom.op[a][b]] != cod.op[t[a]][t[b]]:
+                    raise InvalidMorphism(
+                        f"map {dom.id}->{cod.id} is not a homomorphism")
+
+
+def _verdict(check, *args):
+    """"ok", or the type and message of the validation error raised."""
+    try:
+        check(*args)
+    except (InvalidObject, InvalidMorphism) as err:
+        return type(err).__name__, str(err)
+    return "ok"
+
+
+def validator_mismatches(objects):
+    """Every object, every subgroup object and every subgroup inclusion of
+    the given objects, and each inclusion with its two top values swapped,
+    on which the construction validators and the full-law loops disagree;
+    and the number of cases compared."""
+    bad, cases = [], 0
+    for A in objects:
+        for sub in subalgebras(A):
+            X = sub.object()
+            cases += 1
+            if _verdict(reference_object_check, X.id, X.backend, X.size,
+                        X.op, X.inv) != "ok":
+                bad.append(X)
+            tables = [sub.elems]
+            if sub.size > 2:
+                *low, a, b = sub.elems
+                tables.append((*low, b, a))
+            for t in tables:
+                cases += 1
+                got = _verdict(ConcreteMorphism, X, A, t)
+                if got != _verdict(reference_morphism_check, X, A, t):
+                    bad.append((X, A, t, got))
+    return bad, cases
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(registry.UNIVERSES)
+                                  if registry.universe_backend(name) != PSET])
+def test_validators_match_the_full_loops_on_named_universes(name):
+    bad, cases = validator_mismatches(registry.universe(name))
+    assert cases and not bad
+
+
+@st.composite
+def identity_inverse_tables(draw):
+    """An op table of size at most 6 with identity 0 and a two-sided
+    inverse for every element, associative or not, with a backend: a
+    random fill, or a relabelled catalog group with perhaps one cell
+    changed."""
+    backend = draw(st.sampled_from([GRP, AB]), label="backend")
+    if draw(st.booleans(), label="from a group"):
+        G = draw(st.sampled_from([G for G in registry.group_catalog()
+                                  if G.size <= 6]), label="group")
+        G = relabelled(G, draw(st.integers(0, 9), label="seed"))
+        op, inv, n = [list(row) for row in G.op], list(G.inv), G.size
+        cells = [(a, b) for a in range(1, n) for b in range(1, n)
+                 if op[a][b] != 0]
+        if cells and draw(st.booleans(), label="change a cell"):
+            a, b = draw(st.sampled_from(cells), label="cell")
+            op[a][b] = draw(st.integers(1, n - 1), label="value")
+    else:
+        n = draw(st.integers(1, 6), label="size")
+        rest = draw(st.permutations(range(1, n)), label="pairing")
+        inv = list(range(n))
+        for i in range(draw(st.integers(0, (n - 1) // 2), label="pairs")):
+            a, b = rest[2 * i], rest[2 * i + 1]
+            inv[a], inv[b] = b, a
+        op = [[a if b == 0 else b if a == 0 else 0 if b == inv[a] else None
+               for b in range(n)] for a in range(n)]
+        for row in op:
+            for b, v in enumerate(row):
+                if v is None:
+                    row[b] = draw(st.integers(0, n - 1))
+    return backend, n, tuple(map(tuple, op)), tuple(inv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=identity_inverse_tables())
+def test_light_test_matches_the_full_associativity_loop(table):
+    """Light's test at the generators gives the verdict and the message of
+    the loop over every triple, and the commutativity check at the
+    generators that of the loop over every pair."""
+    backend, n, op, inv = table
+    assert _verdict(FiniteObject, "T", backend, n, op, inv) == \
+        _verdict(reference_object_check, "T", backend, n, op, inv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_generator_hom_check_matches_the_full_loop(data):
+    """Random maps between catalog groups, homomorphisms with perhaps one
+    value changed among them: the check at the generators of the domain
+    gives the verdict of the loop over every pair."""
+    catalog = registry.group_catalog()
+    A = data.draw(st.sampled_from(catalog), label="dom")
+    B = data.draw(st.sampled_from(catalog), label="cod")
+    values = st.integers(0, B.size - 1)
+    if data.draw(st.booleans(), label="from a hom"):
+        t = list(data.draw(st.sampled_from(catcore.hom_tables(A, B)),
+                           label="hom"))
+        if A.size > 1 and data.draw(st.booleans(), label="change a value"):
+            t[data.draw(st.integers(1, A.size - 1), label="at")] = \
+                data.draw(values, label="value")
+    else:
+        t = [0] + data.draw(st.lists(values, min_size=A.size - 1,
+                                     max_size=A.size - 1), label="tail")
+    t = tuple(t)
+    assert _verdict(ConcreteMorphism, A, B, t) == \
+        _verdict(reference_morphism_check, A, B, t)
+
+
+def test_zero_object_validators():
+    """The zero group has an empty generating sequence: its table and the
+    maps out of it are checked by the earlier laws alone."""
+    zero = zero_object(GRP)
+    assert catcore.generating_sequence(zero) == ()
+    assert ConcreteMorphism(zero, cyclic_group(3), (0,)).table == (0,)
+    with pytest.raises(InvalidMorphism, match="basepoint"):
+        ConcreteMorphism(zero, cyclic_group(3), (1,))
+
+
 def test_compose_and_identity(s3):
     e = identity(s3)
     for f in enumerate_hom(s3, s3):

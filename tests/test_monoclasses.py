@@ -28,7 +28,7 @@ from speccat import (
     stabilize,
     stable_essential_family,
 )
-from speccat import catcore, monoclasses, registry
+from speccat import catcore, limits, monoclasses, registry
 from speccat.catcore import (
     GRP,
     ConcreteMorphism,
@@ -84,6 +84,24 @@ def test_four_ways_agree_on_s3(s3, S_all):
     for sub in subalgebras(s3):
         four = essential_four_ways(sub.inclusion())
         assert len(set(four.values())) == 1
+
+
+def test_four_ways_builds_each_quotient_once_per_codomain(monkeypatch):
+    """The regular quotients of a codomain are built once, however many
+    monos into it are asked about.  The copy of S4 is new, so no earlier
+    call has built its quotients."""
+    S4 = catcore.FiniteObject(**{**registry.s4()._asdict(), "id": "S4-new"})
+    quotient, built = limits.Congruence.quotient, [0]
+
+    def counted(self):
+        built[0] += 1
+        return quotient(self)
+
+    monkeypatch.setattr(limits.Congruence, "quotient", counted)
+    monos = [sub.inclusion() for sub in subalgebras(S4)]
+    for m in monos:
+        assert len(set(essential_four_ways(m).values())) == 1
+    assert built[0] == len(congruences(S4)) == 4 and len(monos) == 30
 
 
 def test_simple_codomain_makes_nonzero_monos_essential(S_all):

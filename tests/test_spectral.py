@@ -491,26 +491,49 @@ def test_limit_preservation_matches_the_reference_on_s4_cospans():
                for _, status, checked, _ in got)
 
 
-def _per_probe_limit_preservation(spec, cospans):
+def _restricted_projections(spec, pb):
+    """The two projections of a pullback restricted to amin(apex)."""
+    amin = spec.amin(pb.apex)
+    return (ConcreteMorphism(amin.object(), proj.cod,
+                             tuple(proj.table[e] for e in amin.elems))
+            for proj in (pb.proj_left, pb.proj_right))
+
+
+def _full_label_mediator_counts(spec, W, apex, pl, pr):
+    """For each pair of classes (p, q), how many homs h: amin(W) -> apex
+    have pl.h = p and pr.h = q: every value of h is placed in amin(apex)
+    and each composite is looked up by its whole label."""
+    apos = {e: i for i, e in enumerate(spec.amin(apex).elems)}
+    left, right = ({c.label: c.index for c in spec.hom(W, proj.cod)}
+                   for proj in (pl, pr))
+    counts = Counter()
+    for h in hom_tables(spec.amin(W).object(), apex):
+        if any(v not in apos for v in h):
+            raise ConsistencyError(f"a value of {h} leaves the minimal "
+                                   f"M-subobject of {apex.id}")
+        counts[left[tuple(pl.table[apos[v]] for v in h)],
+               right[tuple(pr.table[apos[v]] for v in h)]] += 1
+    return counts
+
+
+def _per_probe_limit_preservation(spec, cospans, adjust=None):
     """The cone loop of verify_limit_preservation as it was before probes
     were keyed: every probe W of every cospan is scanned, with the same
-    composites and mediator counts.  Returns (cospan, status,
-    cones_checked, witness) tuples."""
+    composites, and mediators counted by whole labels.  ``adjust(W,
+    counts)``, when given, replaces the counts out of W.  Returns (cospan,
+    status, cones_checked, witness) tuples."""
     out = []
     for f, g in cospans:
         pb = pullback(f, g)
         pf, pg = canonical_functor(f, spec), canonical_functor(g, spec)
-        amin = spec.amin(pb.apex)
-        pl, pr = (ConcreteMorphism(amin.object(), proj.cod,
-                                   tuple(proj.table[e] for e in amin.elems))
-                  for proj in (pb.proj_left, pb.proj_right))
+        pl, pr = _restricted_projections(spec, pb)
         checked, witness = 0, None
         for W in spec.objects:
             pf_p = [spec.compose(pf, p).index for p in spec.hom(W, f.dom)]
             pg_q = [spec.compose(pg, q).index for q in spec.hom(W, g.dom)]
-            readers = spec._readers(
-                W, pb.apex, hom_tables(spec.amin(W).object(), pb.apex))
-            mediators = spectral._mediator_counts(spec, W, pl, pr, readers)
+            mediators = _full_label_mediator_counts(spec, W, pb.apex, pl, pr)
+            if adjust:
+                mediators = adjust(W, mediators)
             for p in spec.hom(W, f.dom):
                 for q in spec.hom(W, g.dom):
                     if pf_p[p.index] != pg_q[q.index]:
@@ -528,6 +551,24 @@ def _per_probe_limit_preservation(spec, cospans):
         out.append(((f"{f.dom.id}->{f.cod.id}", f"{g.dom.id}->{g.cod.id}"),
                     "fail" if witness else "pass", checked, witness))
     return out
+
+
+@pytest.mark.parametrize("family,name", [("se", "s3-subgroups"),
+                                         ("se", "z4-chain"),
+                                         (ISO_FAMILY, "pointed-le-4")])
+def test_mediator_counts_read_at_generators_match_whole_labels(family, name):
+    """For every cospan and every probe, the mediator count read at the
+    generators of amin(W) equals the count made with whole labels."""
+    spec = _spec_over(family, name)
+    cospans = (_small_pointed_hom_cospans() if name == "pointed-le-4"
+               else registry.registered_cospans(name))
+    for f, g in cospans:
+        pb = pullback(f, g)
+        pl, pr = _restricted_projections(spec, pb)
+        for W in spec.objects:
+            assert spectral._mediator_counts(
+                spec, W, pl, pr, spec._pair(W, pb.apex)) == \
+                _full_label_mediator_counts(spec, W, pb.apex, pl, pr)
 
 
 @pytest.mark.parametrize("family", ["se", ISO_FAMILY])
@@ -555,10 +596,12 @@ def test_keyed_probes_fail_where_the_per_probe_loop_fails(monkeypatch, size):
     per-probe loop fails it."""
     counts = spectral._mediator_counts
 
-    def miscounted(spec, W, *args):
-        got = counts(spec, W, *args)
+    def doubled(W, got):
         return Counter({k: 2 * n for k, n in got.items()}) \
             if W.size == size else got
+
+    def miscounted(spec, W, *args):
+        return doubled(W, counts(spec, W, *args))
 
     monkeypatch.setattr(spectral, "_mediator_counts", miscounted)
     cospans = registry.registered_cospans("s3-subgroups")
@@ -566,7 +609,7 @@ def test_keyed_probes_fail_where_the_per_probe_loop_fails(monkeypatch, size):
            for r in verify_limit_preservation(
                _spec_over("se", "s3-subgroups"), cospans)]
     assert got == _per_probe_limit_preservation(
-        _spec_over("se", "s3-subgroups"), cospans)
+        _spec_over("se", "s3-subgroups"), cospans, adjust=doubled)
     probes = {witness["probe"] for _, status, _, witness in got
               if status == "fail"}
     assert probes == {registry.universe("s3-subgroups")[1 if size == 2
@@ -624,6 +667,27 @@ def _five_element_apex_cospans():
                if size == 5][:4]
     assert len(cospans) == 4
     return cospans
+
+
+def test_limit_check_numbers_each_apex_once_per_cospan(monkeypatch):
+    """Once the spec has met every pair of keys, a cospan asks for the key
+    of its pullback apex twice, for amin(apex) and for the probes, however
+    many probe keys it decides."""
+    spec = _spec_over("se", "s3-subgroups")
+    cospans = registry.registered_cospans("s3-subgroups")
+    verify_limit_preservation(spec, cospans)
+    apexes = {pullback(f, g).apex for f, g in cospans}
+    key, asked = spec.M.key, Counter()
+
+    def counted(A):
+        asked[A] += A in apexes
+        return key(A)
+
+    monkeypatch.setattr(spec.M, "key", counted)
+    assert all(r.status == "pass"
+               for r in verify_limit_preservation(spec, cospans))
+    assert len({spec._key(W) for W in spec.objects}) == 4
+    assert sum(asked.values()) == 2 * len(cospans)
 
 
 def test_mediator_count_checks_hom_values_against_the_apex(monkeypatch):
@@ -987,6 +1051,54 @@ def test_each_key_triple_table_is_computed_once(name):
     if name == "s3-subgroups":
         # the three order-2 subgroups share one key
         assert len(triples) < len(export["composition"])
+
+
+@pytest.mark.parametrize("name", ["s3-subgroups", "z4-chain", "pointed-le-4"])
+def test_equal_tables_are_one_list(name):
+    """Key triples whose composition tables are equal share one list, so
+    the writer renders each distinct table once."""
+    spec = _spec_over("se", name)
+    spec.to_json()
+    tables = list(spec._tables.values())
+    distinct = {tuple(map(tuple, t)) for t in tables}
+    assert len({id(t) for t in tables}) == len(distinct) < len(tables)
+
+
+def test_class_lookup_reads_generators_and_checks_the_whole_label():
+    """A label that agrees with the identity of S3 at the generators of
+    S3, but not at one other element, is refused."""
+    spec = _spec_over("se", "s3-subgroups")
+    S3 = spec.objects[-1]
+    gens = spec._gens_of(S3)
+    assert spec.amin(S3).elems == tuple(range(6)) and len(gens) == 2
+    ident = spec.identity_class(S3)
+    other = next(i for i in range(1, 6) if i not in gens)
+    label = list(ident.label)
+    label[other] = label[next(i for i in range(1, 6) if i != other)]
+    assert tuple(label[g] for g in gens) == tuple(ident.label[g] for g in gens)
+    with pytest.raises(ConsistencyError, match="carries label"):
+        spec.class_of_label(S3, S3, tuple(label))
+    with pytest.raises(ConsistencyError, match="carries label"):
+        spec.class_of_label(S3, S3, ident.label[:-1])
+    assert spec.class_of_label(S3, S3, ident.label) == ident
+
+
+@pytest.mark.parametrize("name", ["z4-chain", "pointed-le-4"])
+def test_zero_object_and_pointed_sets_read_their_generators(name):
+    """The zero object's generating sequence is empty, so its classes are
+    read at position 0; a pointed set is generated by all its nonzero
+    elements, so its classes are read everywhere but at the basepoint.
+    Every class is found again from its label."""
+    spec = _spec_over("se", name)
+    zero = spec.objects[0]
+    assert zero.size == 1 and spec._gens_of(zero) == (0,)
+    for A in spec.objects:
+        n = spec.amin(A).size
+        if name == "pointed-le-4":
+            assert spec._gens_of(A) == (tuple(range(1, n)) or (0,))
+        for B in spec.objects:
+            for c in spec.hom(A, B):
+                assert spec.class_of_label(A, B, c.label) == c
 
 
 def test_swapped_table_cells_fail_the_oracle():
