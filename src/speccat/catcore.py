@@ -356,6 +356,9 @@ class Subobject(_Validated, namedtuple("Subobject", "ambient elems")):
             raise InvalidObject("subobject elements must be sorted and distinct")
         if 0 not in self.elems:
             raise InvalidObject("subobject must contain the basepoint")
+        if self.elems[0] < 0 or self.elems[-1] >= self.ambient.size:
+            raise InvalidObject(
+                f"subobject elements must be elements of {self.ambient.id}")
 
     def __hash__(self):  # pragma: no cover - trivial
         return hash((self.ambient.id, self.elems))
@@ -383,8 +386,13 @@ def _subobject_as_object(ambient: FiniteObject, elems: tuple[int, ...]) -> Finit
     name = f"{ambient.id}{{{','.join(map(str, elems))}}}"
     if ambient.backend == PSET:
         return FiniteObject(id=name, backend=PSET, size=len(elems))
-    op = tuple(tuple(pos[ambient.op[a][b]] for b in elems) for a in elems)
-    inv = tuple(pos[ambient.inv[a]] for a in elems)
+    try:
+        op = tuple(tuple(pos[ambient.op[a][b]] for b in elems) for a in elems)
+        inv = tuple(pos[ambient.inv[a]] for a in elems)
+    except KeyError as err:
+        raise InvalidObject(
+            f"subobject {elems} of {ambient.id} is not closed: it lacks "
+            f"{err.args[0]}") from None
     labels = tuple(ambient.label(a) for a in elems) if ambient.labels else None
     return FiniteObject(id=name, backend=ambient.backend, size=len(elems),
                         op=op, inv=inv, labels=labels)

@@ -86,12 +86,6 @@ class SpecClass(namedtuple("SpecClass", "src dst index sub label")):
                               "map": list(self.label)}}
 
 
-def _no_class(A: FiniteObject, B: FiniteObject,
-              label: tuple[int, ...]) -> ConsistencyError:
-    return ConsistencyError(
-        f"no class of hom({A.id},{B.id}) carries label {label}")
-
-
 def _no_class_at(A: FiniteObject, B: FiniteObject,
                  values: tuple[int, ...]) -> ConsistencyError:
     return ConsistencyError(
@@ -99,25 +93,29 @@ def _no_class_at(A: FiniteObject, B: FiniteObject,
         f"generators of the minimal M-subobject of {A.id}")
 
 
+# the minimal M-subobject of the objects of one key: its elements, the
+# position of each among them, and the positions of its generating sequence
+# (position 0 when it is zero and the sequence empty)
+_Minimal = namedtuple("_Minimal", "elems positions gens")
+
+
 class SpectralCategory:
     """The category of fractions of a backend at a family M of monos.
 
     Objects are the registered backend objects.  The classes of hom(A, B)
-    are the morphisms amin(A) -> B, so a hom set is materialized as a
-    :class:`SpecClass` per map table of :func:`hom_tables`, the one hom
-    cache, with no morphism built; composition is reduced to restriction
-    lookups, made once per composition table.  A morphism is fixed by its
-    values on a generating sequence of its domain, so a class out of A is
-    looked up by its label's values at the generator positions of amin(A)
-    (position 0 when amin(A) is zero and its sequence empty), not by the
-    whole label.  Each hom set and table is built once and kept: the limit
-    check reads a projection out of a pullback apex by its label and never
-    asks for a hom set out of an apex.  Everything built out of an object
-    depends on it only through its key in M (:meth:`MonoFamily.key`), so
-    the minimal M-subobject, its generator positions, the label readers
-    and the composition tables are kept per key number.
-    ``exact`` is False when M itself is only a bounded-search
-    approximation.
+    are the morphisms amin(A) -> B, one :class:`SpecClass` per map table
+    of :func:`hom_tables`, the one hom cache; composition is reduced to
+    restriction lookups, made once per composition table.  A morphism is
+    fixed by its values on a generating sequence of its domain, so a class
+    out of A is looked up by its label's values at the generator positions
+    of amin(A), not by the whole label.  M is closed under isomorphic
+    copies, so amin(A) and everything built out of it depend on A only
+    through its key in M (:meth:`MonoFamily.key`), numbered by
+    :meth:`_key`: the spec keeps amin per key number, the hom indices and
+    the label readers per pair, and the composition tables per triple of
+    key numbers.  The only objects it keeps are its registered objects; a
+    class is built when it is asked for.  ``exact`` is False when M itself
+    is only a bounded-search approximation.
     """
 
     def __init__(self, backend: str, M: MonoFamily,
@@ -126,22 +124,15 @@ class SpectralCategory:
         self.M = M
         self.objects = tuple(objects)
         self.exact = M.exact
-        # (A, B) -> (classes of hom(A, B), class index by the label's
-        # values at the generators of amin(A), the labels' columns)
-        self._homs: dict[tuple, tuple[tuple[SpecClass, ...],
-                                      dict[tuple, int],
-                                      list[tuple[int, ...]]]] = {}
         # a key in M -> its number; a registered object -> its key number
         self._key_ids: dict[object, int] = {}
         self._keys: dict[FiniteObject, int] = {}
-        # key number -> the elements of the minimal M-subobject, and the
-        # position of each element among them
-        self._elems: dict[int, tuple[int, ...]] = {}
-        self._positions: dict[int, dict[int, int]] = {}
-        # key number -> the generator positions in the minimal M-subobject
-        self._gens: dict[int, tuple[int, ...]] = {}
-        # pair of key numbers -> generator positions of the labels of that
-        # hom set, from _readers
+        # key number -> its minimal M-subobject
+        self._amins: dict[int, _Minimal] = {}
+        # pair of key numbers -> the map tables amin(A) -> B, their indices
+        # by their values at the generators of amin(A), and their columns
+        self._homs: dict[tuple[int, int], tuple] = {}
+        # pair of key numbers -> the label readers, from _pair
         self._pairs: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         # triple of key numbers -> composition table; each distinct table
         # is one list, kept under its rows
@@ -151,94 +142,65 @@ class SpectralCategory:
 
     # -- hom sets ---------------------------------------------------------
 
-    def amin(self, A: FiniteObject) -> Subobject:
-        """The minimal M-subobject of A, found once per key of A."""
-        k = self._key(A)
-        elems = self._elems.get(k)
-        if elems is None:
-            sub = minimal_M_subobject(A, self.M)
-            self._elems[k] = sub.elems
-            self._positions[k] = {e: i for i, e in enumerate(sub.elems)}
-            self._gens[k] = generating_sequence(sub.object()) or (0,)
-            return sub
-        return Subobject(A, elems)
-
-    def _gens_of(self, A: FiniteObject) -> tuple[int, ...]:
-        """The positions in amin(A) of its generating sequence: the label
-        positions that fix a class out of A."""
-        k = self._key(A)
-        if k not in self._gens:
-            self.amin(A)
-        return self._gens[k]
-
     def _key(self, A: FiniteObject) -> int:
-        """The number of ``M.key(A)``, the key that the hom sets,
-        composition tables and minimal M-subobject of A depend on: a class
-        out of A is a map out of amin(A), so the classes out of two objects
-        with one key have the same labels in the same order.  Registered
-        objects are numbered at construction; any other object, such as a
-        pullback apex, is numbered by its key each time it is asked about,
-        with no entry of its own."""
+        """The number of ``M.key(A)``.  Registered objects are numbered at
+        construction; any other object, such as a pullback apex, is
+        numbered by its key each time it is asked about, with no entry of
+        its own."""
         k = self._keys.get(A)
         if k is None:
             k = self._key_ids.setdefault(self.M.key(A), len(self._key_ids))
         return k
 
-    def _readers(self, A: FiniteObject, B: FiniteObject,
-                 labels) -> list[tuple[int, ...]]:
-        """For each of the labels of hom(A, B), the positions in the
-        minimal M-subobject of B of its values at the generators of
-        amin(A): a class c2 out of B composes with the class of that label
-        to the class whose values at those generators are c2's label read
-        at these positions.  Every value of a label, not only those at the
-        generators, must lie in amin(B)."""
-        self.amin(B)
-        bpos = self._positions[self._key(B)]
-        at_gens = self._gens_of(A)
-        readers = []
-        for label in labels:
-            positions = list(map(bpos.get, label))
-            if None in positions:
-                raise ConsistencyError(
-                    f"class label value {label[positions.index(None)]} of "
-                    f"hom({A.id},{B.id}) leaves the minimal M-subobject of "
-                    f"{B.id}")
-            readers.append(tuple(map(positions.__getitem__, at_gens)))
-        return readers
+    def _minimal(self, A: FiniteObject, k: int) -> _Minimal:
+        """The minimal M-subobject of A, whose key number is k, found once
+        per key."""
+        found = self._amins.get(k)
+        if found is None:
+            sub = minimal_M_subobject(A, self.M)
+            found = self._amins[k] = _Minimal(
+                sub.elems, {e: i for i, e in enumerate(sub.elems)},
+                generating_sequence(sub.object()) or (0,))
+        return found
 
-    def _hom(self, A: FiniteObject, B: FiniteObject
-             ) -> tuple[tuple[SpecClass, ...], dict[tuple, int],
-                        list[tuple[int, ...]]]:
-        """The classes of hom(A, B), their indices by the values of their
-        labels at the generators of amin(A), and the columns of their
-        labels: column j holds every label's value at position j."""
-        key = (A, B)
-        hit = self._homs.get(key)
+    def amin(self, A: FiniteObject) -> Subobject:
+        """The minimal M-subobject of A, found once per key of A."""
+        return Subobject(A, self._minimal(A, self._key(A)).elems)
+
+    def _hom(self, A: FiniteObject, B: FiniteObject) -> tuple:
+        """The labels of hom(A, B), the maps amin(A) -> B, their indices by
+        their values at the generators of amin(A), and their columns
+        (column j holds every label's value at position j), per key pair."""
+        ka, kb = self._key(A), self._key(B)
+        hit = self._homs.get((ka, kb))
         if hit is None:
-            amin = self.amin(A)
-            tables = hom_tables(amin.object(), B)
-            classes = tuple(SpecClass(A, B, i, amin, t)
-                            for i, t in enumerate(tables))
-            columns = list(zip(*tables))
-            hit = self._homs[key] = classes, dict(zip(
-                zip(*map(columns.__getitem__, self._gens_of(A))),
-                range(len(classes)))), columns
+            elems, _, gens = self._minimal(A, ka)
+            labels = hom_tables(Subobject(A, elems).object(), B)
+            columns = list(zip(*labels))
+            hit = self._homs[ka, kb] = labels, dict(zip(
+                zip(*map(columns.__getitem__, gens)),
+                range(len(labels)))), columns
         return hit
 
     def hom(self, A: FiniteObject, B: FiniteObject) -> tuple[SpecClass, ...]:
-        return self._hom(A, B)[0]
+        amin = self.amin(A)
+        return tuple(SpecClass(A, B, i, amin, label)
+                     for i, label in enumerate(self._hom(A, B)[0]))
 
     def class_of_label(self, A: FiniteObject, B: FiniteObject,
                        label: tuple[int, ...]) -> SpecClass:
         """The class with this label, looked up by its values at the
         generators and then compared in full."""
-        homs, index, _ = self._hom(A, B)
+        labels, index, _ = self._hom(A, B)
+        amin = self._minimal(A, self._key(A))
         label = tuple(label)
-        if len(label) == len(homs[0].label):
-            idx = index.get(tuple(map(label.__getitem__, self._gens_of(A))))
-            if idx is not None and homs[idx].label == label:
-                return homs[idx]
-        raise _no_class(A, B, label)
+        if len(label) == len(amin.elems):
+            idx = index.get(tuple(map(label.__getitem__, amin.gens)))
+            if idx is not None and labels[idx] == label:
+                return SpecClass(A, B, idx, Subobject(A, amin.elems),
+                                 labels[idx])
+        raise ConsistencyError(
+            f"no class of hom({A.id},{B.id}) carries label {label}")
 
     def class_of_span(self, span: NormalizedSpan) -> SpecClass:
         """Identify the class of any fraction by restricting it to the
@@ -266,34 +228,51 @@ class SpectralCategory:
         table of (A, B, C)."""
         if c1.dst != c2.src:
             raise PreconditionViolation("classes are not composable")
-        A, C = c1.src, c2.dst
-        return self.hom(A, C)[self._table(A, c1.dst, C)[c1.index][c2.index]]
+        A, B, C = c1.src, c1.dst, c2.dst
+        idx = self._table(A, B, C, self._key(A), self._key(B),
+                          self._key(C))[c1.index][c2.index]
+        return SpecClass(A, C, idx, c1.sub, self._hom(A, C)[0][idx])
 
     def is_invertible(self, c: SpecClass) -> bool:
         A, B = c.src, c.dst
+        ka, kb = self._key(A), self._key(B)
         ida, idb = self.identity_class(A).index, self.identity_class(B).index
         # d.c for each class d of hom(B, A), and the table holding c.d
-        after, before = self._table(A, B, A)[c.index], self._table(B, A, B)
+        after = self._table(A, B, A, ka, kb, ka)[c.index]
+        before = self._table(B, A, B, kb, ka, kb)
         return any(after[d] == ida and before[d][c.index] == idb
                    for d in range(len(after)))
 
-    def _pair(self, A: FiniteObject, B: FiniteObject,
-              key: tuple[int, int] | None = None) -> list[tuple[int, ...]]:
-        """The generator positions of the labels of hom(A, B), from
-        :meth:`_readers`, in hom order, kept per pair of keys.  ``key`` is
-        that pair of key numbers, when the caller has it."""
-        key = key or (self._key(A), self._key(B))
-        readers = self._pairs.get(key)
+    def _pair(self, A: FiniteObject, B: FiniteObject, ka: int, kb: int
+              ) -> list[tuple[int, ...]]:
+        """For each label of hom(A, B), in hom order, the positions in the
+        minimal M-subobject of B of its values at the generators of
+        amin(A): a class c2 out of B composes with the class of that label
+        to the class whose values at those generators are c2's label read
+        at these positions.  Kept per pair (ka, kb) of the key numbers of A
+        and B.  Every value of a label, not only those at the generators,
+        must lie in amin(B)."""
+        readers = self._pairs.get((ka, kb))
         if readers is None:
-            readers = self._pairs[key] = self._readers(
-                A, B, hom_tables(self.amin(A).object(), B))
+            elems, _, gens = self._minimal(A, ka)
+            bpos = self._minimal(B, kb).positions
+            readers = []
+            for label in hom_tables(Subobject(A, elems).object(), B):
+                positions = list(map(bpos.get, label))
+                if None in positions:
+                    raise ConsistencyError(
+                        f"class label value {label[positions.index(None)]} "
+                        f"of hom({A.id},{B.id}) leaves the minimal "
+                        f"M-subobject of {B.id}")
+                readers.append(tuple(map(positions.__getitem__, gens)))
+            self._pairs[ka, kb] = readers
         return readers
 
-    def _table(self, A: FiniteObject, B: FiniteObject,
-               C: FiniteObject) -> list[list[int]]:
-        """The composition table of (A, B, C): row i, column j holds the
-        index in hom(A, C) of class j of hom(B, C) after class i of
-        hom(A, B).
+    def _table(self, A: FiniteObject, B: FiniteObject, C: FiniteObject,
+               ka: int, kb: int, kc: int) -> list[list[int]]:
+        """The composition table of (A, B, C), whose key numbers are ka, kb
+        and kc: row i, column j holds the index in hom(A, C) of class j of
+        hom(B, C) after class i of hom(A, B).
 
         Closure of M under composition and pullback forces every fraction
         out of A to map the minimal M-subobject of A into the minimal
@@ -304,21 +283,20 @@ class SpectralCategory:
         per triple of keys, and triples whose tables are equal share one
         list.  The key determines the minimal M-subobject, so the checks
         made here also hold for every triple that shares the table."""
-        key = self._key(A), self._key(B), self._key(C)
-        table = self._tables.get(key)
+        table = self._tables.get((ka, kb, kc))
         if table is None:
             index, columns = self._hom(A, C)[1], self._hom(B, C)[2]
             try:
                 rows = tuple(
                     tuple(map(index.__getitem__,
                               zip(*map(columns.__getitem__, positions))))
-                    for positions in self._pair(A, B))
+                    for positions in self._pair(A, B, ka, kb))
             except KeyError as err:
                 raise _no_class_at(A, C, err.args[0]) from None
             table = self._distinct.get(rows)
             if table is None:
                 table = self._distinct[rows] = list(map(list, rows))
-            self._tables[key] = table
+            self._tables[ka, kb, kc] = table
         return table
 
     # -- export -----------------------------------------------------------
@@ -328,25 +306,15 @@ class SpectralCategory:
         table of every triple (A, B, C), in the order of ``objects``.
         Entries whose triples have equal keys share one table."""
         objects = self.objects
-        ids = [A.id for A in objects]
-        keys = [self._key(A) for A in objects]
         homs = [{"dom": A.id, "cod": B.id,
                  "classes": [c.to_json() for c in self.hom(A, B)]}
                 for A in objects for B in objects]
-        tables = self._tables
-        comp = []
-        n = range(len(objects))
-        for a in n:
-            for b in n:
-                for c in n:
-                    # a hit skips the three key lookups of _table
-                    table = (tables.get((keys[a], keys[b], keys[c]))
-                             or self._table(objects[a], objects[b],
-                                            objects[c]))
-                    comp.append({"dom": ids[a], "mid": ids[b],
-                                 "cod": ids[c], "table": table})
-        return {"objects": ids, "exact": self.exact, "homs": homs,
-                "composition": comp}
+        keyed = [(A, self._key(A)) for A in objects]
+        comp = [{"dom": A.id, "mid": B.id, "cod": C.id,
+                 "table": self._table(A, B, C, ka, kb, kc)}
+                for A, ka in keyed for B, kb in keyed for C, kc in keyed]
+        return {"objects": [A.id for A in objects], "exact": self.exact,
+                "homs": homs, "composition": comp}
 
 
 def build_spec(backend: str, S: MonoFamily,
@@ -375,17 +343,18 @@ def build_spec(backend: str, S: MonoFamily,
         counted: dict[tuple, int] = {}
         for A in universe:
             for B in universe:
-                # the spec first: an object with no M-member fails there
-                direct = spec.hom(A, B)
+                # the spec first: an object with no M-member fails there;
+                # hom(A, B) has one class per label
+                direct = len(spec._hom(A, B)[0])
                 key = spec._key(A), spec._key(B)
                 n = counted.get(key)
                 if n is None:
                     n = counted[key] = len(poincare_hom(A, B, M))
-                if n != len(direct):
+                if n != direct:
                     raise ConsistencyError(
                         f"hom({A.id},{B.id}): span quotient has {n} classes "
                         f"but hom from the minimal M-subobject has "
-                        f"{len(direct)} elements")
+                        f"{direct} elements")
     return spec
 
 
@@ -414,19 +383,21 @@ class ConePreservationReport(namedtuple(
                 "mode": "bounded"}
 
 
-def _mediator_counts(spec: SpectralCategory, W: FiniteObject,
-                     pl: ConcreteMorphism, pr: ConcreteMorphism,
+def _mediator_counts(W: FiniteObject, pl: ConcreteMorphism,
+                     pr: ConcreteMorphism, left: dict[tuple, int],
+                     right: dict[tuple, int],
                      readers: list[tuple[int, ...]]) -> Counter:
     """For the projections pl, pr out of a pullback apex, restricted to
     amin(apex): how many classes h of hom(W, apex) give each (pl.h, pr.h).
 
     The classes of hom(W, apex) are the homs amin(W) -> apex, so they are
-    read off the content-keyed hom tables with no class or morphism built
-    per h: ``readers`` holds, for each hom amin(W) -> apex, the positions
-    in amin(apex) of its values at the generators of amin(W), from
+    read off the hom tables with no class or morphism built per h:
+    ``readers`` holds, for each hom amin(W) -> apex, the positions in
+    amin(apex) of its values at the generators of amin(W), from
     :meth:`SpectralCategory._pair`, and pl.h takes pl's table at those
-    positions there, as in :meth:`SpectralCategory._table`."""
-    left, right = spec._hom(W, pl.cod)[1], spec._hom(W, pr.cod)[1]
+    positions there, as in :meth:`SpectralCategory._table`.  ``left`` and
+    ``right`` index the classes of hom(W, pl.cod) and hom(W, pr.cod) by
+    their values at those generators."""
     at_l, at_r = pl.table.__getitem__, pr.table.__getitem__
     counts: Counter = Counter()
     for positions in readers:
@@ -453,12 +424,13 @@ def verify_limit_preservation(spec: SpectralCategory,
     A projection out of an apex is read by its label, its table on
     amin(apex), checked once to be a morphism, so no hom set out of an apex
     is asked for.  The spec numbers an apex by its key in M, as it numbers
-    a registered object, so amin(apex) and the mediator readers of
-    hom(amin(W), apex) are found once per key and an apex with the key of a
-    registered object finds neither anew.  Every hom set and mediator
-    count out of a probe W depends on W only through its key,
-    :meth:`SpectralCategory._key`, so each cospan decides one probe per key
-    and counts its cones again for every later probe with that key.
+    a registered object, so amin(apex) is found once per key and the
+    mediator readers of hom(amin(W), apex) once per (probe key, apex key);
+    an apex with the key of a registered object finds neither anew.  The
+    hom indices of the legs are read by (probe key, leg key).  Every hom
+    set and mediator count out of a probe W depends on W only through its
+    key, :meth:`SpectralCategory._key`, so each cospan decides one probe
+    per key and counts its cones again for every later probe with that key.
 
     A probe passes without a visit to its cones when the mediator count
     has exactly one entry per commuting cone: every entry commutes, counts
@@ -473,10 +445,12 @@ def verify_limit_preservation(spec: SpectralCategory,
 
     def column(c: SpecClass, kc: tuple, W: FiniteObject, kw: int):
         """Indices of c.p for the classes p of hom(W, c.src), in order: the
-        column of c in the composition table of (W, c.src, c.dst)."""
+        column of c in the composition table of (W, c.src, c.dst); kc is
+        (key of c.src, key of c.dst, c.index)."""
         hit = columns.get((kw, kc))
         if hit is None:
-            col = [row[c.index] for row in spec._table(W, c.src, c.dst)]
+            col = [row[c.index]
+                   for row in spec._table(W, c.src, c.dst, kw, *kc[:2])]
             hit = columns[kw, kc] = col, Counter(col)
         return hit
 
@@ -499,8 +473,9 @@ def verify_limit_preservation(spec: SpectralCategory,
         kw = spec._key(W)
         pf_p, f_values = column(pf, kf, W, kw)
         pg_q, g_values = column(pg, kg, W, kw)
-        mediators = _mediator_counts(spec, W, pl, pr,
-                                     spec._pair(W, apex, (kw, ka)))
+        mediators = _mediator_counts(
+            W, pl, pr, spec._hom(W, pl.cod)[1], spec._hom(W, pr.cod)[1],
+            spec._pair(W, apex, kw, ka))
         commuting = sum(n * g_values[v] for v, n in f_values.items())
         if (len(mediators) == commuting
                 and all(n == 1 for n in mediators.values())

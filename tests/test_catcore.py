@@ -517,6 +517,30 @@ def test_subobject_inclusion_is_mono(s3):
         assert sub.inclusion().image == frozenset(sub.elems)
 
 
+@pytest.mark.parametrize("elems", [(0, 99), (0, 6), (-1, 0)])
+def test_subobject_refuses_elements_outside_its_ambient(s3, elems):
+    with pytest.raises(InvalidObject, match="elements of S3"):
+        Subobject(s3, elems)
+
+
+@pytest.mark.parametrize("elems", [(0, 3), (0, 1, 3)])
+def test_subobject_that_is_not_closed_has_no_object(s3, elems):
+    """{0, 3} and {0, 1, 3} are not subgroups of S3: the subobject is made,
+    but its object and its inclusion are refused."""
+    assert closure(s3, elems) != elems
+    sub = Subobject(s3, elems)
+    for build in (sub.object, sub.inclusion):
+        with pytest.raises(InvalidObject, match="is not closed"):
+            build()
+
+
+def test_earlier_subobject_checks_keep_their_messages(s3):
+    with pytest.raises(InvalidObject, match="sorted and distinct"):
+        Subobject(s3, (99, 0))
+    with pytest.raises(InvalidObject, match="basepoint"):
+        Subobject(s3, (1, 99))
+
+
 @pytest.mark.parametrize("make,field", [
     (lambda: cyclic_group(2), "size"),
     (lambda: identity(cyclic_group(2)), "table"),

@@ -9,12 +9,15 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speccat import (
     ALL_MONOS,
     NORMAL_MONOS,
     ConcreteMorphism,
     ConsistencyError,
+    FiniteObject,
     MonoFamily,
     NormalizedSpan,
     PreconditionViolation,
@@ -33,10 +36,11 @@ from speccat import (
     poincare_hom,
     pullback,
     stable_essential_family,
+    subalgebras,
     verify_limit_preservation,
 )
 from speccat import catcore, monoclasses, registry, spectral
-from speccat.catcore import AB, GRP, hom_tables
+from speccat.catcore import AB, GRP, closure, element_order, hom_tables
 from speccat.monoclasses import (ESSENTIAL_FAMILY, EXPLICIT, ISO_FAMILY,
                                  SE_FAMILY)
 
@@ -516,6 +520,15 @@ def _full_label_mediator_counts(spec, W, apex, pl, pr):
     return counts
 
 
+def _counts_at_generators(spec, W, apex, pl, pr):
+    """The mediator count of verify_limit_preservation for the probe W and
+    the restricted projections pl, pr out of apex: the hom indices read by
+    (probe key, leg key), the readers by (probe key, apex key)."""
+    return spectral._mediator_counts(
+        W, pl, pr, spec._hom(W, pl.cod)[1], spec._hom(W, pr.cod)[1],
+        spec._pair(W, apex, spec._key(W), spec._key(apex)))
+
+
 def _per_probe_limit_preservation(spec, cospans, adjust=None):
     """The cone loop of verify_limit_preservation as it was before probes
     were keyed: every probe W of every cospan is scanned, with the same
@@ -566,8 +579,7 @@ def test_mediator_counts_read_at_generators_match_whole_labels(family, name):
         pb = pullback(f, g)
         pl, pr = _restricted_projections(spec, pb)
         for W in spec.objects:
-            assert spectral._mediator_counts(
-                spec, W, pl, pr, spec._pair(W, pb.apex)) == \
+            assert _counts_at_generators(spec, W, pb.apex, pl, pr) == \
                 _full_label_mediator_counts(spec, W, pb.apex, pl, pr)
 
 
@@ -600,8 +612,8 @@ def test_keyed_probes_fail_where_the_per_probe_loop_fails(monkeypatch, size):
         return Counter({k: 2 * n for k, n in got.items()}) \
             if W.size == size else got
 
-    def miscounted(spec, W, *args):
-        return doubled(W, counts(spec, W, *args))
+    def miscounted(W, *args):
+        return doubled(W, counts(W, *args))
 
     monkeypatch.setattr(spectral, "_mediator_counts", miscounted)
     cospans = registry.registered_cospans("s3-subgroups")
@@ -640,12 +652,12 @@ def test_a_non_commuting_mediator_sends_the_probe_to_its_cones(monkeypatch,
 
     counts, extra = spectral._mediator_counts, [0]
 
-    def with_extra(spec, W, pl, pr, *args):
+    def with_extra(W, pl, pr, left, right, readers):
         """The true counts, plus the first (p, q) they leave out.  Every
-        commuting cone has a mediator, so that pair does not commute."""
-        got = counts(spec, W, pl, pr, *args)
-        pq = next(((p, q) for p in range(len(spec.hom(W, pl.cod)))
-                   for q in range(len(spec.hom(W, pr.cod)))
+        commuting cone has a mediator, so that pair does not commute.  The
+        indices ``left`` and ``right`` hold one entry per class."""
+        got = counts(W, pl, pr, left, right, readers)
+        pq = next(((p, q) for p in range(len(left)) for q in range(len(right))
                    if (p, q) not in got), None)
         if pq is not None:
             got[pq] = 1
@@ -697,44 +709,76 @@ def test_mediator_count_checks_hom_values_against_the_apex(monkeypatch):
     homs that reach it such values; the keys of the registered objects,
     and so the composites of the cones, are left alone."""
     spec = _spec_over(ISO_FAMILY, "pointed-le-4")
-    registered, amin = set(spec._keys.values()), spec.amin
+    registered, minimal = set(spec._keys.values()), spec._minimal
 
-    def amin_missing_its_top(A):
-        sub = amin(A)
-        if spec._key(A) not in registered:
-            spec._positions[spec._key(A)].pop(sub.elems[-1], None)
-        return sub
+    def minimal_missing_its_top(A, k):
+        found = minimal(A, k)
+        if k not in registered:
+            found.positions.pop(found.elems[-1], None)
+        return found
 
-    monkeypatch.setattr(spec, "amin", amin_missing_its_top)
+    monkeypatch.setattr(spec, "_minimal", minimal_missing_its_top)
     with pytest.raises(ConsistencyError, match="leaves the minimal"):
         verify_limit_preservation(spec, _five_element_apex_cospans())
 
 
-def _assert_no_apex_state(spec):
-    """The spec keeps hom sets and key numbers of registered objects only,
-    and one number and one minimal M-subobject per key: no apex object is
-    stored, only the keys of apexes."""
-    objects = set(spec.objects)
-    assert spec._homs
-    assert all(A in objects and B in objects for A, B in spec._homs)
-    assert set(spec._keys) == objects
-    assert sorted(spec._key_ids.values()) == list(range(len(spec._key_ids)))
-    assert set(spec._elems) == set(spec._positions) <= set(
-        spec._key_ids.values())
+def _objects_held(value, seen=None):
+    """Every FiniteObject in value, through dict keys and values, tuples,
+    lists and sets."""
+    seen = set() if seen is None else seen
+    if isinstance(value, FiniteObject):
+        seen.add(value)
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            _objects_held(k, seen)
+            _objects_held(v, seen)
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for v in value:
+            _objects_held(v, seen)
+    return seen
+
+
+def _exercise(spec, cospans):
+    """The export, the limit check, every composite and the division checks
+    of every registered object; the limit check must pass."""
+    spec.to_json()
+    assert all(r.status == "pass"
+               for r in verify_limit_preservation(spec, cospans))
+    for c2, c1 in _composable_pairs(spec):
+        spec.compose(c2, c1)
+    for A in spec.objects:
+        end_spec_division_check(A, spec)
+
+
+def _assert_state_per_key(spec):
+    """The spec keeps its derived state per key number: every key of the
+    minimal M-subobjects, hom indices, readers and composition tables is a
+    key number or a tuple of key numbers, and the only objects the spec
+    holds, apart from its family M, are its registered objects."""
+    numbers = set(spec._key_ids.values()) | set(spec._keys.values())
+    assert numbers == set(range(len(numbers)))
+    assert set(spec._keys) == set(spec.objects)
+    for state in (spec._amins, spec._homs, spec._pairs, spec._tables):
+        assert state
+        for key in state:
+            assert set(key if isinstance(key, tuple) else (key,)) <= numbers
+    held = _objects_held([v for name, v in vars(spec).items() if name != "M"])
+    assert held == set(spec.objects)
 
 
 def test_limit_preservation_keeps_no_apex_state():
     """Once checked, a cospan leaves nothing behind about its pullback apex
     object: every apex of s3-subgroups has the content of a registered
-    object, so the check adds no key to the spec."""
+    object, so the check adds no key to the spec.  The three order-2
+    subgroups share one key, so the 36 object pairs have 16 hom-index
+    entries, one per pair of the four keys."""
     spec = _spec_over("se", "s3-subgroups")
     spec.to_json()
     keys = dict(spec._key_ids)
-    cospans = registry.registered_cospans("s3-subgroups")
-    assert all(r.status == "pass"
-               for r in verify_limit_preservation(spec, cospans))
-    _assert_no_apex_state(spec)
+    _exercise(spec, registry.registered_cospans("s3-subgroups"))
+    _assert_state_per_key(spec)
     assert spec._key_ids == keys
+    assert len(spec.objects) ** 2 == 36 and len(spec._homs) == 16
 
 
 def test_limit_check_numbers_no_apex_in_the_spec():
@@ -745,10 +789,9 @@ def test_limit_check_numbers_no_apex_in_the_spec():
     spec = _spec_over(ISO_FAMILY, "pointed-le-4")
     spec.to_json()
     keys = len(spec._key_ids)
-    assert all(r.status == "pass" for r in verify_limit_preservation(
-        spec, _five_element_apex_cospans()))
-    _assert_no_apex_state(spec)
-    assert len(spec._key_ids) == keys + 1 and len(spec._elems) == keys + 1
+    _exercise(spec, _five_element_apex_cospans())
+    _assert_state_per_key(spec)
+    assert len(spec._key_ids) == keys + 1 and len(spec._amins) == keys + 1
 
 
 def test_limit_check_asks_for_no_hom_set_out_of_an_apex(monkeypatch):
@@ -1064,12 +1107,18 @@ def test_equal_tables_are_one_list(name):
     assert len({id(t) for t in tables}) == len(distinct) < len(tables)
 
 
+def _gens(spec, A):
+    """The positions in amin(A) of its generating sequence, at which the
+    spec reads the labels of classes out of A."""
+    return spec._minimal(A, spec._key(A)).gens
+
+
 def test_class_lookup_reads_generators_and_checks_the_whole_label():
     """A label that agrees with the identity of S3 at the generators of
     S3, but not at one other element, is refused."""
     spec = _spec_over("se", "s3-subgroups")
     S3 = spec.objects[-1]
-    gens = spec._gens_of(S3)
+    gens = _gens(spec, S3)
     assert spec.amin(S3).elems == tuple(range(6)) and len(gens) == 2
     ident = spec.identity_class(S3)
     other = next(i for i in range(1, 6) if i not in gens)
@@ -1091,11 +1140,11 @@ def test_zero_object_and_pointed_sets_read_their_generators(name):
     Every class is found again from its label."""
     spec = _spec_over("se", name)
     zero = spec.objects[0]
-    assert zero.size == 1 and spec._gens_of(zero) == (0,)
+    assert zero.size == 1 and _gens(spec, zero) == (0,)
     for A in spec.objects:
         n = spec.amin(A).size
         if name == "pointed-le-4":
-            assert spec._gens_of(A) == (tuple(range(1, n)) or (0,))
+            assert _gens(spec, A) == (tuple(range(1, n)) or (0,))
         for B in spec.objects:
             for c in spec.hom(A, B):
                 assert spec.class_of_label(A, B, c.label) == c
@@ -1130,3 +1179,42 @@ def test_export_does_not_share_tables_across_minimal_subobjects():
     assert spec.amin(za).elems == (0, 1) and spec.amin(zb).elems == (0,)
     with pytest.raises(ConsistencyError, match="leaves the minimal"):
         spec.to_json()
+
+
+# ---------------------------------------------------------------------------
+# The closed form of the minimal M-subobject
+# ---------------------------------------------------------------------------
+
+def _omega(A):
+    """The minimal M-subobject of A under the SE family, in closed form: for
+    a group, Omega(A), the subgroup generated by its elements of prime
+    order; a pointed set is its own minimal M-subobject."""
+    if A.op is None:
+        return tuple(range(A.size))
+    orders = [element_order(A, a) for a in range(A.size)]
+    return closure(A, [a for a, n in enumerate(orders)
+                       if n > 1 and all(n % d for d in range(2, n))])
+
+
+@pytest.mark.parametrize("name", sorted(registry.UNIVERSES))
+def test_minimal_subobject_is_generated_by_the_elements_of_prime_order(name):
+    """spec.amin against Omega on every object of the universe and on every
+    pullback apex of its registered cospans.  An apex is numbered by its key
+    and finds the minimal M-subobject of the registered object with that
+    key, so the apexes check that sharing against the closed form."""
+    spec = _spec_over("se", name)
+    apexes = [pullback(f, g).apex for f, g in registry.registered_cospans(name)]
+    for A in list(spec.objects) + apexes:
+        assert spec.amin(A).elems == _omega(A), A.id
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_minimal_subobject_of_a_catalog_subgroup_is_omega(data):
+    """A subgroup H of a catalog group G, asked of a spec registered on G
+    alone: H is numbered by its key and its minimal M-subobject is Omega(H)."""
+    G = data.draw(st.sampled_from(registry.group_catalog()), label="G")
+    H = data.draw(st.sampled_from(subalgebras(G)), label="H").object()
+    spec = SpectralCategory(GRP, MonoFamily(kind=SE_FAMILY), [G])
+    assert spec.amin(H).elems == _omega(H)
+    assert spec.amin(G).elems == _omega(G)
