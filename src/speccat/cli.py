@@ -257,6 +257,9 @@ def _resolve_universe(args: argparse.Namespace
                       ) -> tuple[str, list[FiniteObject]]:
     if args.bound_size is not None and args.bound_size <= 0:
         raise PreconditionViolation("bounds must be positive")
+    if args.universe and args.input:
+        raise PreconditionViolation(
+            "--universe and --input exclude each other")
     if args.universe:
         backend = registry.universe_backend(args.universe)
         if args.backend and args.backend != backend:
@@ -323,7 +326,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_spec(args: argparse.Namespace) -> int:
     backend, objects = _resolve_universe(args)
-    spec = build_spec(backend, MonoFamily(ALL_MONOS), objects, verify=True)
+    spec = build_spec(backend, MonoFamily(ALL_MONOS), objects)
     export = spec.to_json()
     uniform = [is_uniform(A, spec.M).to_json() for A in objects]
     division = [end_spec_division_check(A, spec).to_json() for A in objects]
@@ -454,8 +457,7 @@ def _check_thm_5_2_pullbacks() -> tuple[bool, dict]:
     for name in ("s3-subgroups", "z4-chain"):
         backend = registry.universe_backend(name)
         objects = registry.universe(name)
-        spec = build_spec(backend, MonoFamily(ALL_MONOS), objects,
-                          verify=False)
+        spec = build_spec(backend, MonoFamily(ALL_MONOS), objects)
         reports = verify_limit_preservation(
             spec, registry.registered_cospans(name))
         results[name] = [r.to_json() for r in reports]
@@ -503,7 +505,7 @@ def _check_cor_7_3_uniform() -> tuple[bool, dict]:
     out = {}
 
     z4_objects = registry.universe("z4-chain")
-    spec_ab = build_spec(AB, S, z4_objects, verify=True)
+    spec_ab = build_spec(AB, S, z4_objects)
     z4 = registry.zab(4)
     u4 = is_uniform(z4, spec_ab.M)
     d4 = end_spec_division_check(z4, spec_ab)
@@ -511,13 +513,13 @@ def _check_cor_7_3_uniform() -> tuple[bool, dict]:
 
     z5 = registry.z(5)
     z5_objects = registry.subgroup_universe(z5)
-    spec_z5 = build_spec(GRP, S, z5_objects, verify=True)
+    spec_z5 = build_spec(GRP, S, z5_objects)
     u5 = is_uniform(z5, spec_z5.M)
     d5 = end_spec_division_check(z5, spec_z5)
     out["Z5"] = {"uniform": u5.to_json(), "division": d5.to_json()}
 
     s3_objects = registry.universe("s3-subgroups")
-    spec_s3 = build_spec(GRP, S, s3_objects, verify=True)
+    spec_s3 = build_spec(GRP, S, s3_objects)
     s3 = registry.s3()
     u3 = is_uniform(s3, spec_s3.M)
     d3 = end_spec_division_check(s3, spec_s3)

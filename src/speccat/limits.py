@@ -23,7 +23,6 @@ from .catcore import (
 )
 from .errors import (
     CompositionMismatch,
-    ConsistencyError,
     CospanMismatch,
     InvalidObject,
 )
@@ -179,20 +178,6 @@ class Congruence(_Validated, namedtuple("Congruence", "on blocks")):
     @property
     def is_discrete(self) -> bool:
         return len(self.blocks) == self.on.size
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.blocks) == 1
-
-    def related(self, a: int, b: int) -> bool:
-        ids = self.block_ids()
-        return ids[a] == ids[b]
-
-    def basepoint_block(self) -> tuple[int, ...]:
-        for block in self.blocks:
-            if 0 in block:
-                return block
-        raise ConsistencyError("no block contains the basepoint")
 
     def quotient(self) -> tuple[FiniteObject, ConcreteMorphism]:
         """Quotient object and the canonical projection."""

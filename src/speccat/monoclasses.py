@@ -344,13 +344,14 @@ def is_stable_essential(m: ConcreteMorphism, S: MonoFamily,
                         universe: list[FiniteObject] | None = None) -> Verdict:
     """Is m a pullback stable S-essential monomorphism?
 
-    In the group backends with S = all monos this is decided exactly via
-    subobject-essentiality; otherwise a bounded refutation search pulls m
-    back along every morphism from the universe.
+    Where :func:`stable_essential_family` is exact (the normal backends
+    with S = all monos) this is decided exactly via subobject-essentiality;
+    otherwise a bounded refutation search pulls m back along every morphism
+    from the universe.
     """
     if not S.contains(m):
         raise PreconditionViolation(f"{m!r} is not in the designated class")
-    if m.dom.backend in NORMAL_BACKENDS and S.kind == ALL_MONOS:
+    if stable_essential_family(m.dom.backend, S, universe or ()).exact:
         if _se_refutation(m.cod, m.image) is None:
             return Verdict(True, exact=True)
         witness = _find_refuting_pullback(m, S, universe or [])
@@ -615,25 +616,6 @@ def _composite_scan(monos: dict[tuple, tuple], laws,
     return results
 
 
-def _mono_flags(universe, S):
-    """Membership tests of the essential, subobject-essential and pullback
-    stable S-essential classes, on the (codomain, image) key of a mono.  A
-    key outside S is not pullback stable S-essential."""
-    M = stable_essential_family(universe[0].backend if universe else None,
-                                S, universe)
-
-    def in_e(key):
-        return _essential_refutation(*key) is None
-
-    def in_se(key):
-        return _se_refutation(*key) is None
-
-    def in_st(key):
-        return M.contains_image(*key)
-
-    return in_e, in_se, in_st
-
-
 def closure_law_suite(universe: list[FiniteObject],
                       S: MonoFamily | None = None) -> list[LawReport]:
     """Exhaustively check the closure and cancellation laws of the essential,
@@ -645,11 +627,16 @@ def closure_law_suite(universe: list[FiniteObject],
     ``stable-essential-*`` laws, which use :func:`is_stable_essential`."""
     S = S or MonoFamily(ALL_MONOS)
     monos = monos_between(universe)
-    # the classes with S are decided per key of S; the others, and the
-    # inner-factor law, per content key
-    content = _object_keys(universe, MonoFamily(ALL_MONOS)).__getitem__
+    # every law is decided per key of S, which is the content key or, for
+    # an explicit S, finer
     key_of = _object_keys(universe, S).__getitem__
-    in_e, in_se, in_st = _mono_flags(universe, S)
+    # membership of a (codomain, image) key in the essential, the
+    # subobject-essential and the pullback stable S-essential class; a key
+    # outside S is not pullback stable S-essential
+    in_e, in_se, in_st = (lambda key, F=F: F.contains_image(*key) for F in (
+        MonoFamily(ESSENTIAL_FAMILY), MonoFamily(SE_FAMILY),
+        stable_essential_family(universe[0].backend if universe else None,
+                                S, universe)))
     stabilized = {canonical_mono(m) for m in stabilize(
         [m for ms in monos.values() for m in ms
          if S.contains(m) and is_essential(m, S, universe).value], universe)}
@@ -711,8 +698,8 @@ def closure_law_suite(universe: list[FiniteObject],
 
     # -- a second mono factor is a pullback of the composite --------------
     # the pullback of m.m' along m is the pairs (x, y) with m(m'(x)) = m(y),
-    # read off the tables; decided once per content triple of a block,
-    # which fixes its monos
+    # read off the tables; decided once per key triple of a block, which
+    # fixes its monos
     def inner_factors(block):
         inner, outer = block
         fibres = []
@@ -733,8 +720,8 @@ def closure_law_suite(universe: list[FiniteObject],
         LawReport, "inner-factor-is-pullback-of-composite",
         _first_failure_by_key(
             _composable(monos),
-            lambda block: (content(block[0][0].dom), content(block[0][0].cod),
-                           content(block[1][0].cod)),
+            lambda block: (key_of(block[0][0].dom), key_of(block[0][0].cod),
+                           key_of(block[1][0].cod)),
             lambda block: _first_failure(inner_factors(block)))))
     return reports
 
@@ -776,7 +763,8 @@ def s_class_report(S: MonoFamily, universe: list[FiniteObject]) -> list[LawRepor
     """Bounded verification that S is pullback stable, contains isomorphisms,
     is closed under composition, and has strong left cancellation.
 
-    S-membership is decided once per (codomain, image) key.  Every other
+    S answers membership itself, by :meth:`MonoFamily.contains_image`,
+    which keeps a memo only for the kinds it pays for.  Every other
     decision is made once per content key (backend, size, op table) of the
     objects it involves, or per object for an explicit S, which names
     objects: the pullback law decides each member key (content of the
@@ -787,13 +775,9 @@ def s_class_report(S: MonoFamily, universe: list[FiniteObject]) -> list[LawRepor
     scan per mono."""
     monos = monos_between(universe)
     key_of = _object_keys(universe, S).__getitem__
-    decided: dict[tuple, bool] = {}
 
     def in_s(key):
-        hit = decided.get(key)
-        if hit is None:
-            hit = decided[key] = S.contains_image(*key)
-        return hit
+        return S.contains_image(*key)
 
     isos = (None if in_s(canonical_mono(m)) else _jsonable(iso=m)
             for ms in monos.values() for m in ms if m.is_bijective)

@@ -144,9 +144,9 @@ def psets() -> tuple[FiniteObject, ...]:
 # ---------------------------------------------------------------------------
 
 def subgroup_universe(G: FiniteObject) -> list[FiniteObject]:
-    """Every subalgebra of G as a standalone object (G itself included)."""
-    return [sub.object()
-            for sub in sorted(subalgebras(G), key=lambda s: (s.size, s.elems))]
+    """Every subalgebra of G as a standalone object (G itself included), in
+    the (size, elements) order of :func:`subalgebras`."""
+    return [sub.object() for sub in subalgebras(G)]
 
 
 def inclusion_cospans(G: FiniteObject) -> list[tuple[ConcreteMorphism,
@@ -156,8 +156,7 @@ def inclusion_cospans(G: FiniteObject) -> list[tuple[ConcreteMorphism,
     Their pullbacks are intersections, so every apex stays inside the
     subalgebra universe of G.
     """
-    incls = [sub.inclusion()
-             for sub in sorted(subalgebras(G), key=lambda s: (s.size, s.elems))]
+    incls = [sub.inclusion() for sub in subalgebras(G)]
     return [(incls[i], incls[j])
             for i in range(len(incls)) for j in range(i, len(incls))]
 

@@ -40,8 +40,8 @@ def minimal_M_subobject(A: FiniteObject, M: MonoFamily) -> Subobject:
     Because M is closed under composition and pullback, the set of
     M-subobjects is intersection-closed, so this is itself an M-subobject —
     asserted, not assumed.  The hom sets of the localization out of A are in
-    bijection with plain homs out of this minimum; ``build_spec`` with
-    ``verify`` checks that bijection by counting against the span quotient.
+    bijection with plain homs out of this minimum; ``build_spec`` checks
+    that bijection by counting against the span quotient.
     """
     msubs = M.m_subobjects(A)
     if not msubs:
@@ -118,9 +118,7 @@ class SpectralCategory:
     is only a bounded-search approximation.
     """
 
-    def __init__(self, backend: str, M: MonoFamily,
-                 objects: list[FiniteObject]):
-        self.backend = backend
+    def __init__(self, M: MonoFamily, objects: list[FiniteObject]):
         self.M = M
         self.objects = tuple(objects)
         self.exact = M.exact
@@ -318,15 +316,14 @@ class SpectralCategory:
 
 
 def build_spec(backend: str, S: MonoFamily,
-               universe: list[FiniteObject], verify: bool = True
-               ) -> SpectralCategory:
+               universe: list[FiniteObject]) -> SpectralCategory:
     """Assemble the localization at the pullback stable S-essential monos.
 
     Refuses to build when S fails its required hypotheses on the universe
-    (pullback stability, isomorphisms, composition, strong left cancellation);
-    with ``verify`` every hom set of the spec, as ``to_json`` exports it, is
-    counted against the independent span-quotient construction.  The span
-    quotient of hom(A, B) depends on A and B only through their keys in M
+    (pullback stability, isomorphisms, composition, strong left cancellation),
+    and counts every hom set of the spec, as ``to_json`` exports it, against
+    the independent span-quotient construction.  The span quotient of
+    hom(A, B) depends on A and B only through their keys in M
     (:meth:`MonoFamily.key`: the content, or the object itself over an
     explicit S), so it is built once per pair of key numbers,
     :meth:`SpectralCategory._key`, and compared with every hom set of the
@@ -338,23 +335,22 @@ def build_spec(backend: str, S: MonoFamily,
             "designated class S violates its hypotheses: "
             + "; ".join(f"{r.law_id} ({r.witness})" for r in failures))
     M = stable_essential_family(backend, S, universe)
-    spec = SpectralCategory(backend, M, universe)
-    if verify:
-        counted: dict[tuple, int] = {}
-        for A in universe:
-            for B in universe:
-                # the spec first: an object with no M-member fails there;
-                # hom(A, B) has one class per label
-                direct = len(spec._hom(A, B)[0])
-                key = spec._key(A), spec._key(B)
-                n = counted.get(key)
-                if n is None:
-                    n = counted[key] = len(poincare_hom(A, B, M))
-                if n != direct:
-                    raise ConsistencyError(
-                        f"hom({A.id},{B.id}): span quotient has {n} classes "
-                        f"but hom from the minimal M-subobject has "
-                        f"{direct} elements")
+    spec = SpectralCategory(M, universe)
+    counted: dict[tuple, int] = {}
+    for A in universe:
+        for B in universe:
+            # the spec first: an object with no M-member fails there;
+            # hom(A, B) has one class per label
+            direct = len(spec._hom(A, B)[0])
+            key = spec._key(A), spec._key(B)
+            n = counted.get(key)
+            if n is None:
+                n = counted[key] = len(poincare_hom(A, B, M))
+            if n != direct:
+                raise ConsistencyError(
+                    f"hom({A.id},{B.id}): span quotient has {n} classes "
+                    f"but hom from the minimal M-subobject has "
+                    f"{direct} elements")
     return spec
 
 
@@ -486,7 +482,8 @@ def verify_limit_preservation(spec: SpectralCategory,
     for f, g in cospans:
         pb: PullbackResult = pullback(f, g)
         pf, pg = canonical_functor(f, spec), canonical_functor(g, spec)
-        amin = spec.amin(pb.apex)
+        ka = spec._key(pb.apex)
+        amin = Subobject(pb.apex, spec._minimal(pb.apex, ka).elems)
         pl, pr = (ConcreteMorphism(amin.object(), proj.cod,
                                    tuple(proj.table[e] for e in amin.elems))
                   for proj in (pb.proj_left, pb.proj_right))
@@ -494,8 +491,7 @@ def verify_limit_preservation(spec: SpectralCategory,
         kg = spec._key(g.dom), spec._key(g.cod), pg.index
         result = _first_failure_by_key(
             spec.objects, spec._key,
-            partial(decide, pf, kf, pg, kg, pb.apex, spec._key(pb.apex),
-                    pl, pr))
+            partial(decide, pf, kf, pg, kg, pb.apex, ka, pl, pr))
         reports.append(_report(
             ConePreservationReport,
             (f"{f.dom.id}->{f.cod.id}", f"{g.dom.id}->{g.cod.id}"), result))

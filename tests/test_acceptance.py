@@ -146,8 +146,7 @@ def test_two_hom_constructions_agree(capsys, se_family_ab, se_family_grp,
     for fam, universe in ((se_family_ab, z4_universe),
                           (se_family_grp, s3_universe)):
         backend = universe[-1].backend
-        spec = build_spec(backend, MonoFamily(ALL_MONOS), list(universe),
-                          verify=True)
+        spec = build_spec(backend, MonoFamily(ALL_MONOS), list(universe))
         for A in universe:
             for B in universe:
                 if len(spec.hom(A, B)) != len(poincare_hom(A, B, fam)):
@@ -166,8 +165,7 @@ def test_localization_preserves_pullbacks(capsys):
     ok = True
     for name in ("s3-subgroups", "z4-chain"):
         spec = build_spec(registry.universe_backend(name),
-                          MonoFamily(ALL_MONOS), registry.universe(name),
-                          verify=False)
+                          MonoFamily(ALL_MONOS), registry.universe(name))
         reports = verify_limit_preservation(
             spec, registry.registered_cospans(name))
         ok = ok and bool(reports) and all(r.status == "pass" for r in reports)

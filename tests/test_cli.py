@@ -267,6 +267,18 @@ def test_nonpositive_bound_is_refused_before_any_input_is_read(capsys,
                                "message": "bounds must be positive"}
 
 
+@pytest.mark.parametrize("command", ["classify", "spec"])
+def test_universe_and_input_exclude_each_other(capsys, command):
+    """Given both, neither is dropped: the command exits 2 before it reads
+    the input file, which need not exist."""
+    code, out, err = run(capsys, command, "--universe", "z4-chain",
+                         "--input", "/nonexistent.json")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "PreconditionViolation",
+        "message": "--universe and --input exclude each other"}
+
+
 def test_reproduce_takes_no_universe_options(capsys):
     """A reproduce item builds its own objects, so --backend, --universe,
     --input and --bound-size are usage errors there, not ignored."""

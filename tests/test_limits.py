@@ -151,9 +151,8 @@ def test_delta_nabla(s3):
     # the discrete and the full congruence, from their partitions
     delta = congruence_from_partition(s3, [[e] for e in s3.elements])
     nabla = congruence_from_partition(s3, [list(s3.elements)])
-    assert delta.is_discrete and not delta.is_full
-    assert nabla.is_full
-    assert nabla.basepoint_block() == tuple(range(s3.size))
+    assert delta.is_discrete and len(delta.blocks) > 1
+    assert nabla.blocks == (tuple(range(s3.size)),)
 
 
 def test_quotient_basepoint_block_first(s3, s3_named):
@@ -172,7 +171,10 @@ def test_kernel_pair_is_congruence(s3):
     for f in enumerate_hom(s3, s3):
         kp = kernel_pair(f)
         assert isinstance(kp, Congruence)
-        assert kp.related(0, 0)
+        # the blocks are the fibres of f: each in one fibre, one per value
+        assert all(len({f.table[a] for a in block}) == 1
+                   for block in kp.blocks)
+        assert len(kp.blocks) == len(set(f.table))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import sys
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speccat import (
     ALL_MONOS,
@@ -434,13 +436,40 @@ def _reference_s_class_report(S, universe):
     return reports
 
 
+def _reference_flags(universe, S):
+    """Membership of a (codomain, image) key in the essential, the
+    subobject-essential and the pullback stable S-essential class: the
+    first two asked of the public decision procedures on the built
+    inclusion, the last of M from stable_essential_family, which refuses a
+    key outside S."""
+    M = stable_essential_family(universe[0].backend, S, universe)
+    all_monos = MonoFamily(ALL_MONOS)
+
+    @cache
+    def in_e(key):
+        return is_essential(_built_inclusion(*key), all_monos).value
+
+    @cache
+    def in_se(key):
+        return is_subobject_essential(_built_inclusion(*key)).value
+
+    def in_st(key):
+        return M.contains_image(*key)
+
+    return in_e, in_se, in_st
+
+
+def _built_inclusion(cod, image):
+    return Subobject(cod, tuple(sorted(image))).inclusion()
+
+
 def _reference_closure_laws(universe, S):
     """The composition-shaped, pullback-stability and inner-factor laws of
     closure_law_suite as they were before the per-(codomain, image) memo and
     the outer monos indexed by domain.  The inner-factor law builds the
     generic pullback of m.m' along m for every composable pair."""
     monos = monos_between(universe)
-    in_e, in_se, in_st = monoclasses._mono_flags(universe, S)
+    in_e, in_se, in_st = _reference_flags(universe, S)
     reports = []
 
     def w(**kw):
@@ -700,7 +729,7 @@ def test_keys_outside_S_are_not_stable_essential():
     agree with is_stable_essential, which refuses it."""
     universe = registry.universe("z4-chain")
     S = _law_class("z4-chain", universe, "fails-early")
-    in_st = monoclasses._mono_flags(universe, S)[2]
+    in_st = _reference_flags(universe, S)[2]
     monos = [m for ms in monos_between(universe).values() for m in ms]
     outside = [m for m in monos if not S.contains(m)]
     assert any(m.cod.size == 4 and len(m.image) == 2 for m in outside)
@@ -709,6 +738,27 @@ def test_keys_outside_S_are_not_stable_essential():
         assert in_st((m.cod, m.image)) == expected, m
     with pytest.raises(PreconditionViolation):
         is_stable_essential(outside[0], S, universe)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["s3-subgroups", "z4-chain", "pointed-le-4"]),
+       data=st.data())
+def test_explicit_S_laws_match_the_reference_loops(name, data):
+    """An explicit S, the isos plus a drawn set of monos: s_class_report,
+    which asks S itself about each key, and closure_law_suite, whose laws
+    are all keyed on the objects an explicit S names, report what the
+    per-mono loops report."""
+    universe = registry.universe(name)
+    monos = [m for ms in monos_between(universe).values() for m in ms]
+    drawn = data.draw(st.sets(st.sampled_from(monos)), label="members")
+    S = MonoFamily.explicit([m for m in monos if m.is_bijective] + list(drawn))
+    got = [(r.law_id, r.status, r.checked, r.witness)
+           for r in s_class_report(S, universe)]
+    assert got == _reference_s_class_report(S, universe)
+    reference = _reference_closure_laws(universe, S)
+    laws = {r.law_id: (r.law_id, r.status, r.checked, r.witness)
+            for r in closure_law_suite(universe, S)}
+    assert [laws[law[0]] for law in reference] == reference
 
 
 # ---------------------------------------------------------------------------

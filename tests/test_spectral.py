@@ -47,12 +47,12 @@ from speccat.monoclasses import (ESSENTIAL_FAMILY, EXPLICIT, ISO_FAMILY,
 
 @pytest.fixture(scope="module")
 def spec_ab(z4_universe):
-    return build_spec(AB, MonoFamily(ALL_MONOS), z4_universe, verify=True)
+    return build_spec(AB, MonoFamily(ALL_MONOS), z4_universe)
 
 
 @pytest.fixture(scope="module")
 def spec_grp(s3_universe):
-    return build_spec(GRP, MonoFamily(ALL_MONOS), s3_universe, verify=True)
+    return build_spec(GRP, MonoFamily(ALL_MONOS), s3_universe)
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +75,13 @@ def test_minimal_subobject_of_zero(se_family_ab):
 
 
 def test_minimal_subobject_cross_check(z4_universe):
-    spec = build_spec(AB, MonoFamily(ALL_MONOS), z4_universe, verify=True)
+    spec = build_spec(AB, MonoFamily(ALL_MONOS), z4_universe)
     assert spec.amin(registry.zab(4)).elems == (0, 2)
 
 
 def test_cross_check_fails_on_a_short_span_quotient(monkeypatch, z4_universe):
-    """build_spec(verify=True) counts every hom set against poincare_hom: a
-    span quotient that loses one class of hom(Z4, Z4) is caught."""
+    """build_spec counts every hom set against poincare_hom: a span
+    quotient that loses one class of hom(Z4, Z4) is caught."""
     full, last = spectral.poincare_hom, z4_universe[-1]
 
     def short(A, B, M):
@@ -90,7 +90,7 @@ def test_cross_check_fails_on_a_short_span_quotient(monkeypatch, z4_universe):
 
     monkeypatch.setattr(spectral, "poincare_hom", short)
     with pytest.raises(ConsistencyError, match="span quotient has"):
-        build_spec(AB, MonoFamily(ALL_MONOS), z4_universe, verify=True)
+        build_spec(AB, MonoFamily(ALL_MONOS), z4_universe)
 
 
 def _per_object_cross_check(spec, universe):
@@ -121,8 +121,7 @@ def test_cross_check_builds_one_span_quotient_per_key(monkeypatch, name,
         return full(*args)
 
     monkeypatch.setattr(spectral, "poincare_hom", counted)
-    build_spec(GRP, MonoFamily(ALL_MONOS), registry.universe(name),
-               verify=True)
+    build_spec(GRP, MonoFamily(ALL_MONOS), registry.universe(name))
     assert built[0] == calls
 
 
@@ -138,8 +137,7 @@ def test_keyed_cross_check_matches_the_per_object_loop(monkeypatch, name):
     pair, with the same message."""
     universe, backend = registry.universe(name), registry.universe_backend(name)
     S = MonoFamily(ALL_MONOS)
-    _per_object_cross_check(build_spec(backend, S, universe, verify=True),
-                            universe)
+    _per_object_cross_check(build_spec(backend, S, universe), universe)
     full, first = spectral.poincare_hom, catcore.content_key(universe[1])
 
     def short(A, B, M):
@@ -149,10 +147,11 @@ def test_keyed_cross_check_matches_the_per_object_loop(monkeypatch, name):
 
     monkeypatch.setattr(spectral, "poincare_hom", short)
     with pytest.raises(ConsistencyError) as keyed:
-        build_spec(backend, S, universe, verify=True)
+        build_spec(backend, S, universe)
     with pytest.raises(ConsistencyError) as loop:
-        _per_object_cross_check(build_spec(backend, S, universe, verify=False),
-                                universe)
+        # a spec built with no cross-check: the loop must raise its own error
+        _per_object_cross_check(SpectralCategory(
+            stable_essential_family(backend, S, universe), universe), universe)
     assert str(keyed.value) == str(loop.value)
     assert f"hom({universe[1].id},{universe[-1].id})" in str(keyed.value)
 
@@ -176,7 +175,7 @@ def test_explicit_S_cross_checks_every_object(monkeypatch):
     monkeypatch.setattr(spectral, "poincare_hom", short)
     with pytest.raises(ConsistencyError,
                        match=re.escape(f"hom({second.id},{s3.id})")):
-        build_spec(GRP, S, universe, verify=True)
+        build_spec(GRP, S, universe)
 
 
 def test_minimal_subobject_is_computed_once_per_key(monkeypatch):
@@ -191,7 +190,7 @@ def test_minimal_subobject_is_computed_once_per_key(monkeypatch):
         return full(A, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "minimal_M_subobject", counted)
-    build_spec(GRP, MonoFamily(ALL_MONOS), universe, verify=True).to_json()
+    build_spec(GRP, MonoFamily(ALL_MONOS), universe).to_json()
     firsts = {}
     for A in universe:
         firsts.setdefault(catcore.content_key(A), A)
@@ -239,7 +238,7 @@ def test_limit_check_on_s4_finds_no_minimal_subobject(monkeypatch):
     check finds no minimal M-subobject and leaves no entry in the
     subalgebra or subobject-essential refutation caches."""
     spec = build_spec(GRP, MonoFamily(ALL_MONOS),
-                      registry.universe("s4-subgroups"), verify=True)
+                      registry.universe("s4-subgroups"))
     spec.to_json()
     full, calls = spectral.minimal_M_subobject, [0]
 
@@ -264,7 +263,7 @@ def test_hom_sets_and_export_validate_no_morphism(monkeypatch):
     morphism out of them."""
     G = catcore.group_from_permutations("S3-unbuilt", 3, [[1, 0, 2], [1, 2, 0]])
     universe = registry.subgroup_universe(G) + [cyclic_group(4, "Z4-unbuilt")]
-    spec = SpectralCategory(GRP, MonoFamily(kind=SE_FAMILY), universe)
+    spec = SpectralCategory(MonoFamily(kind=SE_FAMILY), universe)
     for A in universe:
         spec.amin(A)
     built = [0]
@@ -445,9 +444,9 @@ def _spec_over(family, name):
     backend = registry.universe_backend(name)
     objects = registry.universe(name)
     if family == "se":
-        return build_spec(backend, MonoFamily(ALL_MONOS), objects,
-                          verify=False)
-    return SpectralCategory(backend, MonoFamily(kind=family), objects)
+        return SpectralCategory(stable_essential_family(
+            backend, MonoFamily(ALL_MONOS), objects), objects)
+    return SpectralCategory(MonoFamily(kind=family), objects)
 
 
 @pytest.mark.parametrize("family", ["se", ISO_FAMILY])
@@ -683,8 +682,8 @@ def _five_element_apex_cospans():
 
 def test_limit_check_numbers_each_apex_once_per_cospan(monkeypatch):
     """Once the spec has met every pair of keys, a cospan asks for the key
-    of its pullback apex twice, for amin(apex) and for the probes, however
-    many probe keys it decides."""
+    of its pullback apex once, for amin(apex) and the probes together,
+    however many probe keys it decides."""
     spec = _spec_over("se", "s3-subgroups")
     cospans = registry.registered_cospans("s3-subgroups")
     verify_limit_preservation(spec, cospans)
@@ -699,7 +698,7 @@ def test_limit_check_numbers_each_apex_once_per_cospan(monkeypatch):
     assert all(r.status == "pass"
                for r in verify_limit_preservation(spec, cospans))
     assert len({spec._key(W) for W in spec.objects}) == 4
-    assert sum(asked.values()) == 2 * len(cospans)
+    assert sum(asked.values()) == len(cospans)
 
 
 def test_mediator_count_checks_hom_values_against_the_apex(monkeypatch):
@@ -866,7 +865,7 @@ def test_cones_are_visited_in_pair_order(monkeypatch):
     """With every mediator count made zero, each cospan fails at its first
     commuting cone in the order W, p, q, as the per-pair scan finds it.  The
     zero object is left out of the probes: its one cone would come first."""
-    spec = SpectralCategory("pset", MonoFamily(kind=ISO_FAMILY),
+    spec = SpectralCategory(MonoFamily(kind=ISO_FAMILY),
                             registry.universe("pointed-le-4")[1:])
     cospans = _small_pointed_hom_cospans()
     monkeypatch.setattr(spectral, "_mediator_counts",
@@ -889,7 +888,7 @@ from test_spectral import _pointed_hom_cospans
 from speccat import MonoFamily, SpectralCategory, registry
 from speccat import verify_limit_preservation
 from speccat.monoclasses import ISO_FAMILY
-spec = SpectralCategory("pset", MonoFamily(kind=ISO_FAMILY),
+spec = SpectralCategory(MonoFamily(kind=ISO_FAMILY),
                         registry.universe("pointed-le-4"))
 cospans = [(f, g) for f, g, size in _pointed_hom_cospans() if size >= 12]
 reports = verify_limit_preservation(spec, cospans)
@@ -1175,7 +1174,7 @@ def test_export_does_not_share_tables_across_minimal_subobjects():
                    members=frozenset({(za, frozenset({0, 1})),
                                       (zb, frozenset({0, 1})),
                                       (zb, frozenset({0}))}))
-    spec = SpectralCategory(GRP, M, [za, zb])
+    spec = SpectralCategory(M, [za, zb])
     assert spec.amin(za).elems == (0, 1) and spec.amin(zb).elems == (0,)
     with pytest.raises(ConsistencyError, match="leaves the minimal"):
         spec.to_json()
@@ -1215,6 +1214,6 @@ def test_minimal_subobject_of_a_catalog_subgroup_is_omega(data):
     alone: H is numbered by its key and its minimal M-subobject is Omega(H)."""
     G = data.draw(st.sampled_from(registry.group_catalog()), label="G")
     H = data.draw(st.sampled_from(subalgebras(G)), label="H").object()
-    spec = SpectralCategory(GRP, MonoFamily(kind=SE_FAMILY), [G])
+    spec = SpectralCategory(MonoFamily(kind=SE_FAMILY), [G])
     assert spec.amin(H).elems == _omega(H)
     assert spec.amin(G).elems == _omega(G)
