@@ -9,8 +9,9 @@ of the largest lists (a ``composition`` table, a ``homs`` entry), never held
 as one string, and is byte for byte the text of
 ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.  The
 entries of a large list are rendered column by column, a few hundred at a
-time, and each distinct composition table the export shares between
-entries is rendered once per indent level.  Peak RSS of
+time: strings, ints, arrays and dicts with one set of str keys by column
+rules, each distinct composition table once per indent level, and every
+other value by json.dumps itself, re-indented.  Peak RSS of
 ``spec --universe s4-subgroups`` (24 MB of JSON) is about 37 MB on
 CPython 3.11, x86-64.
 
@@ -82,26 +83,6 @@ _INDENT = "  "
 _BLOCK = 256
 
 
-def _scalar_text(o) -> str:
-    """json's text of a scalar.  A list or tuple that reaches here is a
-    subclass, such as a record, which json.dumps would write as an array:
-    it is refused like any other object."""
-    if isinstance(o, (list, tuple)):
-        raise TypeError(f"Object of type {o.__class__.__name__} "
-                        f"is not JSON serializable")
-    return json.dumps(o)
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    # bools are ints; none of these texts needs escaping
-    if key is None or isinstance(key, (int, float)):
-        return '"' + json.dumps(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
 def _texts(values, level: int, memo: dict) -> list[str]:
     """The text of each of ``values``, with its first line at indent
     ``level``.
@@ -109,9 +90,8 @@ def _texts(values, level: int, memo: dict) -> list[str]:
     A column of one exact type is rendered as a whole: str and int by one
     C-level map each (type, not isinstance: a bool is written true, not 1),
     lists and tuples flattened into one column, and dicts that share one
-    tuple of str keys by one column per key.  Any other column is rendered
-    value by value.  Only an exact list or tuple is an array: a record (a
-    namedtuple subclass) is refused like any other object."""
+    nonempty tuple of str keys by one column per key.  Every other column
+    is written value by value by json.dumps."""
     types = set(map(type, values))
     if len(types) == 1:
         kind, = types
@@ -125,45 +105,43 @@ def _texts(values, level: int, memo: dict) -> list[str]:
             keys = set(map(tuple, values))
             if len(keys) == 1:
                 keys, = keys
-                if all(type(k) is str for k in keys):
+                if keys and all(type(k) is str for k in keys):
                     return _dict_texts(values, tuple(sorted(keys)), level,
                                        memo)
-        if len(values) == 1:
-            return [_value_text(values[0], level, memo)]
-    return [_texts((v,), level, memo)[0] for v in values]
+    return [_value_text(v, level) for v in values]
 
 
-def _value_text(o, level: int, memo: dict) -> str:
-    """One value that no column rule covers: a dict subclass or a dict with
-    a key that is not an exact str, or a scalar."""
+def _holds_record(o) -> bool:
+    """Is a list or tuple subclass, such as a record, anywhere in o?"""
     if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = sorted(o.items())
-        inner = "\n" + _INDENT * (level + 1)
-        texts = _texts([v for _, v in items], level + 1, memo)
-        return ("{" + inner + ("," + inner).join(
-                    _key_text(k) + ": " + text
-                    for (k, _), text in zip(items, texts))
-                + "\n" + _INDENT * level + "}")
-    return _scalar_text(o)
+        return any(map(_holds_record, o.values()))
+    return isinstance(o, (list, tuple)) and (
+        type(o) not in (list, tuple) or any(map(_holds_record, o)))
+
+
+def _value_text(o, level: int) -> str:
+    """json.dumps's text of a value that no column rule covers, with its
+    first line at indent ``level``.  json escapes every newline inside a
+    string, so each newline in a container's text starts a line, and the
+    text is indented by following each with the indent of ``level``.
+    json.dumps would write a record as an array: the writer refuses it."""
+    if not isinstance(o, (dict, list, tuple)):
+        return json.dumps(o)
+    if _holds_record(o):
+        raise TypeError("a list or tuple subclass is not JSON serializable")
+    return json.dumps(o, indent=2, sort_keys=True).replace(
+        "\n", "\n" + _INDENT * level)
 
 
 def _dict_texts(dicts, keys: tuple[str, ...], level: int,
                 memo: dict) -> list[str]:
     """Dicts with the sorted str keys ``keys``: the values under each key
-    are one column, and each row of columns fills a ``%`` template kept in
-    ``memo`` under (keys, level)."""
-    if not keys:
-        return ["{}"] * len(dicts)
-    template = memo.get((keys, level))
-    if template is None:
-        inner = "\n" + _INDENT * (level + 1)
-        template = memo[keys, level] = (
-            "{" + inner + ("," + inner).join(
-                encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-                for k in keys)
-            + "\n" + _INDENT * level + "}")
+    are one column, and each row of columns fills one ``%`` template."""
+    inner = "\n" + _INDENT * (level + 1)
+    template = ("{" + inner + ("," + inner).join(
+                    encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                    for k in keys)
+                + "\n" + _INDENT * level + "}")
     columns = [_texts(list(map(itemgetter(k), dicts)), level + 1, memo)
                for k in keys]
     return [template % row for row in zip(*columns)]
@@ -207,8 +185,8 @@ def _array_texts(arrays, level: int, memo: dict) -> list[str]:
 
 
 def _json_pieces(o):
-    """Yield the text of o in pieces: a dict piece by key, a list of
-    containers piece by item, every other value whole.
+    """Yield the text of o in pieces: a dict with str keys piece by key, a
+    list of containers piece by item, every other value whole.
 
     The items of a list of containers are rendered as columns of
     ``_BLOCK`` items.  A list of lists (a composition table) is rendered
@@ -220,11 +198,11 @@ def _json_pieces(o):
 
 
 def _pieces(o, level: int, memo: dict):
-    if isinstance(o, dict) and o:
+    if type(o) is dict and o and all(type(k) is str for k in o):
         inner = "\n" + _INDENT * (level + 1)
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            yield sep + _key_text(k) + ": "
+            yield sep + encode_basestring_ascii(k) + ": "
             yield from _pieces(v, level + 1, memo)
             sep = "," + inner
         yield "\n" + _INDENT * level + "}"
@@ -274,6 +252,12 @@ def _resolve_universe(args: argparse.Namespace
             with open(path, encoding="utf-8") as fh:
                 objects.extend(load_objects(fh.read(), backend,
                                             args.bound_size))
+        # no morphism joins two backends: refused before any hom search
+        backends = sorted({repr(A.backend) for A in objects})
+        if len(backends) > 1:
+            raise PreconditionViolation(
+                f"input objects live in backends {' and '.join(backends)}; "
+                f"one universe takes one backend")
     else:
         raise PreconditionViolation("need --universe or --input")
     names = set()
@@ -502,32 +486,21 @@ def _check_cor_7_3_uniform() -> tuple[bool, dict]:
     group is not uniform and its endomorphism monoid is not a division monoid.
     """
     S = MonoFamily(ALL_MONOS)
-    out = {}
-
-    z4_objects = registry.universe("z4-chain")
-    spec_ab = build_spec(AB, S, z4_objects)
-    z4 = registry.zab(4)
-    u4 = is_uniform(z4, spec_ab.M)
-    d4 = end_spec_division_check(z4, spec_ab)
-    out["Z4"] = {"uniform": u4.to_json(), "division": d4.to_json()}
-
-    z5 = registry.z(5)
-    z5_objects = registry.subgroup_universe(z5)
-    spec_z5 = build_spec(GRP, S, z5_objects)
-    u5 = is_uniform(z5, spec_z5.M)
-    d5 = end_spec_division_check(z5, spec_z5)
-    out["Z5"] = {"uniform": u5.to_json(), "division": d5.to_json()}
-
-    s3_objects = registry.universe("s3-subgroups")
-    spec_s3 = build_spec(GRP, S, s3_objects)
-    s3 = registry.s3()
-    u3 = is_uniform(s3, spec_s3.M)
-    d3 = end_spec_division_check(s3, spec_s3)
-    out["S3"] = {"uniform": u3.to_json(), "division": d3.to_json()}
-
-    ok = (u4.uniform and d4.verdict and d4.size == 2
-          and u5.uniform and d5.verdict and d5.size == 5
-          and not u3.uniform and not d3.verdict and d3.size == 10)
+    out, ok = {}, True
+    # name, backend, universe, object, whether it is uniform and its End a
+    # division monoid, size of that End
+    for name, backend, objects, A, uniform, size in (
+            ("Z4", AB, registry.universe("z4-chain"), registry.zab(4),
+             True, 2),
+            ("Z5", GRP, registry.subgroup_universe(registry.z(5)),
+             registry.z(5), True, 5),
+            ("S3", GRP, registry.universe("s3-subgroups"), registry.s3(),
+             False, 10)):
+        spec = build_spec(backend, S, objects)
+        u, d = is_uniform(A, spec.M), end_spec_division_check(A, spec)
+        out[name] = {"uniform": u.to_json(), "division": d.to_json()}
+        ok = (ok and u.uniform == uniform and d.verdict == uniform
+              and d.size == size)
     return ok, out
 
 
@@ -546,10 +519,7 @@ REPRODUCE_ITEMS = tuple(CHECKS)
 def cmd_reproduce(args: argparse.Namespace) -> int:
     item = args.item
     if item not in CHECKS:
-        print(json.dumps({"error": f"unknown item {item!r}",
-                          "known": sorted(CHECKS)}, sort_keys=True),
-              file=sys.stderr)
-        return 2
+        return _error(2, error=f"unknown item {item!r}", known=sorted(CHECKS))
     ok, report = CHECKS[item]()
     payload = {"command": "reproduce", "item": item, "seed": args.seed,
                "status": "pass" if ok else "fail", "report": report}
@@ -591,6 +561,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(code: int, **fields) -> int:
+    """Write ``fields`` to stderr as one JSON object; return ``code``."""
+    print(json.dumps(fields, sort_keys=True), file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -601,24 +577,17 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_spec(args)
         return cmd_reproduce(args)
     except json.JSONDecodeError as exc:
-        print(json.dumps({"error": "malformed JSON", "message": str(exc),
-                          "line": exc.lineno, "column": exc.colno,
-                          "position": exc.pos}, sort_keys=True),
-              file=sys.stderr)
-        return 2
+        return _error(2, error="malformed JSON", message=str(exc),
+                      line=exc.lineno, column=exc.colno, position=exc.pos)
     except BoundExceeded as exc:
-        print(json.dumps({"error": "bound exceeded", "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return 3
+        return _error(3, error="bound exceeded", message=str(exc))
     except BrokenPipeError:
         # Python flushes stdout at exit: point it at devnull so that flush
         # cannot fail again on the closed pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE_CLOSED
     except (OSError, SpeccatError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return 2
+        return _error(2, error=type(exc).__name__, message=str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -106,15 +106,13 @@ class MonoFamily(_Validated, namedtuple(
             return True
         if self.kind == SE_FAMILY:
             return _se_refutation(cod, image) is None
-        if self.kind == NORMAL_MONOS:
-            return is_normal_subset(cod, image)
         if self.kind == ISO_FAMILY:
             return len(image) == cod.size
         if self.kind == ESSENTIAL_FAMILY:
             return _essential_refutation(cod, image) is None
         if self.kind == EXPLICIT:
             return (cod, image) in self.members
-        return _stabilized_member(self, cod, image)
+        return self._decided(cod, image)
 
     def contains(self, m: ConcreteMorphism) -> bool:
         return m.is_injective and self.contains_image(m.cod, m.image)
@@ -142,10 +140,26 @@ class MonoFamily(_Validated, namedtuple(
                 if self.contains_image(A, frozenset(sub.elems))]
 
     @cached_property
-    def _stabilized_verdicts(self) -> dict[tuple, bool]:
-        """The stabilized kind's verdicts, by (codomain, image), kept on
-        this family alone: they depend on its S and probe universe."""
+    def _verdicts(self) -> dict[tuple, bool]:
+        """The normal and the stabilized kind's verdicts, by (codomain,
+        image), kept on this family alone: a stabilized verdict depends on
+        its S and probe universe."""
         return {}
+
+    def _decided(self, cod: FiniteObject, image: frozenset[int]) -> bool:
+        """Membership of the normal or the stabilized kind, decided once
+        per key.  M is inside S, so a key outside S is not pullback stable
+        S-essential, and is not handed to the search, which refuses it."""
+        hit = self._verdicts.get((cod, image))
+        if hit is None:
+            if self.kind == NORMAL_MONOS:
+                hit = is_normal_subset(cod, image)
+            else:
+                hit = self.S.contains_image(cod, image) and is_stable_essential(
+                    _inclusion(cod, image), self.S,
+                    list(self.universe or ())).value
+            self._verdicts[cod, image] = hit
+        return hit
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +578,22 @@ def _composite_scan(monos: dict[tuple, tuple], laws,
     m' only through its image, so each (image of m', m) pair is decided
     once and counts the inner monos with that image.  A law fails at the
     first block in which it fails, rescanned pair by pair for that law, so
-    its count and witness are those of its first failing pair."""
+    its count and witness are those of its first failing pair.
+
+    :func:`closure_law_suite` keys on S, which for an explicit S is the
+    object, not its content.  That is finer than content only where S
+    tells content-equal objects apart at their isos.  Content-equal objects
+    are isomorphic, and pulling back along that iso carries a key of one to
+    the key with the same image in the other, so a pullback stable class
+    holds a non-iso key of an object exactly when it holds that of its
+    copy.  The premise S(m') of stabilization-right-cancellation follows
+    from stabilized(m.m') unless m' is an iso, as m' is the pullback of m.m'
+    along m.  But :func:`stabilize` counts an iso-shaped pullback as a
+    member, so the stabilized class keeps an iso key exactly when S holds
+    it: on z4-chain with a renamed copy of Z4, an S without the isos into
+    the copy gives stabilization-composition 10 cases where a content-keyed
+    scan counts 34, while an S without the non-iso monos into the copy
+    gives the content-keyed counts."""
     results = [(0, None)] * len(laws)
     decided: dict[tuple, list[int | None]] = {}
 
@@ -796,19 +825,6 @@ def s_class_report(S: MonoFamily, universe: list[FiniteObject]) -> list[LawRepor
 # ---------------------------------------------------------------------------
 # The class M of pullback stable S-essential monos (the class to invert)
 # ---------------------------------------------------------------------------
-
-def _stabilized_member(family: MonoFamily, cod: FiniteObject,
-                       image: frozenset[int]) -> bool:
-    """Is the key pullback stable S-essential?  M is inside S, so a key
-    outside S is not, and is not handed to the search, which refuses it."""
-    verdicts = family._stabilized_verdicts
-    hit = verdicts.get((cod, image))
-    if hit is None:
-        hit = verdicts[cod, image] = family.S.contains_image(cod, image) and (
-            is_stable_essential(_inclusion(cod, image), family.S,
-                                list(family.universe or ())).value)
-    return hit
-
 
 def stable_essential_family(backend: str, S: MonoFamily,
                             universe: list[FiniteObject]) -> MonoFamily:

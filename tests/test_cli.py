@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import speccat
+from speccat import cli
 from speccat.cli import (
     EXIT_PIPE_CLOSED,
     REPRODUCE_ITEMS,
@@ -239,6 +240,30 @@ def test_backend_universe_mismatch(capsys):
     code, _, err = run(capsys, "classify", "--universe", "z4-chain",
                        "--backend", "grp")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["classify", "spec"])
+def test_objects_in_two_backends_are_refused_at_once(tmp_path, capsys,
+                                                     monkeypatch, command):
+    """A group and a pointed set given without --backend: no morphism
+    joins the two, so the command exits 2, naming both backends, before it
+    enumerates a subobject or builds a spec."""
+    group, pset = tmp_path / "g.json", tmp_path / "p.json"
+    group.write_text('{"kind": "group", "name": "A", '
+                     '"cayley": [[0, 1], [1, 0]]}')
+    pset.write_text('{"kind": "pointed_set", "name": "P2", "size": 2}')
+
+    def refuse(*args):
+        raise AssertionError("the command began to compute")
+
+    for name in ("subalgebras", "build_spec"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, command, "--input", str(group),
+                         "--input", str(pset))
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "PreconditionViolation"
+    assert "'grp'" in payload["message"] and "'pset'" in payload["message"]
 
 
 def test_backend_input_mismatch(tmp_path, capsys):
@@ -539,19 +564,24 @@ def _deep(depth):
 @example(obj=[1, True, None, 2.5, -7, False, 2 ** 100, -2 ** 100])
 @example(obj=[[1, 2], (3, 4), []])
 @example(obj=_composition(5_000))
+# dicts the writer hands whole to json.dumps, holding a table it keeps
+@example(obj=OrderedDict(b=_shared(_TABLE), a=_TABLE))
+@example(obj={2: _shared(_TABLE), 1: [{"table": _TABLE}] * 2})
 def test_writer_text_is_the_json_dumps_text(obj):
     """Every column the writer renders as a whole (exact str, exact int,
-    lists, dicts with one tuple of str keys) and every column it renders
-    value by value gives the text of json.dumps."""
+    lists, dicts with one nonempty tuple of str keys) and every value it
+    hands to json.dumps gives the text of json.dumps."""
     assert _written(obj) == _dumps(obj)
 
 
 def test_writer_refuses_a_record():
     """A record is a tuple subclass; json.dumps would write it as a list,
-    the writer refuses it like any other object, alone or in a list."""
+    the writer refuses it like any other object: alone, in a list, and
+    inside the values its column rules leave to json.dumps."""
     m = speccat.identity(speccat.cyclic_group(2))
     for payload in ({"m": m}, {"m": [m]}, {"m": [{"a": m}, {"a": m}]},
-                    {"m": [[m, m]]}):
+                    {"m": [[m, m]]}, {"m": {1: m}}, {"m": [None, {"a": [m]}]},
+                    {"m": OrderedDict(a=m)}, {"m": [True, m]}):
         with pytest.raises(TypeError):
             list(_json_pieces(payload))
 

@@ -2,6 +2,7 @@
 closure-law harness, and the hypothesis harness for the designated class S."""
 
 import sys
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -34,6 +35,7 @@ from speccat import catcore, limits, monoclasses, registry
 from speccat.catcore import (
     GRP,
     ConcreteMorphism,
+    FiniteObject,
     compose,
     enumerate_hom,
     is_normal_subset,
@@ -463,23 +465,28 @@ def _built_inclusion(cod, image):
     return Subobject(cod, tuple(sorted(image))).inclusion()
 
 
-def _reference_closure_laws(universe, S):
+def _reference_closure_laws(universe, S, in_stab=None):
     """The composition-shaped, pullback-stability and inner-factor laws of
     closure_law_suite as they were before the per-(codomain, image) memo and
     the outer monos indexed by domain.  The inner-factor law builds the
-    generic pullback of m.m' along m for every composable pair."""
+    generic pullback of m.m' along m for every composable pair.
+
+    The stabilization laws ask ``in_stab``, by default the pullback stable
+    S-essential class, which is the class :func:`stabilize` makes when S
+    holds every iso."""
     monos = monos_between(universe)
     in_e, in_se, in_st = _reference_flags(universe, S)
+    in_stab = in_stab or in_st
     reports = []
 
     def w(**kw):
         return {k: v.to_json() for k, v in kw.items()}
 
     comp_laws = [
-        ("stabilization-composition", lambda p, m, c: in_st(p) and in_st(m), lambda p, m, c: in_st(c)),
-        ("stabilization-right-cancellation", lambda p, m, c: in_st(c) and S.contains_image(*p), lambda p, m, c: in_st(m)),
-        ("stabilization-weak-right-cancellation", lambda p, m, c: in_st(c) and in_st(p), lambda p, m, c: in_st(m)),
-        ("stabilization-left-cancellation", lambda p, m, c: in_st(c), lambda p, m, c: in_st(p)),
+        ("stabilization-composition", lambda p, m, c: in_stab(p) and in_stab(m), lambda p, m, c: in_stab(c)),
+        ("stabilization-right-cancellation", lambda p, m, c: in_stab(c) and S.contains_image(*p), lambda p, m, c: in_stab(m)),
+        ("stabilization-weak-right-cancellation", lambda p, m, c: in_stab(c) and in_stab(p), lambda p, m, c: in_stab(m)),
+        ("stabilization-left-cancellation", lambda p, m, c: in_stab(c), lambda p, m, c: in_stab(p)),
         ("essential-composition", lambda p, m, c: in_e(p) and in_e(m), lambda p, m, c: in_e(c)),
         ("essential-right-cancellation", lambda p, m, c: in_e(c), lambda p, m, c: in_e(m)),
         ("essential-weak-right-cancellation", lambda p, m, c: in_e(c) and in_e(p), lambda p, m, c: in_e(m)),
@@ -515,7 +522,7 @@ def _reference_closure_laws(universe, S):
         checked, witness = results[law_id]
         reports.append((law_id, "fail" if witness else "pass", checked, witness))
 
-    for law_id, member in (("stabilization-pullback-stable", in_st),
+    for law_id, member in (("stabilization-pullback-stable", in_stab),
                            ("stable-essential-pullback-stable", in_st),
                            ("subobject-essential-pullback-stable", in_se)):
         checked, witness = 0, None
@@ -675,6 +682,25 @@ def test_normal_monos_on_s4_match_per_mono_loops():
     assert repeated > 0
 
 
+def test_normal_kind_decides_each_key_once(monkeypatch):
+    """One family of the normal kind asks is_normal_subset once per
+    distinct (codomain, image) key, though its laws ask about most keys
+    many times."""
+    calls = Counter()
+    decide = monoclasses.is_normal_subset
+
+    def counted(A, elems):
+        calls[A, frozenset(elems)] += 1
+        return decide(A, elems)
+
+    monkeypatch.setattr(monoclasses, "is_normal_subset", counted)
+    universe = registry.universe("s3-subgroups")
+    S = MonoFamily(NORMAL_MONOS)
+    s_class_report(S, universe)
+    closure_law_suite(universe, S)
+    assert len(calls) > 1 and set(calls.values()) == {1}
+
+
 def test_failing_key_comes_after_a_repeated_key():
     """On s3-subgroups the failing key of ``fails-late`` comes after a member
     key seen twice, so the per-key memo is used before the witness."""
@@ -740,25 +766,65 @@ def test_keys_outside_S_are_not_stable_essential():
         is_stable_essential(outside[0], S, universe)
 
 
+def _z4_with_renamed_copy():
+    """z4-chain and, after it, a copy of its Z4 under a new id: the same
+    content, another object."""
+    universe = registry.universe("z4-chain")
+    Z4 = universe[-1]
+    return universe + [FiniteObject(**{**Z4._asdict(), "id": Z4.id + "'"})]
+
+
+def _assert_explicit_S_laws_match(universe, S, in_stab=None):
+    got = [(r.law_id, r.status, r.checked, r.witness)
+           for r in s_class_report(S, universe)]
+    assert got == _reference_s_class_report(S, universe)
+    reference = _reference_closure_laws(universe, S, in_stab)
+    laws = {r.law_id: (r.law_id, r.status, r.checked, r.witness)
+            for r in closure_law_suite(universe, S)}
+    assert [laws[law[0]] for law in reference] == reference
+
+
 @settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(["s3-subgroups", "z4-chain", "pointed-le-4"]),
+@given(name=st.sampled_from(["s3-subgroups", "z4-chain", "z4-chain+copy",
+                             "pointed-le-4"]),
        data=st.data())
 def test_explicit_S_laws_match_the_reference_loops(name, data):
     """An explicit S, the isos plus a drawn set of monos: s_class_report,
     which asks S itself about each key, and closure_law_suite, whose laws
     are all keyed on the objects an explicit S names, report what the
-    per-mono loops report."""
-    universe = registry.universe(name)
+    per-mono loops report.  ``z4-chain+copy`` adds a renamed copy of Z4,
+    which S may tell from Z4."""
+    universe = (_z4_with_renamed_copy() if name == "z4-chain+copy"
+                else registry.universe(name))
     monos = [m for ms in monos_between(universe).values() for m in ms]
     drawn = data.draw(st.sets(st.sampled_from(monos)), label="members")
     S = MonoFamily.explicit([m for m in monos if m.is_bijective] + list(drawn))
-    got = [(r.law_id, r.status, r.checked, r.witness)
-           for r in s_class_report(S, universe)]
-    assert got == _reference_s_class_report(S, universe)
-    reference = _reference_closure_laws(universe, S)
-    laws = {r.law_id: (r.law_id, r.status, r.checked, r.witness)
-            for r in closure_law_suite(universe, S)}
-    assert [laws[law[0]] for law in reference] == reference
+    _assert_explicit_S_laws_match(universe, S)
+
+
+def test_closure_laws_tell_an_object_from_its_renamed_copy():
+    """z4-chain and a renamed copy of Z4, with S every mono but the
+    non-isos into the copy, and then every mono but the isos into the copy.
+
+    Under the first S every law reports what a scan keyed on content would
+    (see :func:`monoclasses._composite_scan`).  Under the second,
+    :func:`stabilize` keeps the iso key of Z4 and drops that of its copy,
+    so the stabilization laws depend on which of the two objects a block
+    holds, and a scan keyed on content reports 34 cases for the 10 cases
+    of stabilization-composition."""
+    universe = _z4_with_renamed_copy()
+    copy = universe[-1]
+    monos = [m for ms in monos_between(universe).values() for m in ms]
+    _assert_explicit_S_laws_match(universe, MonoFamily.explicit(
+        [m for m in monos if m.cod != copy or m.is_bijective]))
+    S = MonoFamily.explicit(
+        [m for m in monos if m.cod != copy or not m.is_bijective])
+    stabilized = {(m.cod, m.image) for m in stabilize(
+        [m for m in monos if S.contains(m)
+         and is_essential(m, S, universe).value], universe)}
+    _assert_explicit_S_laws_match(universe, S, stabilized.__contains__)
+    laws = {r.law_id: r for r in closure_law_suite(universe, S)}
+    assert laws["stabilization-composition"].checked == 10
 
 
 # ---------------------------------------------------------------------------
