@@ -33,10 +33,8 @@ from operator import itemgetter
 
 from . import registry
 from .catcore import (
-    AB,
     BACKENDS,
     DEFAULT_SIZE_BOUNDS,
-    GRP,
     FiniteObject,
     compose,
     load_objects,
@@ -231,33 +229,36 @@ def _emit(args: argparse.Namespace, payload: dict,
         fh.flush()
 
 
-def _resolve_universe(args: argparse.Namespace
-                      ) -> tuple[str, list[FiniteObject]]:
+def _resolve_universe(args: argparse.Namespace) -> list[FiniteObject]:
+    """The objects of the command, validated once.  They carry their
+    backend: every later step reads it from them."""
     if args.bound_size is not None and args.bound_size <= 0:
         raise PreconditionViolation("bounds must be positive")
     if args.universe and args.input:
         raise PreconditionViolation(
             "--universe and --input exclude each other")
     if args.universe:
-        backend = registry.universe_backend(args.universe)
+        objects = registry.universe(args.universe)
+        backend = objects[0].backend
         if args.backend and args.backend != backend:
             raise PreconditionViolation(
                 f"universe {args.universe!r} lives in backend {backend!r}, "
                 f"not {args.backend!r}")
-        objects = registry.universe(args.universe)
     elif args.input:
-        backend = args.backend or GRP
         objects = []
         for path in args.input:
             with open(path, encoding="utf-8") as fh:
-                objects.extend(load_objects(fh.read(), backend,
+                objects.extend(load_objects(fh.read(), args.backend,
                                             args.bound_size))
-        # no morphism joins two backends: refused before any hom search
+        # a universe lives in one backend (no morphism joins two): refused
+        # before any hom search
         backends = sorted({repr(A.backend) for A in objects})
-        if len(backends) > 1:
+        if len(backends) != 1:
+            held = ("backends " + " and ".join(backends) if backends
+                    else "no backend")
             raise PreconditionViolation(
-                f"input objects live in backends {' and '.join(backends)}; "
-                f"one universe takes one backend")
+                f"input objects live in {held}; one universe takes one "
+                f"backend")
     else:
         raise PreconditionViolation("need --universe or --input")
     names = set()
@@ -275,7 +276,7 @@ def _resolve_universe(args: argparse.Namespace
         if A.size > bound:
             raise BoundExceeded(
                 f"object {A.id} has size {A.size} > bound {bound}")
-    return backend, objects
+    return objects
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,7 @@ def _resolve_universe(args: argparse.Namespace
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    _, objects = _resolve_universe(args)
+    objects = _resolve_universe(args)
     S = MonoFamily(ALL_MONOS)
     reports = []
     for A in objects:
@@ -309,8 +310,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spec(args: argparse.Namespace) -> int:
-    backend, objects = _resolve_universe(args)
-    spec = build_spec(backend, MonoFamily(ALL_MONOS), objects)
+    objects = _resolve_universe(args)
+    spec = build_spec(MonoFamily(ALL_MONOS), objects)
     export = spec.to_json()
     uniform = [is_uniform(A, spec.M).to_json() for A in objects]
     division = [end_spec_division_check(A, spec).to_json() for A in objects]
@@ -439,9 +440,7 @@ def _check_thm_5_2_pullbacks() -> tuple[bool, dict]:
     cospan in the symmetric-group and cyclic-chain universes."""
     results = {}
     for name in ("s3-subgroups", "z4-chain"):
-        backend = registry.universe_backend(name)
-        objects = registry.universe(name)
-        spec = build_spec(backend, MonoFamily(ALL_MONOS), objects)
+        spec = build_spec(MonoFamily(ALL_MONOS), registry.universe(name))
         reports = verify_limit_preservation(
             spec, registry.registered_cospans(name))
         results[name] = [r.to_json() for r in reports]
@@ -456,8 +455,7 @@ def _check_focal_suite() -> tuple[bool, dict]:
     pass), while the merely-essential class fails the square-completion
     condition over the 6-element one, with the classic cospan as witness."""
     s4_universe = registry.universe("s4-subgroups")
-    se_fam = stable_essential_family(GRP, MonoFamily(ALL_MONOS),
-                                     s4_universe)
+    se_fam = stable_essential_family(MonoFamily(ALL_MONOS), s4_universe)
     se_reports = check_focal(se_fam, s4_universe)
     se_ok = all(r.status == "pass" for r in se_reports)
 
@@ -487,16 +485,15 @@ def _check_cor_7_3_uniform() -> tuple[bool, dict]:
     """
     S = MonoFamily(ALL_MONOS)
     out, ok = {}, True
-    # name, backend, universe, object, whether it is uniform and its End a
-    # division monoid, size of that End
-    for name, backend, objects, A, uniform, size in (
-            ("Z4", AB, registry.universe("z4-chain"), registry.zab(4),
-             True, 2),
-            ("Z5", GRP, registry.subgroup_universe(registry.z(5)),
-             registry.z(5), True, 5),
-            ("S3", GRP, registry.universe("s3-subgroups"), registry.s3(),
+    # name, universe, object, whether it is uniform and its End a division
+    # monoid, size of that End
+    for name, objects, A, uniform, size in (
+            ("Z4", registry.universe("z4-chain"), registry.zab(4), True, 2),
+            ("Z5", registry.subgroup_universe(registry.z(5)), registry.z(5),
+             True, 5),
+            ("S3", registry.universe("s3-subgroups"), registry.s3(),
              False, 10)):
-        spec = build_spec(backend, S, objects)
+        spec = build_spec(S, objects)
         u, d = is_uniform(A, spec.M), end_spec_division_check(A, spec)
         out[name] = {"uniform": u.to_json(), "division": d.to_json()}
         ok = (ok and u.uniform == uniform and d.verdict == uniform

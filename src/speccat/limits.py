@@ -311,9 +311,10 @@ class NormalBackendReport(_Record, namedtuple(
     __slots__ = ()
 
 
-def check_normal_backend(backend: str, objects: list[FiniteObject]) -> NormalBackendReport:
+def check_normal_backend(objects: list[FiniteObject]) -> NormalBackendReport:
     """Verify pointedness, pullback-stable regular images, and regular-epi
-    normality over all morphisms among the given objects."""
+    normality over all morphisms among the given objects, which live in
+    one backend, the one the report names (None for no objects)."""
     failures: list[dict] = []
     checked = 0
     homs = {(A, B): enumerate_hom(A, B) for A in objects for B in objects}
@@ -349,5 +350,6 @@ def check_normal_backend(backend: str, objects: list[FiniteObject]) -> NormalBac
                                 "check": "image-pullback-stable",
                                 "morphism": f.to_json(), "along": x.to_json(),
                             })
-    return NormalBackendReport(backend=backend, passed=not failures,
+    return NormalBackendReport(backend=objects[0].backend if objects else None,
+                               passed=not failures,
                                checked=checked, failures=failures)

@@ -361,11 +361,11 @@ def is_stable_essential(m: ConcreteMorphism, S: MonoFamily,
     Where :func:`stable_essential_family` is exact (the normal backends
     with S = all monos) this is decided exactly via subobject-essentiality;
     otherwise a bounded refutation search pulls m back along every morphism
-    from the universe.
+    from the universe.  With no universe, the backend of cod(m) decides.
     """
     if not S.contains(m):
         raise PreconditionViolation(f"{m!r} is not in the designated class")
-    if stable_essential_family(m.dom.backend, S, universe or ()).exact:
+    if stable_essential_family(S, universe or [m.cod]).exact:
         if _se_refutation(m.cod, m.image) is None:
             return Verdict(True, exact=True)
         witness = _find_refuting_pullback(m, S, universe or [])
@@ -578,22 +578,7 @@ def _composite_scan(monos: dict[tuple, tuple], laws,
     m' only through its image, so each (image of m', m) pair is decided
     once and counts the inner monos with that image.  A law fails at the
     first block in which it fails, rescanned pair by pair for that law, so
-    its count and witness are those of its first failing pair.
-
-    :func:`closure_law_suite` keys on S, which for an explicit S is the
-    object, not its content.  That is finer than content only where S
-    tells content-equal objects apart at their isos.  Content-equal objects
-    are isomorphic, and pulling back along that iso carries a key of one to
-    the key with the same image in the other, so a pullback stable class
-    holds a non-iso key of an object exactly when it holds that of its
-    copy.  The premise S(m') of stabilization-right-cancellation follows
-    from stabilized(m.m') unless m' is an iso, as m' is the pullback of m.m'
-    along m.  But :func:`stabilize` counts an iso-shaped pullback as a
-    member, so the stabilized class keeps an iso key exactly when S holds
-    it: on z4-chain with a renamed copy of Z4, an S without the isos into
-    the copy gives stabilization-composition 10 cases where a content-keyed
-    scan counts 34, while an S without the non-iso monos into the copy
-    gives the content-keyed counts."""
+    its count and witness are those of its first failing pair."""
     results = [(0, None)] * len(laws)
     decided: dict[tuple, list[int | None]] = {}
 
@@ -653,9 +638,18 @@ def closure_law_suite(universe: list[FiniteObject],
 
     The ``stabilization-*`` laws test the class that :func:`stabilize` makes
     of the S-essential monos between universe objects, a cross-check of the
-    ``stable-essential-*`` laws, which use :func:`is_stable_essential`."""
+    ``stable-essential-*`` laws, which use :func:`is_stable_essential`.
+    :func:`stabilize` counts an iso-shaped pullback as a member, so the two
+    agree only for an S that holds every iso: an S without an iso between
+    universe objects is refused, as :func:`build_spec` refuses it."""
     S = S or MonoFamily(ALL_MONOS)
     monos = monos_between(universe)
+    isos = [m for ms in monos.values() for m in ms if m.is_bijective]
+    missing = next((m for m in isos if not S.contains(m)), None)
+    if missing is not None:
+        raise PreconditionViolation(
+            "designated class S violates its hypotheses: "
+            f"S-isos ({_jsonable(iso=missing)})")
     # every law is decided per key of S, which is the content key or, for
     # an explicit S, finer
     key_of = _object_keys(universe, S).__getitem__
@@ -664,13 +658,11 @@ def closure_law_suite(universe: list[FiniteObject],
     # outside S is not pullback stable S-essential
     in_e, in_se, in_st = (lambda key, F=F: F.contains_image(*key) for F in (
         MonoFamily(ESSENTIAL_FAMILY), MonoFamily(SE_FAMILY),
-        stable_essential_family(universe[0].backend if universe else None,
-                                S, universe)))
+        stable_essential_family(S, universe)))
     stabilized = {canonical_mono(m) for m in stabilize(
         [m for ms in monos.values() for m in ms
          if S.contains(m) and is_essential(m, S, universe).value], universe)}
     in_stab = stabilized.__contains__
-    isos = [m for ms in monos.values() for m in ms if m.is_bijective]
     reports: list[LawReport] = []
 
     # -- iso containment -------------------------------------------------
@@ -826,10 +818,13 @@ def s_class_report(S: MonoFamily, universe: list[FiniteObject]) -> list[LawRepor
 # The class M of pullback stable S-essential monos (the class to invert)
 # ---------------------------------------------------------------------------
 
-def stable_essential_family(backend: str, S: MonoFamily,
+def stable_essential_family(S: MonoFamily,
                             universe: list[FiniteObject]) -> MonoFamily:
-    """The class of pullback stable S-essential monos, exact when the backend
-    is normal and S is all monos, bounded-stabilized otherwise."""
-    if backend in NORMAL_BACKENDS and S.kind == ALL_MONOS:
+    """The class of pullback stable S-essential monos over the universe:
+    when S is all monos and every universe object lives in a normal
+    backend, it is exactly the subobject-essential class (the paper's
+    theorem for normal categories); otherwise it is bounded-stabilized."""
+    if S.kind == ALL_MONOS and all(A.backend in NORMAL_BACKENDS
+                                   for A in universe):
         return MonoFamily(kind=SE_FAMILY)
     return MonoFamily(kind=STABILIZED_FAMILY, S=S, universe=tuple(universe))

@@ -10,7 +10,6 @@ from functools import cache
 from .catcore import (
     AB,
     GRP,
-    PSET,
     ConcreteMorphism,
     FiniteObject,
     cyclic_group,
@@ -167,20 +166,20 @@ def _pointed_cospans():
              ConcreteMorphism(P2, P3, (0, 2)))]
 
 
-#: name -> (backend, objects builder, registered cospans builder); a universe
-#: is built only when its name is asked for
+#: name -> (objects builder, registered cospans builder); a universe is
+#: built only when its name is asked for, and its objects carry their backend
 UNIVERSES = {
-    "s3-subgroups": (GRP, lambda: subgroup_universe(s3()),
+    "s3-subgroups": (lambda: subgroup_universe(s3()),
                      lambda: inclusion_cospans(s3())),
-    "s4-subgroups": (GRP, lambda: subgroup_universe(s4()),
+    "s4-subgroups": (lambda: subgroup_universe(s4()),
                      lambda: inclusion_cospans(s4())),
-    "z4-chain": (AB, lambda: [ab_zero(), zab(2), zab(4)],
+    "z4-chain": (lambda: [ab_zero(), zab(2), zab(4)],
                  lambda: inclusion_cospans(zab(4))
                  + [(soc_z2_z4(), soc_z2_z4())]),
-    "a5-chain": (GRP, lambda: [trivial_group(), z(2), s3(), a5()],
+    "a5-chain": (lambda: [trivial_group(), z(2), s3(), a5()],
                  lambda: inclusion_cospans(s3())),
-    "order-le-24": (GRP, lambda: list(group_catalog()), lambda: []),
-    "pointed-le-4": (PSET, lambda: list(psets()), _pointed_cospans),
+    "order-le-24": (lambda: list(group_catalog()), lambda: []),
+    "pointed-le-4": (lambda: list(psets()), _pointed_cospans),
 }
 
 
@@ -192,18 +191,14 @@ def _entry(name: str):
 
 
 def universe(name: str) -> list[FiniteObject]:
-    return _entry(name)[1]()
-
-
-def universe_backend(name: str) -> str:
-    return _entry(name)[0]
+    return _entry(name)[0]()
 
 
 def registered_cospans(name: str) -> list[tuple[ConcreteMorphism,
                                                 ConcreteMorphism]]:
     """The cospans whose pullbacks the limit-preservation check covers; empty
     for a universe with none registered."""
-    return _entry(name)[2]()
+    return _entry(name)[1]()
 
 
 # ---------------------------------------------------------------------------

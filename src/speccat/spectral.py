@@ -98,6 +98,12 @@ def _no_class_at(A: FiniteObject, B: FiniteObject,
 # (position 0 when it is zero and the sequence empty)
 _Minimal = namedtuple("_Minimal", "elems positions gens")
 
+# hom(A, B) for one pair of key numbers: the labels, the maps amin(A) -> B
+# in hom order; their indices by their values at the generators of amin(A);
+# their columns (column j holds every label's value at position j); and,
+# per label, the positions in amin(B) of its values at those generators
+_HomSet = namedtuple("_HomSet", "labels index columns readers")
+
 
 class SpectralCategory:
     """The category of fractions of a backend at a family M of monos.
@@ -111,8 +117,8 @@ class SpectralCategory:
     of amin(A), not by the whole label.  M is closed under isomorphic
     copies, so amin(A) and everything built out of it depend on A only
     through its key in M (:meth:`MonoFamily.key`), numbered by
-    :meth:`_key`: the spec keeps amin per key number, the hom indices and
-    the label readers per pair, and the composition tables per triple of
+    :meth:`_key`: the spec keeps amin per key number, one
+    :class:`_HomSet` per pair, and the composition tables per triple of
     key numbers.  The only objects it keeps are its registered objects; a
     class is built when it is asked for.  ``exact`` is False when M itself
     is only a bounded-search approximation.
@@ -127,11 +133,8 @@ class SpectralCategory:
         self._keys: dict[FiniteObject, int] = {}
         # key number -> its minimal M-subobject
         self._amins: dict[int, _Minimal] = {}
-        # pair of key numbers -> the map tables amin(A) -> B, their indices
-        # by their values at the generators of amin(A), and their columns
-        self._homs: dict[tuple[int, int], tuple] = {}
-        # pair of key numbers -> the label readers, from _pair
-        self._pairs: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        # pair of key numbers -> its hom set
+        self._homs: dict[tuple[int, int], _HomSet] = {}
         # triple of key numbers -> composition table; each distinct table
         # is one list, kept under its rows
         self._tables: dict[tuple[int, int, int], list[list[int]]] = {}
@@ -165,38 +168,55 @@ class SpectralCategory:
         """The minimal M-subobject of A, found once per key of A."""
         return Subobject(A, self._minimal(A, self._key(A)).elems)
 
-    def _hom(self, A: FiniteObject, B: FiniteObject) -> tuple:
-        """The labels of hom(A, B), the maps amin(A) -> B, their indices by
-        their values at the generators of amin(A), and their columns
-        (column j holds every label's value at position j), per key pair."""
-        ka, kb = self._key(A), self._key(B)
+    def _hom(self, A: FiniteObject, B: FiniteObject, ka: int, kb: int
+             ) -> _HomSet:
+        """hom(A, B), whose key numbers are ka and kb, built in one walk of
+        its map tables and kept per pair (ka, kb).
+
+        A class c2 out of B composes with the class of a label to the class
+        whose values at the generators of amin(A) are c2's label read at
+        that label's reader.  Closure of M under composition and pullback
+        forces every value of a label, not only those at the generators, to
+        lie in amin(B): checked here, once per pair."""
         hit = self._homs.get((ka, kb))
         if hit is None:
             elems, _, gens = self._minimal(A, ka)
+            bpos = self._minimal(B, kb).positions
             labels = hom_tables(Subobject(A, elems).object(), B)
+            readers = []
+            for label in labels:
+                positions = list(map(bpos.get, label))
+                if None in positions:
+                    raise ConsistencyError(
+                        f"class label value {label[positions.index(None)]} "
+                        f"of hom({A.id},{B.id}) leaves the minimal "
+                        f"M-subobject of {B.id}")
+                readers.append(tuple(map(positions.__getitem__, gens)))
             columns = list(zip(*labels))
-            hit = self._homs[ka, kb] = labels, dict(zip(
+            hit = self._homs[ka, kb] = _HomSet(labels, dict(zip(
                 zip(*map(columns.__getitem__, gens)),
-                range(len(labels)))), columns
+                range(len(labels)))), columns, readers)
         return hit
 
     def hom(self, A: FiniteObject, B: FiniteObject) -> tuple[SpecClass, ...]:
         amin = self.amin(A)
+        labels = self._hom(A, B, self._key(A), self._key(B)).labels
         return tuple(SpecClass(A, B, i, amin, label)
-                     for i, label in enumerate(self._hom(A, B)[0]))
+                     for i, label in enumerate(labels))
 
     def class_of_label(self, A: FiniteObject, B: FiniteObject,
                        label: tuple[int, ...]) -> SpecClass:
         """The class with this label, looked up by its values at the
         generators and then compared in full."""
-        labels, index, _ = self._hom(A, B)
-        amin = self._minimal(A, self._key(A))
+        ka = self._key(A)
+        homs = self._hom(A, B, ka, self._key(B))
+        amin = self._minimal(A, ka)
         label = tuple(label)
         if len(label) == len(amin.elems):
-            idx = index.get(tuple(map(label.__getitem__, amin.gens)))
-            if idx is not None and labels[idx] == label:
+            idx = homs.index.get(tuple(map(label.__getitem__, amin.gens)))
+            if idx is not None and homs.labels[idx] == label:
                 return SpecClass(A, B, idx, Subobject(A, amin.elems),
-                                 labels[idx])
+                                 homs.labels[idx])
         raise ConsistencyError(
             f"no class of hom({A.id},{B.id}) carries label {label}")
 
@@ -227,9 +247,10 @@ class SpectralCategory:
         if c1.dst != c2.src:
             raise PreconditionViolation("classes are not composable")
         A, B, C = c1.src, c1.dst, c2.dst
-        idx = self._table(A, B, C, self._key(A), self._key(B),
-                          self._key(C))[c1.index][c2.index]
-        return SpecClass(A, C, idx, c1.sub, self._hom(A, C)[0][idx])
+        ka, kc = self._key(A), self._key(C)
+        idx = self._table(A, B, C, ka, self._key(B), kc)[c1.index][c2.index]
+        return SpecClass(A, C, idx, c1.sub,
+                         self._hom(A, C, ka, kc).labels[idx])
 
     def is_invertible(self, c: SpecClass) -> bool:
         A, B = c.src, c.dst
@@ -241,54 +262,29 @@ class SpectralCategory:
         return any(after[d] == ida and before[d][c.index] == idb
                    for d in range(len(after)))
 
-    def _pair(self, A: FiniteObject, B: FiniteObject, ka: int, kb: int
-              ) -> list[tuple[int, ...]]:
-        """For each label of hom(A, B), in hom order, the positions in the
-        minimal M-subobject of B of its values at the generators of
-        amin(A): a class c2 out of B composes with the class of that label
-        to the class whose values at those generators are c2's label read
-        at these positions.  Kept per pair (ka, kb) of the key numbers of A
-        and B.  Every value of a label, not only those at the generators,
-        must lie in amin(B)."""
-        readers = self._pairs.get((ka, kb))
-        if readers is None:
-            elems, _, gens = self._minimal(A, ka)
-            bpos = self._minimal(B, kb).positions
-            readers = []
-            for label in hom_tables(Subobject(A, elems).object(), B):
-                positions = list(map(bpos.get, label))
-                if None in positions:
-                    raise ConsistencyError(
-                        f"class label value {label[positions.index(None)]} "
-                        f"of hom({A.id},{B.id}) leaves the minimal "
-                        f"M-subobject of {B.id}")
-                readers.append(tuple(map(positions.__getitem__, gens)))
-            self._pairs[ka, kb] = readers
-        return readers
-
     def _table(self, A: FiniteObject, B: FiniteObject, C: FiniteObject,
                ka: int, kb: int, kc: int) -> list[list[int]]:
         """The composition table of (A, B, C), whose key numbers are ka, kb
         and kc: row i, column j holds the index in hom(A, C) of class j of
         hom(B, C) after class i of hom(A, B).
 
-        Closure of M under composition and pullback forces every fraction
-        out of A to map the minimal M-subobject of A into the minimal
-        M-subobject of B, so a composite is a double restriction lookup,
+        Every label of hom(A, B) maps amin(A) into amin(B), as
+        :meth:`_hom` checks, so a composite is a double restriction lookup,
         made at the generators of amin(A) only: row i zips the columns of
-        the labels of hom(B, C) at the positions of class i.  The table
+        the labels of hom(B, C) at the reader of class i.  The table
         depends on each end only through its key, so it is computed once
         per triple of keys, and triples whose tables are equal share one
         list.  The key determines the minimal M-subobject, so the checks
         made here also hold for every triple that shares the table."""
         table = self._tables.get((ka, kb, kc))
         if table is None:
-            index, columns = self._hom(A, C)[1], self._hom(B, C)[2]
+            index = self._hom(A, C, ka, kc).index
+            columns = self._hom(B, C, kb, kc).columns
             try:
                 rows = tuple(
                     tuple(map(index.__getitem__,
                               zip(*map(columns.__getitem__, positions))))
-                    for positions in self._pair(A, B, ka, kb))
+                    for positions in self._hom(A, B, ka, kb).readers)
             except KeyError as err:
                 raise _no_class_at(A, C, err.args[0]) from None
             table = self._distinct.get(rows)
@@ -315,9 +311,11 @@ class SpectralCategory:
                 "homs": homs, "composition": comp}
 
 
-def build_spec(backend: str, S: MonoFamily,
+def build_spec(S: MonoFamily,
                universe: list[FiniteObject]) -> SpectralCategory:
     """Assemble the localization at the pullback stable S-essential monos.
+    The universe objects carry their backend, which decides whether that
+    class is exact (:func:`stable_essential_family`).
 
     Refuses to build when S fails its required hypotheses on the universe
     (pullback stability, isomorphisms, composition, strong left cancellation),
@@ -334,15 +332,15 @@ def build_spec(backend: str, S: MonoFamily,
         raise PreconditionViolation(
             "designated class S violates its hypotheses: "
             + "; ".join(f"{r.law_id} ({r.witness})" for r in failures))
-    M = stable_essential_family(backend, S, universe)
+    M = stable_essential_family(S, universe)
     spec = SpectralCategory(M, universe)
     counted: dict[tuple, int] = {}
     for A in universe:
         for B in universe:
             # the spec first: an object with no M-member fails there;
             # hom(A, B) has one class per label
-            direct = len(spec._hom(A, B)[0])
             key = spec._key(A), spec._key(B)
+            direct = len(spec._hom(A, B, *key).labels)
             n = counted.get(key)
             if n is None:
                 n = counted[key] = len(poincare_hom(A, B, M))
@@ -356,9 +354,11 @@ def build_spec(backend: str, S: MonoFamily,
 
 def canonical_functor(f: ConcreteMorphism, spec: SpectralCategory) -> SpecClass:
     """The localization functor on morphisms: f goes to the class of the
-    fraction with identity denominator."""
-    full = Subobject(f.dom, tuple(f.dom.elements))
-    return spec.class_of_span(NormalizedSpan(full, f))
+    fraction with identity denominator, whose label is f restricted to the
+    minimal M-subobject of its domain."""
+    elems = spec._minimal(f.dom, spec._key(f.dom)).elems
+    return spec.class_of_label(f.dom, f.cod,
+                               tuple(map(f.table.__getitem__, elems)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,31 +379,32 @@ class ConePreservationReport(namedtuple(
                 "mode": "bounded"}
 
 
-def _mediator_counts(W: FiniteObject, pl: ConcreteMorphism,
-                     pr: ConcreteMorphism, left: dict[tuple, int],
-                     right: dict[tuple, int],
+def _mediator_counts(W: FiniteObject, L: FiniteObject, R: FiniteObject,
+                     pl: tuple[int, ...], pr: tuple[int, ...],
+                     left: dict[tuple, int], right: dict[tuple, int],
                      readers: list[tuple[int, ...]]) -> Counter:
-    """For the projections pl, pr out of a pullback apex, restricted to
-    amin(apex): how many classes h of hom(W, apex) give each (pl.h, pr.h).
+    """For the tables pl, pr of the projections out of a pullback apex into
+    L and R, restricted to amin(apex): how many classes h of hom(W, apex)
+    give each (pl.h, pr.h).
 
     The classes of hom(W, apex) are the homs amin(W) -> apex, so they are
     read off the hom tables with no class or morphism built per h:
     ``readers`` holds, for each hom amin(W) -> apex, the positions in
     amin(apex) of its values at the generators of amin(W), from
-    :meth:`SpectralCategory._pair`, and pl.h takes pl's table at those
-    positions there, as in :meth:`SpectralCategory._table`.  ``left`` and
-    ``right`` index the classes of hom(W, pl.cod) and hom(W, pr.cod) by
-    their values at those generators."""
-    at_l, at_r = pl.table.__getitem__, pr.table.__getitem__
+    :meth:`SpectralCategory._hom`, and pl.h takes pl at those positions
+    there, as in :meth:`SpectralCategory._table`.  ``left`` and ``right``
+    index the classes of hom(W, L) and hom(W, R) by their values at those
+    generators."""
+    at_l, at_r = pl.__getitem__, pr.__getitem__
     counts: Counter = Counter()
     for positions in readers:
         values_l = tuple(map(at_l, positions))
         values_r = tuple(map(at_r, positions))
         p, q = left.get(values_l), right.get(values_r)
         if p is None:
-            raise _no_class_at(W, pl.cod, values_l)
+            raise _no_class_at(W, L, values_l)
         if q is None:
-            raise _no_class_at(W, pr.cod, values_r)
+            raise _no_class_at(W, R, values_r)
         counts[p, q] += 1
     return counts
 
@@ -418,9 +419,10 @@ def verify_limit_preservation(spec: SpectralCategory,
     mediating class through the image apex exists and is unique.
 
     A projection out of an apex is read by its label, its table on
-    amin(apex), checked once to be a morphism, so no hom set out of an apex
-    is asked for.  The spec numbers an apex by its key in M, as it numbers
-    a registered object, so amin(apex) is found once per key and the
+    amin(apex), which is a morphism because the projection is one: no hom
+    set out of an apex is asked for, and no morphism is built for the
+    label.  The spec numbers an apex by its key in M, as it numbers a
+    registered object, so amin(apex) is found once per key and the
     mediator readers of hom(amin(W), apex) once per (probe key, apex key);
     an apex with the key of a registered object finds neither anew.  The
     hom indices of the legs are read by (probe key, leg key).  Every hom
@@ -469,9 +471,11 @@ def verify_limit_preservation(spec: SpectralCategory,
         kw = spec._key(W)
         pf_p, f_values = column(pf, kf, W, kw)
         pg_q, g_values = column(pg, kg, W, kw)
+        # the projections go to the domains of the legs
         mediators = _mediator_counts(
-            W, pl, pr, spec._hom(W, pl.cod)[1], spec._hom(W, pr.cod)[1],
-            spec._pair(W, apex, kw, ka))
+            W, pf.src, pg.src, pl, pr, spec._hom(W, pf.src, kw, kf[0]).index,
+            spec._hom(W, pg.src, kw, kg[0]).index,
+            spec._hom(W, apex, kw, ka).readers)
         commuting = sum(n * g_values[v] for v, n in f_values.items())
         if (len(mediators) == commuting
                 and all(n == 1 for n in mediators.values())
@@ -483,9 +487,8 @@ def verify_limit_preservation(spec: SpectralCategory,
         pb: PullbackResult = pullback(f, g)
         pf, pg = canonical_functor(f, spec), canonical_functor(g, spec)
         ka = spec._key(pb.apex)
-        amin = Subobject(pb.apex, spec._minimal(pb.apex, ka).elems)
-        pl, pr = (ConcreteMorphism(amin.object(), proj.cod,
-                                   tuple(proj.table[e] for e in amin.elems))
+        elems = spec._minimal(pb.apex, ka).elems
+        pl, pr = (tuple(map(proj.table.__getitem__, elems))
                   for proj in (pb.proj_left, pb.proj_right))
         kf = spec._key(f.dom), spec._key(f.cod), pf.index
         kg = spec._key(g.dom), spec._key(g.cod), pg.index

@@ -2,7 +2,6 @@ import pytest
 
 from speccat import ALL_MONOS, MonoFamily, stable_essential_family
 from speccat import registry
-from speccat.catcore import AB, GRP
 
 
 @pytest.fixture(scope="session")
@@ -27,12 +26,12 @@ def z4_universe():
 
 @pytest.fixture(scope="session")
 def se_family_grp(S_all, s3_universe):
-    return stable_essential_family(GRP, S_all, s3_universe)
+    return stable_essential_family(S_all, s3_universe)
 
 
 @pytest.fixture(scope="session")
 def se_family_ab(S_all, z4_universe):
-    return stable_essential_family(AB, S_all, z4_universe)
+    return stable_essential_family(S_all, z4_universe)
 
 
 @pytest.fixture(scope="session")

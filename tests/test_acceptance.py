@@ -28,7 +28,7 @@ from speccat import (
     verify_limit_preservation,
 )
 from speccat import registry
-from speccat.catcore import AB, GRP, PSET, Subobject, closure, subalgebras
+from speccat.catcore import Subobject, closure, subalgebras
 from speccat.cli import CHECKS
 from speccat.monoclasses import ESSENTIAL_FAMILY
 
@@ -122,7 +122,7 @@ def test_right_fraction_calculus(capsys):
     completion over the order-6 one with the classic cospan as witness."""
     t0 = time.time()
     s4_universe = registry.universe("s4-subgroups")
-    fam = stable_essential_family(GRP, MonoFamily(ALL_MONOS), s4_universe)
+    fam = stable_essential_family(MonoFamily(ALL_MONOS), s4_universe)
     ok = all(r.status == "pass" for r in check_focal(fam, s4_universe))
 
     ess = MonoFamily(kind=ESSENTIAL_FAMILY)
@@ -145,8 +145,7 @@ def test_two_hom_constructions_agree(capsys, se_family_ab, se_family_grp,
     ok = True
     for fam, universe in ((se_family_ab, z4_universe),
                           (se_family_grp, s3_universe)):
-        backend = universe[-1].backend
-        spec = build_spec(backend, MonoFamily(ALL_MONOS), list(universe))
+        spec = build_spec(MonoFamily(ALL_MONOS), list(universe))
         for A in universe:
             for B in universe:
                 if len(spec.hom(A, B)) != len(poincare_hom(A, B, fam)):
@@ -164,8 +163,7 @@ def test_localization_preserves_pullbacks(capsys):
     t0 = time.time()
     ok = True
     for name in ("s3-subgroups", "z4-chain"):
-        spec = build_spec(registry.universe_backend(name),
-                          MonoFamily(ALL_MONOS), registry.universe(name))
+        spec = build_spec(MonoFamily(ALL_MONOS), registry.universe(name))
         reports = verify_limit_preservation(
             spec, registry.registered_cospans(name))
         ok = ok and bool(reports) and all(r.status == "pass" for r in reports)
@@ -178,14 +176,14 @@ def test_uniform_gives_division_monoid(capsys):
     localization (orders 4 and 5); the non-uniform order-6 group does not."""
     t0 = time.time()
     S = MonoFamily(ALL_MONOS)
-    spec_ab = build_spec(AB, S, registry.universe("z4-chain"))
+    spec_ab = build_spec(S, registry.universe("z4-chain"))
     z4 = registry.zab(4)
     d4 = end_spec_division_check(z4, spec_ab)
     z5 = registry.z(5)
-    spec_z5 = build_spec(GRP, S, registry.subgroup_universe(z5))
+    spec_z5 = build_spec(S, registry.subgroup_universe(z5))
     d5 = end_spec_division_check(z5, spec_z5)
     s3 = registry.s3()
-    spec_s3 = build_spec(GRP, S, registry.universe("s3-subgroups"))
+    spec_s3 = build_spec(S, registry.universe("s3-subgroups"))
     d3 = end_spec_division_check(s3, spec_s3)
     ok = (is_uniform(z4, spec_ab.M).uniform and d4.verdict and d4.size == 2
           and is_uniform(z5, spec_z5.M).uniform and d5.verdict
@@ -200,9 +198,9 @@ def test_backend_normality_control(capsys):
     set backend fails it with an explicit witness, among them a regular epi
     that is not normal."""
     t0 = time.time()
-    grp = check_normal_backend(GRP, registry.universe("s3-subgroups"))
-    ab = check_normal_backend(AB, registry.universe("z4-chain"))
-    ps = check_normal_backend(PSET, registry.universe("pointed-le-4"))
+    grp = check_normal_backend(registry.universe("s3-subgroups"))
+    ab = check_normal_backend(registry.universe("z4-chain"))
+    ps = check_normal_backend(registry.universe("pointed-le-4"))
     ok = (grp.passed and ab.passed and not ps.passed and bool(ps.failures)
           and any(f["check"] == "regular-epi-is-normal"
                   for f in ps.failures))

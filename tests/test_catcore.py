@@ -206,7 +206,7 @@ def validator_mismatches(objects):
 
 
 @pytest.mark.parametrize("name", [name for name in sorted(registry.UNIVERSES)
-                                  if registry.universe_backend(name) != PSET])
+                                  if registry.universe(name)[0].backend != PSET])
 def test_validators_match_the_full_loops_on_named_universes(name):
     bad, cases = validator_mismatches(registry.universe(name))
     assert cases and not bad

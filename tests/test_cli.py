@@ -276,6 +276,36 @@ def test_backend_input_mismatch(tmp_path, capsys):
     assert json.loads(err)["error"] == "PreconditionViolation"
 
 
+def test_input_objects_carry_their_backend(tmp_path, capsys):
+    """A pointed set given without --backend is spec'd in the pointed-set
+    backend its object carries, so the group-backend theorem never reaches
+    it: the bytes are those of ``--backend pset``, ``"exact": false``
+    included."""
+    desc = tmp_path / "p3.json"
+    desc.write_text('{"kind": "pointed_set", "name": "P3", "size": 3}')
+    outs = []
+    for backend in ([], ["--backend", "pset"]):
+        code, out, err = run(capsys, "spec", *backend, "--input", str(desc))
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["export"]["exact"] is False
+
+
+def test_input_with_no_objects_exits_2(tmp_path, capsys):
+    """An input that holds no objects lives in no backend: refused as an
+    input in two backends is."""
+    desc = tmp_path / "empty.json"
+    desc.write_text("[]")
+    for command in ("classify", "spec"):
+        code, out, err = run(capsys, command, "--input", str(desc))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "PreconditionViolation",
+            "message": "input objects live in no backend; one universe "
+                       "takes one backend"}
+
+
 def test_nonpositive_bound_rejected(capsys):
     code, _, err = run(capsys, "classify", "--universe", "z4-chain",
                        "--bound-size", "0")

@@ -29,7 +29,7 @@ from speccat import (
     subalgebras,
 )
 from speccat import fractions, registry
-from speccat.catcore import AB, GRP, zero_morphism
+from speccat.catcore import AB, zero_morphism
 from speccat.limits import (congruence_from_normal_subobject, preimage,
                             pullback)
 from speccat.monoclasses import (ESSENTIAL_FAMILY, EXPLICIT, ISO_FAMILY,
@@ -306,7 +306,7 @@ def test_stabilized_family_over_normal_monos_passes(name):
     not in M: on s3-subgroups the order-2 subgroups of S3 are outside S."""
     universe = registry.universe(name)
     S = MonoFamily(NORMAL_MONOS)
-    M = stable_essential_family(registry.universe_backend(name), S, universe)
+    M = stable_essential_family(S, universe)
     assert M.kind == STABILIZED_FAMILY
     monos = [m for X in universe for Y in universe
              for m in enumerate_monos(X, Y)]
@@ -354,7 +354,7 @@ def _reference_f3(M, universe):
 def test_f3_reports_match_per_hom_loop(universe_name, family, S_all):
     universe = registry.universe(universe_name)
     if family == "se":
-        M = stable_essential_family(GRP, S_all, universe)
+        M = stable_essential_family(S_all, universe)
     else:
         # no member reaches the last object (or any object), so F3 fails
         # there after counting the homs out of every earlier object
@@ -421,7 +421,7 @@ def _reference_f0_f1(M, universe):
 
 def _focal_family(universe, family, S_all):
     if family == "se":
-        return stable_essential_family(universe[0].backend, S_all, universe)
+        return stable_essential_family(S_all, universe)
     if family == "essential":
         return MonoFamily(kind=ESSENTIAL_FAMILY)
     if family == "two-step":
@@ -617,8 +617,7 @@ def _class_lists(A, B, M):
 
 def _universe_family(name, S_all):
     objects = registry.universe(name)
-    return objects, stable_essential_family(objects[0].backend, S_all,
-                                            objects)
+    return objects, stable_essential_family(S_all, objects)
 
 
 @pytest.mark.parametrize("name", ["s3-subgroups", "z4-chain", "pointed-le-4",

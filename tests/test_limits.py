@@ -221,8 +221,9 @@ def test_cokernel_in_groups(s3, s3_named):
 
 def test_check_normal_backend_verdicts():
     assert check_normal_backend(
-        GRP, registry.subgroup_universe(registry.s3())).passed
-    assert check_normal_backend(AB, registry.universe("z4-chain")).passed
-    report = check_normal_backend(PSET, registry.universe("pointed-le-4"))
+        registry.subgroup_universe(registry.s3())).passed
+    assert check_normal_backend(registry.universe("z4-chain")).passed
+    report = check_normal_backend(registry.universe("pointed-le-4"))
+    assert report.backend == PSET
     assert not report.passed
     assert any(f["check"] == "regular-epi-is-normal" for f in report.failures)

@@ -1,6 +1,7 @@
 """Essential, subobject-essential and pullback stable essential monos, the
 closure-law harness, and the hypothesis harness for the designated class S."""
 
+import re
 import sys
 from collections import Counter
 from functools import cache
@@ -16,6 +17,7 @@ from speccat import (
     MonoFamily,
     PreconditionViolation,
     Subobject,
+    build_spec,
     classify,
     closure_law_suite,
     congruences,
@@ -33,7 +35,6 @@ from speccat import (
 )
 from speccat import catcore, limits, monoclasses, registry
 from speccat.catcore import (
-    GRP,
     ConcreteMorphism,
     FiniteObject,
     compose,
@@ -237,10 +238,10 @@ def test_normal_monos_pass_in_ab(z4_universe):
 
 
 def test_stable_essential_family_kinds(S_all, s3_universe):
-    fam = stable_essential_family(GRP, S_all, s3_universe)
+    fam = stable_essential_family(S_all, s3_universe)
     assert fam.exact
-    pset_fam = stable_essential_family(
-        "pset", S_all, registry.universe("pointed-le-4"))
+    pset_fam = stable_essential_family(S_all,
+                                       registry.universe("pointed-le-4"))
     assert not pset_fam.exact
 
 
@@ -271,8 +272,8 @@ def test_stabilized_families_differing_in_universe_do_not_share_answers():
     zero, z2, z4 = registry.universe("z4-chain")
     S = MonoFamily.explicit([registry.soc_z2_z4(), identity(zero),
                              identity(z2)])
-    wide = stable_essential_family("ab", S, [zero, z2, z4])
-    narrow = stable_essential_family("ab", S, [zero, z2])
+    wide = stable_essential_family(S, [zero, z2, z4])
+    narrow = stable_essential_family(S, [zero, z2])
     socle = frozenset({0, 2})
     assert _answers([wide, narrow], z4, socle) == [False, True]
     assert _answers([narrow, wide], z4, socle) == [True, False]
@@ -444,7 +445,7 @@ def _reference_flags(universe, S):
     first two asked of the public decision procedures on the built
     inclusion, the last of M from stable_essential_family, which refuses a
     key outside S."""
-    M = stable_essential_family(universe[0].backend, S, universe)
+    M = stable_essential_family(S, universe)
     all_monos = MonoFamily(ALL_MONOS)
 
     @cache
@@ -465,28 +466,35 @@ def _built_inclusion(cod, image):
     return Subobject(cod, tuple(sorted(image))).inclusion()
 
 
-def _reference_closure_laws(universe, S, in_stab=None):
+def _reference_closure_laws(universe, S):
     """The composition-shaped, pullback-stability and inner-factor laws of
     closure_law_suite as they were before the per-(codomain, image) memo and
     the outer monos indexed by domain.  The inner-factor law builds the
     generic pullback of m.m' along m for every composable pair.
 
-    The stabilization laws ask ``in_stab``, by default the pullback stable
-    S-essential class, which is the class :func:`stabilize` makes when S
-    holds every iso."""
+    The stabilization laws ask the pullback stable S-essential class, which
+    is the class :func:`stabilize` makes when S holds every iso.  An S
+    without an iso between universe objects is refused, naming the first
+    such iso."""
     monos = monos_between(universe)
-    in_e, in_se, in_st = _reference_flags(universe, S)
-    in_stab = in_stab or in_st
-    reports = []
 
     def w(**kw):
         return {k: v.to_json() for k, v in kw.items()}
 
+    missing = [m for ms in monos.values() for m in ms
+               if m.is_bijective and not S.contains(m)]
+    if missing:
+        raise PreconditionViolation(
+            "designated class S violates its hypotheses: "
+            f"S-isos ({w(iso=missing[0])})")
+    in_e, in_se, in_st = _reference_flags(universe, S)
+    reports = []
+
     comp_laws = [
-        ("stabilization-composition", lambda p, m, c: in_stab(p) and in_stab(m), lambda p, m, c: in_stab(c)),
-        ("stabilization-right-cancellation", lambda p, m, c: in_stab(c) and S.contains_image(*p), lambda p, m, c: in_stab(m)),
-        ("stabilization-weak-right-cancellation", lambda p, m, c: in_stab(c) and in_stab(p), lambda p, m, c: in_stab(m)),
-        ("stabilization-left-cancellation", lambda p, m, c: in_stab(c), lambda p, m, c: in_stab(p)),
+        ("stabilization-composition", lambda p, m, c: in_st(p) and in_st(m), lambda p, m, c: in_st(c)),
+        ("stabilization-right-cancellation", lambda p, m, c: in_st(c) and S.contains_image(*p), lambda p, m, c: in_st(m)),
+        ("stabilization-weak-right-cancellation", lambda p, m, c: in_st(c) and in_st(p), lambda p, m, c: in_st(m)),
+        ("stabilization-left-cancellation", lambda p, m, c: in_st(c), lambda p, m, c: in_st(p)),
         ("essential-composition", lambda p, m, c: in_e(p) and in_e(m), lambda p, m, c: in_e(c)),
         ("essential-right-cancellation", lambda p, m, c: in_e(c), lambda p, m, c: in_e(m)),
         ("essential-weak-right-cancellation", lambda p, m, c: in_e(c) and in_e(p), lambda p, m, c: in_e(m)),
@@ -522,7 +530,7 @@ def _reference_closure_laws(universe, S, in_stab=None):
         checked, witness = results[law_id]
         reports.append((law_id, "fail" if witness else "pass", checked, witness))
 
-    for law_id, member in (("stabilization-pullback-stable", in_stab),
+    for law_id, member in (("stabilization-pullback-stable", in_st),
                            ("stable-essential-pullback-stable", in_st),
                            ("subobject-essential-pullback-stable", in_se)):
         checked, witness = 0, None
@@ -721,9 +729,17 @@ def test_failing_key_comes_after_a_repeated_key():
 
 @pytest.mark.parametrize("universe_name,kind", _LAW_CASES)
 def test_closure_laws_match_per_mono_loops(universe_name, kind):
+    """The laws match the per-mono loops; an S without every iso
+    (``non-isos``) is refused by both, at the same first iso."""
     universe = registry.universe(universe_name)
     S = _law_class(universe_name, universe, kind)
-    reference = _reference_closure_laws(universe, S)
+    try:
+        reference = _reference_closure_laws(universe, S)
+    except PreconditionViolation as err:
+        with pytest.raises(PreconditionViolation) as refused:
+            closure_law_suite(universe, S)
+        assert str(refused.value) == str(err)
+        return
     got = {r.law_id: (r.law_id, r.status, r.checked, r.witness)
            for r in closure_law_suite(universe, S)}
     assert [got[law[0]] for law in reference] == reference
@@ -774,11 +790,11 @@ def _z4_with_renamed_copy():
     return universe + [FiniteObject(**{**Z4._asdict(), "id": Z4.id + "'"})]
 
 
-def _assert_explicit_S_laws_match(universe, S, in_stab=None):
+def _assert_explicit_S_laws_match(universe, S):
     got = [(r.law_id, r.status, r.checked, r.witness)
            for r in s_class_report(S, universe)]
     assert got == _reference_s_class_report(S, universe)
-    reference = _reference_closure_laws(universe, S, in_stab)
+    reference = _reference_closure_laws(universe, S)
     laws = {r.law_id: (r.law_id, r.status, r.checked, r.witness)
             for r in closure_law_suite(universe, S)}
     assert [laws[law[0]] for law in reference] == reference
@@ -806,12 +822,11 @@ def test_closure_laws_tell_an_object_from_its_renamed_copy():
     """z4-chain and a renamed copy of Z4, with S every mono but the
     non-isos into the copy, and then every mono but the isos into the copy.
 
-    Under the first S every law reports what a scan keyed on content would
-    (see :func:`monoclasses._composite_scan`).  Under the second,
-    :func:`stabilize` keeps the iso key of Z4 and drops that of its copy,
-    so the stabilization laws depend on which of the two objects a block
-    holds, and a scan keyed on content reports 34 cases for the 10 cases
-    of stabilization-composition."""
+    Under the first S every law reports what the per-mono loops report.
+    The second S lacks the isos into the copy, which :func:`stabilize`
+    would count as members all the same, so closure_law_suite refuses it,
+    as build_spec refuses it by its S-isos law, naming the first iso into
+    the copy."""
     universe = _z4_with_renamed_copy()
     copy = universe[-1]
     monos = [m for ms in monos_between(universe).values() for m in ms]
@@ -819,12 +834,15 @@ def test_closure_laws_tell_an_object_from_its_renamed_copy():
         [m for m in monos if m.cod != copy or m.is_bijective]))
     S = MonoFamily.explicit(
         [m for m in monos if m.cod != copy or not m.is_bijective])
-    stabilized = {(m.cod, m.image) for m in stabilize(
-        [m for m in monos if S.contains(m)
-         and is_essential(m, S, universe).value], universe)}
-    _assert_explicit_S_laws_match(universe, S, stabilized.__contains__)
-    laws = {r.law_id: r for r in closure_law_suite(universe, S)}
-    assert laws["stabilization-composition"].checked == 10
+    first = next(m for m in monos if m.cod == copy and m.is_bijective)
+    with pytest.raises(PreconditionViolation) as refused:
+        closure_law_suite(universe, S)
+    assert str(refused.value) == (
+        "designated class S violates its hypotheses: "
+        f"S-isos ({ {'iso': first.to_json()} })")
+    with pytest.raises(PreconditionViolation, match=re.escape(
+            f"S-isos ({ {'iso': first.to_json()} })")):
+        build_spec(S, universe)
 
 
 # ---------------------------------------------------------------------------

@@ -40,19 +40,19 @@ from speccat import (
     verify_limit_preservation,
 )
 from speccat import catcore, monoclasses, registry, spectral
-from speccat.catcore import AB, GRP, closure, element_order, hom_tables
+from speccat.catcore import closure, element_order, hom_tables
 from speccat.monoclasses import (ESSENTIAL_FAMILY, EXPLICIT, ISO_FAMILY,
                                  SE_FAMILY)
 
 
 @pytest.fixture(scope="module")
 def spec_ab(z4_universe):
-    return build_spec(AB, MonoFamily(ALL_MONOS), z4_universe)
+    return build_spec(MonoFamily(ALL_MONOS), z4_universe)
 
 
 @pytest.fixture(scope="module")
 def spec_grp(s3_universe):
-    return build_spec(GRP, MonoFamily(ALL_MONOS), s3_universe)
+    return build_spec(MonoFamily(ALL_MONOS), s3_universe)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def test_minimal_subobject_of_zero(se_family_ab):
 
 
 def test_minimal_subobject_cross_check(z4_universe):
-    spec = build_spec(AB, MonoFamily(ALL_MONOS), z4_universe)
+    spec = build_spec(MonoFamily(ALL_MONOS), z4_universe)
     assert spec.amin(registry.zab(4)).elems == (0, 2)
 
 
@@ -90,7 +90,7 @@ def test_cross_check_fails_on_a_short_span_quotient(monkeypatch, z4_universe):
 
     monkeypatch.setattr(spectral, "poincare_hom", short)
     with pytest.raises(ConsistencyError, match="span quotient has"):
-        build_spec(AB, MonoFamily(ALL_MONOS), z4_universe)
+        build_spec(MonoFamily(ALL_MONOS), z4_universe)
 
 
 def _per_object_cross_check(spec, universe):
@@ -121,12 +121,12 @@ def test_cross_check_builds_one_span_quotient_per_key(monkeypatch, name,
         return full(*args)
 
     monkeypatch.setattr(spectral, "poincare_hom", counted)
-    build_spec(GRP, MonoFamily(ALL_MONOS), registry.universe(name))
+    build_spec(MonoFamily(ALL_MONOS), registry.universe(name))
     assert built[0] == calls
 
 
 _GROUP_UNIVERSES = [name for name in registry.UNIVERSES
-                    if registry.universe_backend(name) != catcore.PSET]
+                    if registry.universe(name)[0].backend != catcore.PSET]
 
 
 @pytest.mark.parametrize("name", _GROUP_UNIVERSES)
@@ -135,9 +135,9 @@ def test_keyed_cross_check_matches_the_per_object_loop(monkeypatch, name):
     quotient that loses a class wherever A has the content of the first
     nonzero object and B is the last object, both fail at the same first
     pair, with the same message."""
-    universe, backend = registry.universe(name), registry.universe_backend(name)
+    universe = registry.universe(name)
     S = MonoFamily(ALL_MONOS)
-    _per_object_cross_check(build_spec(backend, S, universe), universe)
+    _per_object_cross_check(build_spec(S, universe), universe)
     full, first = spectral.poincare_hom, catcore.content_key(universe[1])
 
     def short(A, B, M):
@@ -147,11 +147,11 @@ def test_keyed_cross_check_matches_the_per_object_loop(monkeypatch, name):
 
     monkeypatch.setattr(spectral, "poincare_hom", short)
     with pytest.raises(ConsistencyError) as keyed:
-        build_spec(backend, S, universe)
+        build_spec(S, universe)
     with pytest.raises(ConsistencyError) as loop:
         # a spec built with no cross-check: the loop must raise its own error
         _per_object_cross_check(SpectralCategory(
-            stable_essential_family(backend, S, universe), universe), universe)
+            stable_essential_family(S, universe), universe), universe)
     assert str(keyed.value) == str(loop.value)
     assert f"hom({universe[1].id},{universe[-1].id})" in str(keyed.value)
 
@@ -175,7 +175,7 @@ def test_explicit_S_cross_checks_every_object(monkeypatch):
     monkeypatch.setattr(spectral, "poincare_hom", short)
     with pytest.raises(ConsistencyError,
                        match=re.escape(f"hom({second.id},{s3.id})")):
-        build_spec(GRP, S, universe)
+        build_spec(S, universe)
 
 
 def test_minimal_subobject_is_computed_once_per_key(monkeypatch):
@@ -190,7 +190,7 @@ def test_minimal_subobject_is_computed_once_per_key(monkeypatch):
         return full(A, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "minimal_M_subobject", counted)
-    build_spec(GRP, MonoFamily(ALL_MONOS), universe).to_json()
+    build_spec(MonoFamily(ALL_MONOS), universe).to_json()
     firsts = {}
     for A in universe:
         firsts.setdefault(catcore.content_key(A), A)
@@ -204,8 +204,8 @@ def _with_renamed_copies(universe):
                        for X in universe]
 
 
-def _key_oracle_families(backend, universe):
-    return [stable_essential_family(backend, MonoFamily(ALL_MONOS), universe),
+def _key_oracle_families(universe):
+    return [stable_essential_family(MonoFamily(ALL_MONOS), universe),
             MonoFamily(kind=ISO_FAMILY), MonoFamily(kind=ESSENTIAL_FAMILY),
             MonoFamily(NORMAL_MONOS), MonoFamily(ALL_MONOS)]
 
@@ -217,9 +217,8 @@ def test_one_key_gives_one_minimal_subobject(name):
     with the same error.  Over every named universe with a renamed copy of
     each object, and M the stable S-essential class of all monos, the
     isos, the essential, the normal and all monos."""
-    backend = registry.universe_backend(name)
     universe = _with_renamed_copies(registry.universe(name))
-    for M in _key_oracle_families(backend, universe):
+    for M in _key_oracle_families(universe):
         answers: dict = {}
         for A in universe:
             try:
@@ -236,8 +235,12 @@ def test_limit_check_on_s4_finds_no_minimal_subobject(monkeypatch):
     """Every pullback apex of the 465 s4-subgroups cospans has the key of a
     registered object, so once the spec is built and exported the limit
     check finds no minimal M-subobject and leaves no entry in the
-    subalgebra or subobject-essential refutation caches."""
-    spec = build_spec(GRP, MonoFamily(ALL_MONOS),
+    subalgebra or subobject-essential refutation caches.  It reads the
+    projections out of an apex as tables on amin(apex), so it leaves none
+    in the cache of subobject objects either; that cache is cleared first,
+    so that no earlier check has filled it with the amins of the apexes."""
+    catcore._subobject_as_object.cache_clear()
+    spec = build_spec(MonoFamily(ALL_MONOS),
                       registry.universe("s4-subgroups"))
     spec.to_json()
     full, calls = spectral.minimal_M_subobject, [0]
@@ -247,7 +250,8 @@ def test_limit_check_on_s4_finds_no_minimal_subobject(monkeypatch):
         return full(*args)
 
     monkeypatch.setattr(spectral, "minimal_M_subobject", counted)
-    caches = (catcore.subalgebras, monoclasses._se_refutation)
+    caches = (catcore.subalgebras, monoclasses._se_refutation,
+              catcore._subobject_as_object)
     before = [cache.cache_info().currsize for cache in caches]
     reports = verify_limit_preservation(
         spec, registry.registered_cospans("s4-subgroups"))
@@ -359,6 +363,26 @@ def test_functor_preserves_composition(spec_grp, s3_universe):
                                              pf)
 
 
+@pytest.mark.parametrize("family,name", [("se", "s3-subgroups"),
+                                         ("se", "z4-chain"),
+                                         (ISO_FAMILY, "pointed-le-4")])
+def test_canonical_functor_is_the_class_of_the_identity_fraction(family,
+                                                                 name):
+    """canonical_functor reads f on amin(dom f).  The route it no longer
+    takes, the class of the fraction (all of dom f, f) found by
+    class_of_span, gives the same class for every hom f between objects."""
+    spec = _spec_over(family, name)
+    homs = 0
+    for A in spec.objects:
+        full = Subobject(A, tuple(A.elements))
+        for B in spec.objects:
+            for f in enumerate_hom(A, B):
+                homs += 1
+                assert canonical_functor(f, spec) == \
+                    spec.class_of_span(NormalizedSpan(full, f))
+    assert homs > len(spec.objects) ** 2
+
+
 def test_functor_inverts_the_socle(spec_ab):
     c = canonical_functor(registry.soc_z2_z4(), spec_ab)
     assert spec_ab.is_invertible(c)
@@ -387,7 +411,7 @@ def test_class_of_span_rejects_small_domains(spec_ab):
 def test_build_spec_refuses_bad_class():
     universe = [cyclic_group(2), registry.v4(), registry.s4()]
     with pytest.raises(PreconditionViolation):
-        build_spec(GRP, MonoFamily(NORMAL_MONOS), universe)
+        build_spec(MonoFamily(NORMAL_MONOS), universe)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +465,10 @@ def _reference_limit_preservation(spec, cospans):
 
 
 def _spec_over(family, name):
-    backend = registry.universe_backend(name)
     objects = registry.universe(name)
     if family == "se":
         return SpectralCategory(stable_essential_family(
-            backend, MonoFamily(ALL_MONOS), objects), objects)
+            MonoFamily(ALL_MONOS), objects), objects)
     return SpectralCategory(MonoFamily(kind=family), objects)
 
 
@@ -523,9 +546,12 @@ def _counts_at_generators(spec, W, apex, pl, pr):
     """The mediator count of verify_limit_preservation for the probe W and
     the restricted projections pl, pr out of apex: the hom indices read by
     (probe key, leg key), the readers by (probe key, apex key)."""
+    kw = spec._key(W)
     return spectral._mediator_counts(
-        W, pl, pr, spec._hom(W, pl.cod)[1], spec._hom(W, pr.cod)[1],
-        spec._pair(W, apex, spec._key(W), spec._key(apex)))
+        W, pl.cod, pr.cod, pl.table, pr.table,
+        spec._hom(W, pl.cod, kw, spec._key(pl.cod)).index,
+        spec._hom(W, pr.cod, kw, spec._key(pr.cod)).index,
+        spec._hom(W, apex, kw, spec._key(apex)).readers)
 
 
 def _per_probe_limit_preservation(spec, cospans, adjust=None):
@@ -651,11 +677,11 @@ def test_a_non_commuting_mediator_sends_the_probe_to_its_cones(monkeypatch,
 
     counts, extra = spectral._mediator_counts, [0]
 
-    def with_extra(W, pl, pr, left, right, readers):
+    def with_extra(W, L, R, pl, pr, left, right, readers):
         """The true counts, plus the first (p, q) they leave out.  Every
         commuting cone has a mediator, so that pair does not commute.  The
         indices ``left`` and ``right`` hold one entry per class."""
-        got = counts(W, pl, pr, left, right, readers)
+        got = counts(W, L, R, pl, pr, left, right, readers)
         pq = next(((p, q) for p in range(len(left)) for q in range(len(right))
                    if (p, q) not in got), None)
         if pq is not None:
@@ -757,7 +783,7 @@ def _assert_state_per_key(spec):
     numbers = set(spec._key_ids.values()) | set(spec._keys.values())
     assert numbers == set(range(len(numbers)))
     assert set(spec._keys) == set(spec.objects)
-    for state in (spec._amins, spec._homs, spec._pairs, spec._tables):
+    for state in (spec._amins, spec._homs, spec._tables):
         assert state
         for key in state:
             assert set(key if isinstance(key, tuple) else (key,)) <= numbers
@@ -920,10 +946,8 @@ def test_limit_preservation_refuses_an_inconsistent_family():
 
 
 def test_registry_lookups_by_universe_name():
-    assert registry.universe_backend("pointed-le-4") == "pset"
     assert registry.registered_cospans("order-le-24") == []
-    for lookup in (registry.universe, registry.universe_backend,
-                   registry.registered_cospans):
+    for lookup in (registry.universe, registry.registered_cospans):
         with pytest.raises(PreconditionViolation):
             lookup("nonsense")
 
@@ -955,7 +979,7 @@ def test_z4_endos_form_division_monoid(spec_ab):
 def test_z5_endos_form_division_monoid():
     z5 = registry.zab(5)
     universe = [registry.ab_zero(), z5]
-    spec = build_spec(AB, MonoFamily(ALL_MONOS), universe)
+    spec = build_spec(MonoFamily(ALL_MONOS), universe)
     rep = end_spec_division_check(z5, spec)
     assert rep.verdict and rep.size == 5
     assert len(rep.invertible) == 4
@@ -971,8 +995,8 @@ def test_s3_endos_not_division_monoid(spec_grp, s3):
 # ---------------------------------------------------------------------------
 
 def test_export_schema_and_determinism(z4_universe):
-    a = build_spec(AB, MonoFamily(ALL_MONOS), z4_universe).to_json()
-    b = build_spec(AB, MonoFamily(ALL_MONOS), z4_universe).to_json()
+    a = build_spec(MonoFamily(ALL_MONOS), z4_universe).to_json()
+    b = build_spec(MonoFamily(ALL_MONOS), z4_universe).to_json()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert set(a) == {"objects", "exact", "homs", "composition"}
     assert a["exact"] is True
