@@ -526,6 +526,8 @@ def image_subobject(f: ConcreteMorphism) -> Subobject:
 
 #: map tables keyed on the content keys of the two ends: the one hom cache
 _HOM_TABLES: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+#: generating sequences keyed on the content key of the object
+_GENERATING_SEQUENCES: dict[tuple, tuple[int, ...]] = {}
 
 
 def element_order(A: FiniteObject, a: int) -> int:
@@ -536,22 +538,28 @@ def element_order(A: FiniteObject, a: int) -> int:
     return k
 
 
-@cache
 def generating_sequence(A: FiniteObject) -> tuple[int, ...]:
     """Greedy minimal generating sequence in canonical element order.
 
     Every element of A is a left-nested product of the sequence, whatever
     the op table: an element not yet reached is appended.  The
     construction validators rely on this, so it holds before A is known to
-    be a group."""
-    gens: tuple[int, ...] = ()
-    have = closure(A, gens)
-    for a in A.elements:
-        if a not in have:
-            gens = gens + (a,)
-            have = closure(A, gens)
-            if len(have) == A.size:
-                break
+    be a group.  The sequence reads only the content of A, so it is kept
+    per content key, as the hom tables are: objects of one content, such
+    as the pullback apexes with the op table of a universe object, share
+    one entry, and the cache holds no object."""
+    key = content_key(A)
+    gens = _GENERATING_SEQUENCES.get(key)
+    if gens is None:
+        gens = ()
+        have = closure(A, gens)
+        for a in A.elements:
+            if a not in have:
+                gens = gens + (a,)
+                have = closure(A, gens)
+                if len(have) == A.size:
+                    break
+        _GENERATING_SEQUENCES[key] = gens
     return gens
 
 

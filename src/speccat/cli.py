@@ -4,16 +4,17 @@ Three subcommands: ``classify`` reports the mono-class flags of every
 subobject inclusion in a universe, ``spec`` materializes and exports the
 localized category, and ``reproduce`` runs the built-in counterexample and
 theorem checks.  Output is deterministic: canonical orders everywhere and
-sorted JSON keys.  JSON is written as it is rendered, one piece per entry
-of the largest lists (a ``composition`` table, a ``homs`` entry), never held
-as one string, and is byte for byte the text of
+sorted JSON keys.  JSON is written as it is rendered, in pieces, never
+held as one string, and is byte for byte the text of
 ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.  The
-entries of a large list are rendered column by column, a few hundred at a
-time: strings, ints, arrays and dicts with one set of str keys by column
-rules, each distinct composition table once per indent level, and every
-other value by json.dumps itself, re-indented.  Peak RSS of
-``spec --universe s4-subgroups`` (24 MB of JSON) is about 37 MB on
-CPython 3.11, x86-64.
+``spec`` export is written straight from the spec's key-triple tables, with
+no export dict: one piece per (A, B) row of composition entries and one per
+A row of hom entries, each distinct table and each label rendered once.
+The entries of every other large list are rendered column by column, a few
+hundred at a time: strings, ints, arrays and dicts with one set of str keys
+by column rules, and every other value by json.dumps itself, re-indented.
+Peak RSS of ``spec --universe s4-subgroups`` (24 MB of JSON) is about
+27 MB on CPython 3.11, x86-64; CI fails it above 40 MB.
 
 Exit codes: 0 success, 1 property failure (witness JSON on stdout),
 2 input error, 3 resource bound exceeded, 141 (128 + SIGPIPE) the reader
@@ -61,6 +62,7 @@ from .monoclasses import (
     stable_essential_family,
 )
 from .spectral import (
+    SpectralCategory,
     build_spec,
     end_spec_division_check,
     is_uniform,
@@ -81,7 +83,7 @@ _INDENT = "  "
 _BLOCK = 256
 
 
-def _texts(values, level: int, memo: dict) -> list[str]:
+def _texts(values, level: int) -> list[str]:
     """The text of each of ``values``, with its first line at indent
     ``level``.
 
@@ -98,14 +100,13 @@ def _texts(values, level: int, memo: dict) -> list[str]:
         if kind is int:
             return list(map(repr, values))
         if kind is list or kind is tuple:
-            return _array_texts(values, level, memo)
+            return _array_texts(values, level)
         if kind is dict:
             keys = set(map(tuple, values))
             if len(keys) == 1:
                 keys, = keys
                 if keys and all(type(k) is str for k in keys):
-                    return _dict_texts(values, tuple(sorted(keys)), level,
-                                       memo)
+                    return _dict_texts(values, tuple(sorted(keys)), level)
     return [_value_text(v, level) for v in values]
 
 
@@ -131,8 +132,7 @@ def _value_text(o, level: int) -> str:
         "\n", "\n" + _INDENT * level)
 
 
-def _dict_texts(dicts, keys: tuple[str, ...], level: int,
-                memo: dict) -> list[str]:
+def _dict_texts(dicts, keys: tuple[str, ...], level: int) -> list[str]:
     """Dicts with the sorted str keys ``keys``: the values under each key
     are one column, and each row of columns fills one ``%`` template."""
     inner = "\n" + _INDENT * (level + 1)
@@ -140,68 +140,44 @@ def _dict_texts(dicts, keys: tuple[str, ...], level: int,
                     encode_basestring_ascii(k).replace("%", "%%") + ": %s"
                     for k in keys)
                 + "\n" + _INDENT * level + "}")
-    columns = [_texts(list(map(itemgetter(k), dicts)), level + 1, memo)
+    columns = [_texts(list(map(itemgetter(k), dicts)), level + 1)
                for k in keys]
     return [template % row for row in zip(*columns)]
 
 
-def _array_texts(arrays, level: int, memo: dict) -> list[str]:
+def _array_texts(arrays, level: int) -> list[str]:
     """Lists, or tuples: their items, flattened into one column, are
     rendered together and regrouped, except that arrays of exact ints are
-    each joined from their items' reprs.  A list of lists (a composition
-    table) is rendered once per indent level: its text is kept in ``memo``
-    under (id, level)."""
+    each joined from their items' reprs."""
     inner = "\n" + _INDENT * (level + 1)
     sep, close = "," + inner, "\n" + _INDENT * level + "]"
-    # the type of each array's first item, None for an empty array
-    if list not in set(map(type, map(next, map(iter, arrays),
-                                     repeat(None)))):
-        if set(map(type, chain.from_iterable(arrays))) <= {int}:
-            # rows of a table and maps: no text per item is held for the
-            # whole column
-            return ["[" + inner + sep.join(map(repr, a)) + close if a
-                    else "[]" for a in arrays]
-        items = iter(_texts(list(chain.from_iterable(arrays)), level + 1,
-                            memo))
-        return ["[" + inner + sep.join(islice(items, n)) + close if n
-                else "[]" for n in map(len, arrays)]
-    texts: dict[int, str | None] = {}
-    todo = []
-    for a in arrays:
-        i = id(a)
-        if i not in texts:
-            texts[i] = "[]" if not a else memo.get((i, level))
-            if texts[i] is None:
-                todo.append(a)
-    items = iter(_texts(list(chain.from_iterable(todo)), level + 1, memo))
-    for a in todo:
-        text = texts[id(a)] = ("[" + inner + sep.join(islice(items, len(a)))
-                               + close)
-        if type(a) is list and type(a[0]) is list:
-            memo[id(a), level] = text
-    return [texts[id(a)] for a in arrays]
+    if set(map(type, chain.from_iterable(arrays))) <= {int}:
+        # rows of a table and maps: no text per item is held for the whole
+        # column
+        return ["[" + inner + sep.join(map(repr, a)) + close if a else "[]"
+                for a in arrays]
+    items = iter(_texts(list(chain.from_iterable(arrays)), level + 1))
+    return ["[" + inner + sep.join(islice(items, n)) + close if n else "[]"
+            for n in map(len, arrays)]
 
 
 def _json_pieces(o):
     """Yield the text of o in pieces: a dict with str keys piece by key, a
-    list of containers piece by item, every other value whole.
-
-    The items of a list of containers are rendered as columns of
-    ``_BLOCK`` items.  A list of lists (a composition table) is rendered
-    once per indent level and its text reused wherever the payload holds
-    the same list again.  The memo is keyed on ``id`` and made fresh for
-    each call: the payload keeps every list it holds alive while it is
-    written, so no id is reused inside one call."""
-    yield from _pieces(o, 0, {})
+    list of containers piece by item, a spec's export row by row
+    (:func:`_export_pieces`), every other value whole.  The items of a
+    list of containers are rendered as columns of ``_BLOCK`` items."""
+    yield from _pieces(o, 0)
 
 
-def _pieces(o, level: int, memo: dict):
-    if type(o) is dict and o and all(type(k) is str for k in o):
+def _pieces(o, level: int):
+    if type(o) is SpectralCategory:
+        yield from _export_pieces(o, level)
+    elif type(o) is dict and o and all(type(k) is str for k in o):
         inner = "\n" + _INDENT * (level + 1)
         sep = "{" + inner
         for k, v in sorted(o.items()):
             yield sep + encode_basestring_ascii(k) + ": "
-            yield from _pieces(v, level + 1, memo)
+            yield from _pieces(v, level + 1)
             sep = "," + inner
         yield "\n" + _INDENT * level + "}"
     elif (type(o) in (list, tuple)
@@ -209,12 +185,102 @@ def _pieces(o, level: int, memo: dict):
         inner = "\n" + _INDENT * (level + 1)
         sep = "[" + inner
         for start in range(0, len(o), _BLOCK):
-            for text in _texts(o[start:start + _BLOCK], level + 1, memo):
+            for text in _texts(o[start:start + _BLOCK], level + 1):
                 yield sep + text
                 sep = "," + inner
         yield "\n" + _INDENT * level + "]"
     else:
-        yield _texts((o,), level, memo)[0]
+        yield _texts((o,), level)[0]
+
+
+def _list_pieces(rows, level: int):
+    """The text of a list at indent ``level``, in pieces: each row is the
+    text of one or more of its items, joined by the list's separator."""
+    inner = "\n" + _INDENT * (level + 1)
+    sep = "[" + inner
+    for row in rows:
+        yield sep
+        yield row
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else "\n" + _INDENT * level + "]"
+
+
+def _export_pieces(spec: SpectralCategory, level: int):
+    """The text of ``spec.to_json()`` at indent ``level``, written from the
+    spec's tables, with no export dict."""
+    ids = [encode_basestring_ascii(A.id) for A in spec.objects]
+    inner = "\n" + _INDENT * (level + 1)
+    yield "{" + inner + '"composition": '
+    yield from _list_pieces(_composition_rows(spec, ids, level + 2),
+                            level + 1)
+    yield ("," + inner + '"exact": ' + _value_text(spec.exact, level + 1)
+           + "," + inner + '"homs": ')
+    yield from _list_pieces(_hom_rows(spec, ids, level + 2), level + 1)
+    yield ("," + inner + '"objects": '
+           + _texts([[A.id for A in spec.objects]], level + 1)[0]
+           + "\n" + _INDENT * level + "}")
+
+
+def _composition_rows(spec: SpectralCategory, ids: list[str], level: int):
+    """The composition entries at indent ``level``, one row per (A, B).
+
+    An entry is the ids of C, A and B and the text of the table of
+    (A, B, C).  That text is rendered once per distinct table and kept
+    by the identity of the shared list, which the spec keeps alive."""
+    n = ["\n" + _INDENT * (level + i) for i in range(2)]
+    # each entry of a row but the first starts with the separator
+    heads = ["{" + n[1] + '"cod": ' + c + "," + n[1] + '"dom": ' for c in ids]
+    heads[1:] = ["," + n[0] + head for head in heads[1:]]
+    tables: dict[int, str] = {}
+    objects = spec.objects
+    for A, a in zip(objects, ids):
+        for B, b in zip(objects, ids):
+            texts = []
+            for C in objects:
+                table = spec.composition_table(A, B, C)
+                text = tables.get(id(table))
+                if text is None:
+                    text = tables[id(table)] = (
+                        _texts([table], level + 1)[0] + n[0] + "}")
+                texts.append(text)
+            ab = a + "," + n[1] + '"mid": ' + b + "," + n[1] + '"table": '
+            yield "".join(chain.from_iterable(zip(heads, repeat(ab), texts)))
+
+
+def _hom_rows(spec: SpectralCategory, ids: list[str], level: int):
+    """The hom entries at indent ``level``, one row per A.
+
+    A class of hom(A, B) is the fraction (inclusion of amin(A), label):
+    the text of each label is rendered once per label tuple, and the ids
+    of A, B and amin(A) are filled in per class."""
+    n = ["\n" + _INDENT * (level + i) for i in range(5)]
+    labels: dict[tuple[int, ...], str] = {}
+    objects = spec.objects
+    for A, a in zip(objects, ids):
+        amin = spec.amin(A)
+        dom = encode_basestring_ascii(amin.object().id)
+        # a class out of A: its index, rep_left, and rep_right up to its
+        # cod, which is B
+        left = ("," + n[3] + '"rep_left": {' + n[4] + '"cod": ' + a + ","
+                + n[4] + '"dom": ' + dom + "," + n[4] + '"map": '
+                + _texts([amin.elems], level + 4)[0] + n[3] + "},"
+                + n[3] + '"rep_right": {' + n[4] + '"cod": ')
+        entries = []
+        for B, b in zip(objects, ids):
+            right = b + "," + n[4] + '"dom": ' + dom + "," + n[4] + '"map": '
+            classes = []
+            for c in spec.hom(A, B):
+                text = labels.get(c.label)
+                if text is None:
+                    text = labels[c.label] = _texts([c.label], level + 4)[0]
+                classes.append("{" + n[3] + '"index": ' + repr(c.index)
+                               + left + right + text + n[3] + "}" + n[2]
+                               + "}")
+            entries.append("{" + n[1] + '"classes": '
+                           + "".join(_list_pieces(classes, level + 1))
+                           + "," + n[1] + '"cod": ' + b + "," + n[1]
+                           + '"dom": ' + a + n[0] + "}")
+        yield ("," + n[0]).join(entries)
 
 
 def _emit(args: argparse.Namespace, payload: dict,
@@ -312,7 +378,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_spec(args: argparse.Namespace) -> int:
     objects = _resolve_universe(args)
     spec = build_spec(MonoFamily(ALL_MONOS), objects)
-    export = spec.to_json()
+    sizes = [(A.id, B.id, len(spec.hom(A, B)))
+             for A in objects for B in objects]
     uniform = [is_uniform(A, spec.M).to_json() for A in objects]
     division = [end_spec_division_check(A, spec).to_json() for A in objects]
     preservation = None
@@ -321,15 +388,15 @@ def cmd_spec(args: argparse.Namespace) -> int:
         if cospans:
             preservation = [r.to_json()
                             for r in verify_limit_preservation(spec, cospans)]
-    payload = {"command": "spec", "seed": args.seed, "export": export,
+    # the export is written from the spec's tables as it is streamed
+    payload = {"command": "spec", "seed": args.seed, "export": spec,
                "summary": {"hom_sizes": [
-                   {"dom": h["dom"], "cod": h["cod"],
-                    "classes": len(h["classes"])} for h in export["homs"]],
+                   {"dom": a, "cod": b, "classes": k} for a, b, k in sizes],
                    "uniform": uniform, "division_monoids": division,
                    "limit_preservation": preservation}}
-    lines = [f"objects: {', '.join(export['objects'])}"]
-    for h in export["homs"]:
-        lines.append(f"hom({h['dom']},{h['cod']}): {len(h['classes'])} classes")
+    lines = [f"objects: {', '.join(A.id for A in objects)}"]
+    for a, b, k in sizes:
+        lines.append(f"hom({a},{b}): {k} classes")
     for u in uniform:
         lines.append(f"uniform({u['object']}): {u['uniform']}")
     for d in division:

@@ -262,6 +262,14 @@ class SpectralCategory:
         return any(after[d] == ida and before[d][c.index] == idb
                    for d in range(len(after)))
 
+    def composition_table(self, A: FiniteObject, B: FiniteObject,
+                          C: FiniteObject) -> list[list[int]]:
+        """The composition table of (A, B, C), as :meth:`compose` reads it:
+        row i, column j holds the index in hom(A, C) of class j of
+        hom(B, C) after class i of hom(A, B).  Triples whose tables are
+        equal share one list, which the caller must not change."""
+        return self._table(A, B, C, self._key(A), self._key(B), self._key(C))
+
     def _table(self, A: FiniteObject, B: FiniteObject, C: FiniteObject,
                ka: int, kb: int, kc: int) -> list[list[int]]:
         """The composition table of (A, B, C), whose key numbers are ka, kb
@@ -298,15 +306,16 @@ class SpectralCategory:
     def to_json(self) -> dict:
         """The objects, the classes of every hom set and the composition
         table of every triple (A, B, C), in the order of ``objects``.
-        Entries whose triples have equal keys share one table."""
+        Entries whose triples have equal keys share one table.  The
+        ``spec`` command writes the text of this dict from the tables
+        themselves, without building it."""
         objects = self.objects
         homs = [{"dom": A.id, "cod": B.id,
                  "classes": [c.to_json() for c in self.hom(A, B)]}
                 for A in objects for B in objects]
-        keyed = [(A, self._key(A)) for A in objects]
         comp = [{"dom": A.id, "mid": B.id, "cod": C.id,
-                 "table": self._table(A, B, C, ka, kb, kc)}
-                for A, ka in keyed for B, kb in keyed for C, kc in keyed]
+                 "table": self.composition_table(A, B, C)}
+                for A in objects for B in objects for C in objects]
         return {"objects": [A.id for A in objects], "exact": self.exact,
                 "homs": homs, "composition": comp}
 

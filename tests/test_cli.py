@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from argparse import Namespace
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from pathlib import Path
 from time import perf_counter
 
@@ -15,7 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import speccat
-from speccat import cli
+from speccat import (
+    ALL_MONOS,
+    MonoFamily,
+    SpectralCategory,
+    build_spec,
+    cli,
+    end_spec_division_check,
+    is_uniform,
+    registry,
+    verify_limit_preservation,
+)
 from speccat.cli import (
     EXIT_PIPE_CLOSED,
     REPRODUCE_ITEMS,
@@ -409,6 +419,112 @@ def test_spec_export_is_byte_identical(universe, digest, tmp_path, capsys):
     assert hashlib.sha256(stdout).hexdigest() == digest
 
 
+def _payload_around_to_json(objects, cospans=()):
+    """The payload of ``spec`` on ``objects``, built around
+    :meth:`SpectralCategory.to_json`, the library's dict export: the oracle
+    of the export that ``spec`` writes from the spec's tables."""
+    spec = build_spec(MonoFamily(ALL_MONOS), objects)
+    export = spec.to_json()
+    return {"command": "spec", "seed": 0, "export": export, "summary": {
+        "hom_sizes": [{"dom": h["dom"], "cod": h["cod"],
+                       "classes": len(h["classes"])} for h in export["homs"]],
+        "uniform": [is_uniform(A, spec.M).to_json() for A in objects],
+        "division_monoids": [end_spec_division_check(A, spec).to_json()
+                             for A in objects],
+        "limit_preservation": (
+            [r.to_json() for r in verify_limit_preservation(spec, cospans)]
+            if cospans else None)}}
+
+
+def _cayley(name, A):
+    return {"kind": "group", "name": name, "cayley": [list(r) for r in A.op]}
+
+
+def _renamed_z4_copy():
+    """z4-chain and a copy of Z4 under another name: the copy has the key
+    of Z4, so the two share every composition table."""
+    z4_chain = registry.universe("z4-chain")
+    return ["--backend", "ab"], [_cayley(A.id, A) for A in z4_chain] + [
+        _cayley("Z4 copy", z4_chain[-1])]
+
+
+def _escaped_names():
+    """Objects whose names json escapes: a quote, a backslash, non-ASCII
+    characters and a % sign, also in the names of their minimal
+    M-subobjects."""
+    return [], [_cayley('Z2 "two" \\ \u00e9 %s', registry.z(2)),
+                _cayley('Z4 \\"\u2211', registry.z(4))]
+
+
+@pytest.mark.parametrize("universe", [
+    "s3-subgroups", "z4-chain", "a5-chain", "order-le-24", "pointed-le-4"])
+def test_streamed_spec_is_the_text_of_to_json(universe, capsys):
+    """The export that ``spec`` writes from the key-triple tables is the
+    json.dumps text of the payload built around ``to_json()``.  CI checks
+    s4-subgroups the same way."""
+    assert main(["spec", "--universe", universe]) == 0
+    payload = _payload_around_to_json(registry.universe(universe),
+                                      registry.registered_cospans(universe))
+    assert capsys.readouterr().out == json.dumps(
+        payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("inputs", [_renamed_z4_copy, _escaped_names],
+                         ids=["renamed-z4-copy", "escaped-names"])
+def test_streamed_spec_of_an_input_is_the_text_of_to_json(inputs, tmp_path,
+                                                          capsys):
+    options, descriptors = inputs()
+    desc = tmp_path / "objects.json"
+    desc.write_text(json.dumps(descriptors))
+    assert main(["spec", *options, "--input", str(desc)]) == 0
+    objects = speccat.load_objects(desc.read_text(), *options[1:])
+    payload = _payload_around_to_json(objects)
+    assert capsys.readouterr().out == json.dumps(
+        payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_export_of_a_spec_with_no_objects_is_the_text_of_to_json():
+    spec = SpectralCategory(MonoFamily(ALL_MONOS), [])
+    assert "".join(_json_pieces({"export": spec})) == json.dumps(
+        {"export": spec.to_json()}, indent=2, sort_keys=True)
+
+
+def test_spec_builds_no_export_dict(monkeypatch, capsys):
+    """``spec`` never calls ``to_json``, and writes its export row by row:
+    no piece is longer than the text of the composition entries of one
+    (A, B) or of the hom entries out of one A."""
+    def refuse(self):
+        raise AssertionError("the export dict was built")
+
+    lengths = []
+
+    def recorded(payload):
+        for piece in _json_pieces(payload):
+            lengths.append(len(piece))
+            yield piece
+
+    monkeypatch.setattr(SpectralCategory, "to_json", refuse)
+    monkeypatch.setattr(cli, "_json_pieces", recorded)
+    assert main(["spec", "--universe", "s3-subgroups"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    # the digest of test_spec_export_is_byte_identical
+    assert hashlib.sha256(out).hexdigest() == (
+        "d516f36087a9124b113ada425dbbd9a5a8982af98280a8876b7f45631a8bd509")
+    monkeypatch.undo()
+    export = build_spec(MonoFamily(ALL_MONOS),
+                        registry.universe("s3-subgroups")).to_json()
+    rows = Counter()
+    for key, entries in ((("dom", "mid"), export["composition"]),
+                         (("dom",), export["homs"])):
+        for e in entries:
+            # an entry as it stands in the document, after its separator
+            rows[(key, *map(e.get, key))] += len(
+                ",\n      " + json.dumps(e, indent=2, sort_keys=True)
+                .replace("\n", "\n      "))
+    assert len(lengths) > len(rows) == 6 * 6 + 6
+    assert max(lengths) <= max(rows.values())
+
+
 # the digests are those of the same jobs in perfbench/expected.json.  The
 # subgroup lattice of A5 feeds the first two; the last two pin the checked
 # counts of the focal conditions and of the limit-preservation cones.
@@ -584,8 +700,8 @@ def _deep(depth):
 @example(obj={(1, 2): 3})
 @example(obj=[1, {"a": [object()]}])
 @example(obj=_deep(40))
-# one list of lists held many times, at one indent level and at two: the
-# writer keeps the text of such a list, which depends on its level
+# one list of lists held many times, at one indent level and at two: its
+# text depends on its level
 @example(obj=[{"table": _TABLE}] * 3)
 @example(obj=[{"table": _TABLE}, [{"table": _TABLE}]] * 3)
 @example(obj=_shared(_TABLE) + [_shared(_TABLE)])
@@ -594,7 +710,7 @@ def _deep(depth):
 @example(obj=[1, True, None, 2.5, -7, False, 2 ** 100, -2 ** 100])
 @example(obj=[[1, 2], (3, 4), []])
 @example(obj=_composition(5_000))
-# dicts the writer hands whole to json.dumps, holding a table it keeps
+# dicts the writer hands whole to json.dumps, holding a shared table
 @example(obj=OrderedDict(b=_shared(_TABLE), a=_TABLE))
 @example(obj={2: _shared(_TABLE), 1: [{"table": _TABLE}] * 2})
 def test_writer_text_is_the_json_dumps_text(obj):

@@ -238,7 +238,9 @@ def test_limit_check_on_s4_finds_no_minimal_subobject(monkeypatch):
     subalgebra or subobject-essential refutation caches.  It reads the
     projections out of an apex as tables on amin(apex), so it leaves none
     in the cache of subobject objects either; that cache is cleared first,
-    so that no earlier check has filled it with the amins of the apexes."""
+    so that no earlier check has filled it with the amins of the apexes.
+    Generating sequences are kept per content, so validating the apexes
+    adds none either."""
     catcore._subobject_as_object.cache_clear()
     spec = build_spec(MonoFamily(ALL_MONOS),
                       registry.universe("s4-subgroups"))
@@ -253,11 +255,13 @@ def test_limit_check_on_s4_finds_no_minimal_subobject(monkeypatch):
     caches = (catcore.subalgebras, monoclasses._se_refutation,
               catcore._subobject_as_object)
     before = [cache.cache_info().currsize for cache in caches]
+    sequences = dict(catcore._GENERATING_SEQUENCES)
     reports = verify_limit_preservation(
         spec, registry.registered_cospans("s4-subgroups"))
     assert len(reports) == 465 and all(r.status == "pass" for r in reports)
     assert calls[0] == 0
     assert [cache.cache_info().currsize for cache in caches] == before
+    assert catcore._GENERATING_SEQUENCES == sequences
 
 
 def test_hom_sets_and_export_validate_no_morphism(monkeypatch):
