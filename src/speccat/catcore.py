@@ -13,7 +13,6 @@ order, so every downstream computation is deterministic.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from collections import namedtuple
@@ -40,6 +39,10 @@ DEFAULT_SIZE_BOUNDS = {GRP: 60, AB: 64, PSET: 16}
 
 
 def _short_hash(*parts) -> str:
+    # imported here, by its only user: hashlib is about a quarter of the
+    # package's import time, and a process that names no pullback or
+    # quotient never needs it
+    import hashlib
     h = hashlib.blake2b(repr(parts).encode(), digest_size=4)
     return h.hexdigest()
 

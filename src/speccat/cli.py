@@ -7,14 +7,15 @@ theorem checks.  Output is deterministic: canonical orders everywhere and
 sorted JSON keys.  JSON is written as it is rendered, in pieces, never
 held as one string, and is byte for byte the text of
 ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.  The
-``spec`` export is written straight from the spec's key-triple tables, with
-no export dict: one piece per (A, B) row of composition entries and one per
-A row of hom entries, each distinct table and each label rendered once.
+``spec`` export is written straight from the spec's shared composition rows
+and hom labels, with no export dict: one piece per (A, B) row of
+composition entries and one per A row of hom entries, each distinct table,
+table row and label rendered once.
 The entries of every other large list are rendered column by column, a few
 hundred at a time: strings, ints, arrays and dicts with one set of str keys
 by column rules, and every other value by json.dumps itself, re-indented.
 Peak RSS of ``spec --universe s4-subgroups`` (24 MB of JSON) is about
-27 MB on CPython 3.11, x86-64; CI fails it above 40 MB.
+28 MB on CPython 3.11, x86-64; CI fails it above 40 MB.
 
 Exit codes: 0 success, 1 property failure (witness JSON on stdout),
 2 input error, 3 resource bound exceeded, 141 (128 + SIGPIPE) the reader
@@ -225,24 +226,47 @@ def _composition_rows(spec: SpectralCategory, ids: list[str], level: int):
     """The composition entries at indent ``level``, one row per (A, B).
 
     An entry is the ids of C, A and B and the text of the table of
-    (A, B, C).  That text is rendered once per distinct table and kept
-    by the identity of the shared list, which the spec keeps alive."""
-    n = ["\n" + _INDENT * (level + i) for i in range(2)]
+    (A, B, C).  The table texts of a row are looked up once per
+    composition row of the spec, and the text of each table once per
+    table, each kept by the identity of the shared list, which the spec
+    keeps alive; the text of each distinct table row is rendered once.
+    A row's text is then joined from those texts and the ids alone."""
+    n = ["\n" + _INDENT * (level + i) for i in range(4)]
     # each entry of a row but the first starts with the separator
     heads = ["{" + n[1] + '"cod": ' + c + "," + n[1] + '"dom": ' for c in ids]
     heads[1:] = ["," + n[0] + head for head in heads[1:]]
+    open_table, table_sep = "[" + n[2], "," + n[2]
+    close_table = n[1] + "]" + n[0] + "}"
+    open_row, row_sep, close_row = "[" + n[3], "," + n[3], n[2] + "]"
+    row_texts: dict[tuple[int, ...], str] = {}
     tables: dict[int, str] = {}
+    # a composition row -> the text of each of its tables
+    rows: dict[int, list[str]] = {}
+
+    def row_text(cells):
+        key = tuple(cells)
+        text = row_texts.get(key)
+        if text is None:
+            text = row_texts[key] = (
+                open_row + row_sep.join(map(repr, key)) + close_row
+                if key else "[]")
+        return text
+
+    def table_text(table):
+        text = tables.get(id(table))
+        if text is None:
+            text = tables[id(table)] = (
+                open_table + table_sep.join(map(row_text, table))
+                + close_table if table else "[]" + n[0] + "}")
+        return text
+
     objects = spec.objects
     for A, a in zip(objects, ids):
         for B, b in zip(objects, ids):
-            texts = []
-            for C in objects:
-                table = spec.composition_table(A, B, C)
-                text = tables.get(id(table))
-                if text is None:
-                    text = tables[id(table)] = (
-                        _texts([table], level + 1)[0] + n[0] + "}")
-                texts.append(text)
+            row = spec.composition_row(A, B)
+            texts = rows.get(id(row))
+            if texts is None:
+                texts = rows[id(row)] = list(map(table_text, row))
             ab = a + "," + n[1] + '"mid": ' + b + "," + n[1] + '"table": '
             yield "".join(chain.from_iterable(zip(heads, repeat(ab), texts)))
 
@@ -250,35 +274,52 @@ def _composition_rows(spec: SpectralCategory, ids: list[str], level: int):
 def _hom_rows(spec: SpectralCategory, ids: list[str], level: int):
     """The hom entries at indent ``level``, one row per A.
 
-    A class of hom(A, B) is the fraction (inclusion of amin(A), label):
-    the text of each label is rendered once per label tuple, and the ids
-    of A, B and amin(A) are filled in per class."""
+    A class of hom(A, B) is the fraction (inclusion of amin(A), label).
+    The text of the classes of a hom set, all but the ids of A, B and
+    amin(A) and the map of amin(A), is rendered once per label tuple of
+    the spec, kept by the identity of the shared tuple; the text of each
+    label is rendered once.  The ids are filled in per hom set."""
     n = ["\n" + _INDENT * (level + i) for i in range(5)]
     labels: dict[tuple[int, ...], str] = {}
+    hom_sets: dict[int, list[str]] = {}
+    # a class's text up to its index, and from its label to the next
+    # class's index
+    first = "[" + n[2] + "{" + n[3] + '"index": '
+    between = n[3] + "}" + n[2] + "}," + n[2] + "{" + n[3] + '"index": '
+    last = n[3] + "}" + n[2] + "}" + n[1] + "]"
+
+    def label_text(label):
+        text = labels.get(label)
+        if text is None:
+            text = labels[label] = _texts([label], level + 4)[0]
+        return text
+
     objects = spec.objects
     for A, a in zip(objects, ids):
         amin = spec.amin(A)
         dom = encode_basestring_ascii(amin.object().id)
-        # a class out of A: its index, rep_left, and rep_right up to its
-        # cod, which is B
+        # a class out of A after its index: rep_left, and rep_right up to
+        # its cod, which is B
         left = ("," + n[3] + '"rep_left": {' + n[4] + '"cod": ' + a + ","
                 + n[4] + '"dom": ' + dom + "," + n[4] + '"map": '
                 + _texts([amin.elems], level + 4)[0] + n[3] + "},"
                 + n[3] + '"rep_right": {' + n[4] + '"cod": ')
         entries = []
         for B, b in zip(objects, ids):
-            right = b + "," + n[4] + '"dom": ' + dom + "," + n[4] + '"map": '
-            classes = []
-            for c in spec.hom(A, B):
-                text = labels.get(c.label)
-                if text is None:
-                    text = labels[c.label] = _texts([c.label], level + 4)[0]
-                classes.append("{" + n[3] + '"index": ' + repr(c.index)
-                               + left + right + text + n[3] + "}" + n[2]
-                               + "}")
-            entries.append("{" + n[1] + '"classes": '
-                           + "".join(_list_pieces(classes, level + 1))
-                           + "," + n[1] + '"cod": ' + b + "," + n[1]
+            hom = spec.hom_labels(A, B)
+            segments = hom_sets.get(id(hom))
+            if segments is None:
+                # class i's label and the index of class i + 1
+                segments = hom_sets[id(hom)] = [
+                    label_text(label) + between + repr(i + 1)
+                    for i, label in enumerate(hom)]
+                if segments:
+                    segments[-1] = label_text(hom[-1]) + last
+            lr = (left + b + "," + n[4] + '"dom": ' + dom + "," + n[4]
+                  + '"map": ')
+            classes = first + "0" + lr + lr.join(segments) if hom else "[]"
+            entries.append("{" + n[1] + '"classes": ' + classes + ","
+                           + n[1] + '"cod": ' + b + "," + n[1]
                            + '"dom": ' + a + n[0] + "}")
         yield ("," + n[0]).join(entries)
 
@@ -378,7 +419,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_spec(args: argparse.Namespace) -> int:
     objects = _resolve_universe(args)
     spec = build_spec(MonoFamily(ALL_MONOS), objects)
-    sizes = [(A.id, B.id, len(spec.hom(A, B)))
+    sizes = [(A.id, B.id, len(spec.hom_labels(A, B)))
              for A in objects for B in objects]
     uniform = [is_uniform(A, spec.M).to_json() for A in objects]
     division = [end_spec_division_check(A, spec).to_json() for A in objects]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cache, cached_property
+from itertools import compress, repeat
 
 from .catcore import (
     NORMAL_BACKENDS,
@@ -550,8 +551,13 @@ def _pullback_stable_law(monos: dict[tuple, tuple], universe: list[FiniteObject]
 
     def along(m, W):
         tables, image = hom_tables(W, m.cod), m.image
-        if all(member((W, pre))
-               for pre in {preimage(t, image) for t in tables}):
+        # which values of each table lie in the image: one preimage is made
+        # per distinct mask, into the set that one preimage per table would
+        # make, so the members are asked in the same order
+        masks = dict.fromkeys(map(tuple, map(map, repeat(image.__contains__),
+                                             tables)))
+        if all(member((W, pre)) for pre in {
+                frozenset(compress(W.elements, mask)) for mask in masks}):
             return len(tables), None
         return _first_failure(pullbacks(m, W))
 

@@ -7,12 +7,14 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import partial
+from operator import itemgetter
 
 from .catcore import (
     ConcreteMorphism,
     FiniteObject,
     Subobject,
     _jsonable,
+    content_key,
     generating_sequence,
     hom_tables,
     subalgebras,
@@ -94,14 +96,16 @@ def _no_class_at(A: FiniteObject, B: FiniteObject,
 
 
 # the minimal M-subobject of the objects of one key: its elements, the
-# position of each among them, and the positions of its generating sequence
-# (position 0 when it is zero and the sequence empty)
-_Minimal = namedtuple("_Minimal", "elems positions gens")
+# position of each among them, the positions of its generating sequence
+# (position 0 when it is zero and the sequence empty), and its domain
+# number, the number of its content
+_Minimal = namedtuple("_Minimal", "elems positions gens dom")
 
-# hom(A, B) for one pair of key numbers: the labels, the maps amin(A) -> B
-# in hom order; their indices by their values at the generators of amin(A);
-# their columns (column j holds every label's value at position j); and,
-# per label, the positions in amin(B) of its values at those generators
+# hom(A, B) for one (domain number of A, key number of B): the labels, the
+# maps amin(A) -> B in hom order; their indices by their values at the
+# generators of amin(A); their columns (column j holds every label's value
+# at position j); and, per label, the positions in amin(B) of its values at
+# those generators
 _HomSet = namedtuple("_HomSet", "labels index columns readers")
 
 
@@ -114,14 +118,21 @@ class SpectralCategory:
     restriction lookups, made once per composition table.  A morphism is
     fixed by its values on a generating sequence of its domain, so a class
     out of A is looked up by its label's values at the generator positions
-    of amin(A), not by the whole label.  M is closed under isomorphic
-    copies, so amin(A) and everything built out of it depend on A only
+    of amin(A), not by the whole label.
+
+    M is closed under isomorphic copies, so amin(A) depends on A only
     through its key in M (:meth:`MonoFamily.key`), numbered by
-    :meth:`_key`: the spec keeps amin per key number, one
-    :class:`_HomSet` per pair, and the composition tables per triple of
-    key numbers.  The only objects it keeps are its registered objects; a
-    class is built when it is asked for.  ``exact`` is False when M itself
-    is only a bounded-search approximation.
+    :meth:`_key`, and is kept per key number.  A fraction out of A is fixed
+    by its restriction to amin(A), so hom(A, B) depends on A only through
+    the content of amin(A), numbered as A's domain number
+    (:meth:`_minimal`), and on B through its key.  The spec keeps one
+    :class:`_HomSet` per (domain number, key number) and one composition
+    table per (domain number of A, key number of B, key number of C): on
+    ``s4-subgroups`` 13 keys and 10 domain numbers give 130 hom records
+    and 1,690 tables, of which 258 are distinct.  The only objects it
+    keeps are its registered objects, each with its minimal M-subobject
+    once asked for; a class is built when it is asked for.  ``exact`` is
+    False when M itself is only a bounded-search approximation.
     """
 
     def __init__(self, M: MonoFamily, objects: list[FiniteObject]):
@@ -131,12 +142,18 @@ class SpectralCategory:
         # a key in M -> its number; a registered object -> its key number
         self._key_ids: dict[object, int] = {}
         self._keys: dict[FiniteObject, int] = {}
-        # key number -> its minimal M-subobject
+        # key number -> its minimal M-subobject; the content of a minimal
+        # M-subobject -> its domain number
         self._amins: dict[int, _Minimal] = {}
-        # pair of key numbers -> its hom set
+        self._dom_ids: dict[tuple, int] = {}
+        # registered object -> its minimal M-subobject, once asked for
+        self._subs: dict[FiniteObject, Subobject] = {}
+        # (domain number, key number) -> its hom set, and the composition
+        # row: the table of (A, B, C) for each registered C, in order
         self._homs: dict[tuple[int, int], _HomSet] = {}
-        # triple of key numbers -> composition table; each distinct table
-        # is one list, kept under its rows
+        self._rows: dict[tuple[int, int], list[list[list[int]]]] = {}
+        # (domain number, key number, key number) -> composition table;
+        # each distinct table is one list, kept under its rows
         self._tables: dict[tuple[int, int, int], list[list[int]]] = {}
         self._distinct: dict[tuple, list[list[int]]] = {}
         self._keys = {A: self._key(A) for A in self.objects}
@@ -155,68 +172,94 @@ class SpectralCategory:
 
     def _minimal(self, A: FiniteObject, k: int) -> _Minimal:
         """The minimal M-subobject of A, whose key number is k, found once
-        per key."""
+        per key, and numbered by its content."""
         found = self._amins.get(k)
         if found is None:
             sub = minimal_M_subobject(A, self.M)
+            amin = sub.object()
             found = self._amins[k] = _Minimal(
                 sub.elems, {e: i for i, e in enumerate(sub.elems)},
-                generating_sequence(sub.object()) or (0,))
+                generating_sequence(amin) or (0,),
+                self._dom_ids.setdefault(content_key(amin),
+                                         len(self._dom_ids)))
         return found
 
-    def amin(self, A: FiniteObject) -> Subobject:
-        """The minimal M-subobject of A, found once per key of A."""
-        return Subobject(A, self._minimal(A, self._key(A)).elems)
+    def _dom(self, A: FiniteObject) -> int:
+        """The domain number of A: the number of the content of amin(A),
+        which is all that hom sets and tables out of A depend on."""
+        return self._minimal(A, self._key(A)).dom
 
-    def _hom(self, A: FiniteObject, B: FiniteObject, ka: int, kb: int
-             ) -> _HomSet:
-        """hom(A, B), whose key numbers are ka and kb, built in one walk of
-        its map tables and kept per pair (ka, kb).
+    def amin(self, A: FiniteObject) -> Subobject:
+        """The minimal M-subobject of A, found once per key of A and kept
+        once per registered object."""
+        sub = self._subs.get(A)
+        if sub is None:
+            sub = Subobject(A, self._minimal(A, self._key(A)).elems)
+            if A in self._keys:
+                self._subs[A] = sub
+        return sub
+
+    def _readers(self, A: FiniteObject, B: FiniteObject, kb: int
+                 ) -> tuple[tuple, list[tuple[int, ...]]]:
+        """The labels of hom(A, B), whose key number of B is kb, and their
+        readers, made in one walk of the map tables.
 
         A class c2 out of B composes with the class of a label to the class
         whose values at the generators of amin(A) are c2's label read at
         that label's reader.  Closure of M under composition and pullback
         forces every value of a label, not only those at the generators, to
-        lie in amin(B): checked here, once per pair."""
-        hit = self._homs.get((ka, kb))
+        lie in amin(B): checked here."""
+        gens = self._minimal(A, self._key(A)).gens
+        bpos = self._minimal(B, kb).positions
+        labels = hom_tables(self.amin(A).object(), B)
+        readers = []
+        for label in labels:
+            positions = list(map(bpos.get, label))
+            if None in positions:
+                raise ConsistencyError(
+                    f"class label value {label[positions.index(None)]} "
+                    f"of hom({A.id},{B.id}) leaves the minimal "
+                    f"M-subobject of {B.id}")
+            readers.append(tuple(map(positions.__getitem__, gens)))
+        return labels, readers
+
+    def _hom(self, A: FiniteObject, B: FiniteObject, da: int, kb: int
+             ) -> _HomSet:
+        """hom(A, B), whose domain number of A is da and key number of B
+        is kb, kept per pair (da, kb)."""
+        hit = self._homs.get((da, kb))
         if hit is None:
-            elems, _, gens = self._minimal(A, ka)
-            bpos = self._minimal(B, kb).positions
-            labels = hom_tables(Subobject(A, elems).object(), B)
-            readers = []
-            for label in labels:
-                positions = list(map(bpos.get, label))
-                if None in positions:
-                    raise ConsistencyError(
-                        f"class label value {label[positions.index(None)]} "
-                        f"of hom({A.id},{B.id}) leaves the minimal "
-                        f"M-subobject of {B.id}")
-                readers.append(tuple(map(positions.__getitem__, gens)))
+            labels, readers = self._readers(A, B, kb)
+            gens = self._minimal(A, self._key(A)).gens
             columns = list(zip(*labels))
-            hit = self._homs[ka, kb] = _HomSet(labels, dict(zip(
+            hit = self._homs[da, kb] = _HomSet(labels, dict(zip(
                 zip(*map(columns.__getitem__, gens)),
                 range(len(labels)))), columns, readers)
         return hit
 
+    def hom_labels(self, A: FiniteObject, B: FiniteObject
+                   ) -> tuple[tuple[int, ...], ...]:
+        """The labels of the classes of hom(A, B), in hom order: the map
+        tables amin(A) -> B.  Pairs with one (domain number, key number)
+        share one tuple."""
+        return self._hom(A, B, self._dom(A), self._key(B)).labels
+
     def hom(self, A: FiniteObject, B: FiniteObject) -> tuple[SpecClass, ...]:
         amin = self.amin(A)
-        labels = self._hom(A, B, self._key(A), self._key(B)).labels
         return tuple(SpecClass(A, B, i, amin, label)
-                     for i, label in enumerate(labels))
+                     for i, label in enumerate(self.hom_labels(A, B)))
 
     def class_of_label(self, A: FiniteObject, B: FiniteObject,
                        label: tuple[int, ...]) -> SpecClass:
         """The class with this label, looked up by its values at the
         generators and then compared in full."""
-        ka = self._key(A)
-        homs = self._hom(A, B, ka, self._key(B))
-        amin = self._minimal(A, ka)
+        amin = self._minimal(A, self._key(A))
+        homs = self._hom(A, B, amin.dom, self._key(B))
         label = tuple(label)
         if len(label) == len(amin.elems):
             idx = homs.index.get(tuple(map(label.__getitem__, amin.gens)))
             if idx is not None and homs.labels[idx] == label:
-                return SpecClass(A, B, idx, Subobject(A, amin.elems),
-                                 homs.labels[idx])
+                return SpecClass(A, B, idx, self.amin(A), homs.labels[idx])
         raise ConsistencyError(
             f"no class of hom({A.id},{B.id}) carries label {label}")
 
@@ -247,18 +290,18 @@ class SpectralCategory:
         if c1.dst != c2.src:
             raise PreconditionViolation("classes are not composable")
         A, B, C = c1.src, c1.dst, c2.dst
-        ka, kc = self._key(A), self._key(C)
-        idx = self._table(A, B, C, ka, self._key(B), kc)[c1.index][c2.index]
+        da, kc = self._dom(A), self._key(C)
+        idx = self._table(A, B, C, da, self._key(B), kc)[c1.index][c2.index]
         return SpecClass(A, C, idx, c1.sub,
-                         self._hom(A, C, ka, kc).labels[idx])
+                         self._hom(A, C, da, kc).labels[idx])
 
     def is_invertible(self, c: SpecClass) -> bool:
         A, B = c.src, c.dst
         ka, kb = self._key(A), self._key(B)
         ida, idb = self.identity_class(A).index, self.identity_class(B).index
         # d.c for each class d of hom(B, A), and the table holding c.d
-        after = self._table(A, B, A, ka, kb, ka)[c.index]
-        before = self._table(B, A, B, kb, ka, kb)
+        after = self._table(A, B, A, self._dom(A), kb, ka)[c.index]
+        before = self._table(B, A, B, self._dom(B), ka, kb)
         return any(after[d] == ida and before[d][c.index] == idb
                    for d in range(len(after)))
 
@@ -268,37 +311,53 @@ class SpectralCategory:
         row i, column j holds the index in hom(A, C) of class j of
         hom(B, C) after class i of hom(A, B).  Triples whose tables are
         equal share one list, which the caller must not change."""
-        return self._table(A, B, C, self._key(A), self._key(B), self._key(C))
+        return self._table(A, B, C, self._dom(A), self._key(B),
+                           self._key(C))
+
+    def composition_row(self, A: FiniteObject, B: FiniteObject
+                        ) -> list[list[list[int]]]:
+        """The composition tables of (A, B, C) for every registered C, in
+        the order of ``objects``.  Pairs with one (domain number of A, key
+        number of B) share one list, which the caller must not change."""
+        da, kb = self._dom(A), self._key(B)
+        row = self._rows.get((da, kb))
+        if row is None:
+            row = self._rows[da, kb] = [
+                self._table(A, B, C, da, kb, self._keys[C])
+                for C in self.objects]
+        return row
 
     def _table(self, A: FiniteObject, B: FiniteObject, C: FiniteObject,
-               ka: int, kb: int, kc: int) -> list[list[int]]:
-        """The composition table of (A, B, C), whose key numbers are ka, kb
-        and kc: row i, column j holds the index in hom(A, C) of class j of
-        hom(B, C) after class i of hom(A, B).
+               da: int, kb: int, kc: int) -> list[list[int]]:
+        """The composition table of (A, B, C), whose domain number of A is
+        da and key numbers of B and C are kb and kc: row i, column j holds
+        the index in hom(A, C) of class j of hom(B, C) after class i of
+        hom(A, B).
 
         Every label of hom(A, B) maps amin(A) into amin(B), as
-        :meth:`_hom` checks, so a composite is a double restriction lookup,
-        made at the generators of amin(A) only: row i zips the columns of
-        the labels of hom(B, C) at the reader of class i.  The table
-        depends on each end only through its key, so it is computed once
-        per triple of keys, and triples whose tables are equal share one
-        list.  The key determines the minimal M-subobject, so the checks
-        made here also hold for every triple that shares the table."""
-        table = self._tables.get((ka, kb, kc))
+        :meth:`_readers` checks, so a composite is a double restriction
+        lookup, made at the generators of amin(A) only: row i zips the
+        columns of the labels of hom(B, C) at the reader of class i.  The
+        table depends on A only through amin(A) and on B and C only
+        through their keys, so it is computed once per (da, kb, kc), and
+        triples whose tables are equal share one list.  The checks made
+        here read only what those numbers fix, so they also hold for every
+        triple that shares the table."""
+        table = self._tables.get((da, kb, kc))
         if table is None:
-            index = self._hom(A, C, ka, kc).index
-            columns = self._hom(B, C, kb, kc).columns
+            index = self._hom(A, C, da, kc).index
+            columns = self._hom(B, C, self._minimal(B, kb).dom, kc).columns
             try:
                 rows = tuple(
                     tuple(map(index.__getitem__,
                               zip(*map(columns.__getitem__, positions))))
-                    for positions in self._hom(A, B, ka, kb).readers)
+                    for positions in self._hom(A, B, da, kb).readers)
             except KeyError as err:
                 raise _no_class_at(A, C, err.args[0]) from None
             table = self._distinct.get(rows)
             if table is None:
                 table = self._distinct[rows] = list(map(list, rows))
-            self._tables[ka, kb, kc] = table
+            self._tables[da, kb, kc] = table
         return table
 
     # -- export -----------------------------------------------------------
@@ -306,7 +365,7 @@ class SpectralCategory:
     def to_json(self) -> dict:
         """The objects, the classes of every hom set and the composition
         table of every triple (A, B, C), in the order of ``objects``.
-        Entries whose triples have equal keys share one table.  The
+        Entries whose triples have equal numbers share one table.  The
         ``spec`` command writes the text of this dict from the tables
         themselves, without building it."""
         objects = self.objects
@@ -334,7 +393,10 @@ def build_spec(S: MonoFamily,
     (:meth:`MonoFamily.key`: the content, or the object itself over an
     explicit S), so it is built once per pair of key numbers,
     :meth:`SpectralCategory._key`, and compared with every hom set of the
-    pair, pair by pair in universe order.
+    pair, pair by pair in universe order.  It stays keyed on the keys of
+    both ends, not on the spec's domain numbers, so it checks, rather than
+    assumes, that objects whose minimal M-subobjects share a content share
+    their hom sets.
     """
     failures = [r for r in s_class_report(S, universe) if r.status != "pass"]
     if failures:
@@ -349,7 +411,7 @@ def build_spec(S: MonoFamily,
             # the spec first: an object with no M-member fails there;
             # hom(A, B) has one class per label
             key = spec._key(A), spec._key(B)
-            direct = len(spec._hom(A, B, *key).labels)
+            direct = len(spec.hom_labels(A, B))
             n = counted.get(key)
             if n is None:
                 n = counted[key] = len(poincare_hom(A, B, M))
@@ -431,13 +493,25 @@ def verify_limit_preservation(spec: SpectralCategory,
     amin(apex), which is a morphism because the projection is one: no hom
     set out of an apex is asked for, and no morphism is built for the
     label.  The spec numbers an apex by its key in M, as it numbers a
-    registered object, so amin(apex) is found once per key and the
-    mediator readers of hom(amin(W), apex) once per (probe key, apex key);
-    an apex with the key of a registered object finds neither anew.  The
-    hom indices of the legs are read by (probe key, leg key).  Every hom
-    set and mediator count out of a probe W depends on W only through its
-    key, :meth:`SpectralCategory._key`, so each cospan decides one probe
-    per key and counts its cones again for every later probe with that key.
+    registered object, so amin(apex) is found once per key; an apex with
+    the key of a registered object finds none anew.  The mediator readers
+    of hom(amin(W), apex) are read from the spec's hom record when the
+    apex has the key of a registered object; otherwise they are made once
+    per (probe domain, apex key) and kept for this call alone, with no
+    labels, index or columns.
+
+    Every hom set, composite column and mediator count out of a probe W
+    depends on W only through amin(W), so the probes are numbered once, by
+    their domain numbers (:meth:`SpectralCategory._dom`): each cospan
+    decides one probe per domain number and counts its cones again for
+    every later probe with that number.  A mediator count depends on the
+    probe's domain number, the keys of the apex and of the two legs'
+    domains, and the two restricted projections.  When the apex has the
+    key of a registered object it is counted once per such case over all
+    the cospans, so the kept counts are bounded by the hom sets between
+    registered keys; an apex of any other content is counted per decision,
+    since its counts, which can be as many as its hom sets are large,
+    would be kept for the whole call.
 
     A probe passes without a visit to its cones when the mediator count
     has exactly one entry per commuting cone: every entry commutes, counts
@@ -446,19 +520,37 @@ def verify_limit_preservation(spec: SpectralCategory,
     first failing cone, in probe order, which is its witness.  Within one
     call the composite columns are kept by integer keys, built once each."""
     reports = []
-    # (probe key, class key) -> the composite column of the class and the
-    # count of each value in it
+    probes = [(W, spec._dom(W)) for W in spec.objects]
+    registered = set(spec._keys.values())
+    # (probe domain, class key) -> the composite column of the class and
+    # the count of each value in it
     columns: dict[tuple, tuple[list[int], Counter]] = {}
+    # (probe domain, apex key) -> the readers of hom(W, apex), for an apex
+    # key that no registered object has
+    apex_readers: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    # (probe domain, apex key, left key, right key, pl, pr) -> the
+    # mediator count, for an apex key that a registered object has
+    kept_counts: dict[tuple, Counter] = {}
 
-    def column(c: SpecClass, kc: tuple, W: FiniteObject, kw: int):
+    def column(c: SpecClass, kc: tuple, W: FiniteObject, dw: int):
         """Indices of c.p for the classes p of hom(W, c.src), in order: the
         column of c in the composition table of (W, c.src, c.dst); kc is
         (key of c.src, key of c.dst, c.index)."""
-        hit = columns.get((kw, kc))
+        hit = columns.get((dw, kc))
         if hit is None:
             col = [row[c.index]
-                   for row in spec._table(W, c.src, c.dst, kw, *kc[:2])]
-            hit = columns[kw, kc] = col, Counter(col)
+                   for row in spec._table(W, c.src, c.dst, dw, *kc[:2])]
+            hit = columns[dw, kc] = col, Counter(col)
+        return hit
+
+    def readers(W: FiniteObject, dw: int, apex: FiniteObject, ka: int):
+        """The mediator readers of hom(W, apex), from the spec's record or
+        from this call's."""
+        if ka in registered:
+            return spec._hom(W, apex, dw, ka).readers
+        hit = apex_readers.get((dw, ka))
+        if hit is None:
+            hit = apex_readers[dw, ka] = spec._readers(W, apex, ka)[1]
         return hit
 
     def cones(pf, pg, pf_p, pg_q, mediators, W):
@@ -475,16 +567,22 @@ def verify_limit_preservation(spec: SpectralCategory,
                 yield None if n == 1 else _jsonable(
                     probe=W.id, p=p, q=q, mediators=n)
 
-    def decide(pf, kf, pg, kg, apex, ka, pl, pr, W):
+    def decide(pf, kf, pg, kg, apex, ka, pl, pr, probe):
         """(checked, witness) of the cones out of W over the image cospan."""
-        kw = spec._key(W)
-        pf_p, f_values = column(pf, kf, W, kw)
-        pg_q, g_values = column(pg, kg, W, kw)
+        W, dw = probe
+        pf_p, f_values = column(pf, kf, W, dw)
+        pg_q, g_values = column(pg, kg, W, dw)
         # the projections go to the domains of the legs
-        mediators = _mediator_counts(
-            W, pf.src, pg.src, pl, pr, spec._hom(W, pf.src, kw, kf[0]).index,
-            spec._hom(W, pg.src, kw, kg[0]).index,
-            spec._hom(W, apex, kw, ka).readers)
+        case = dw, ka, kf[0], kg[0], pl, pr
+        mediators = kept_counts.get(case)
+        if mediators is None:
+            mediators = _mediator_counts(
+                W, pf.src, pg.src, pl, pr,
+                spec._hom(W, pf.src, dw, kf[0]).index,
+                spec._hom(W, pg.src, dw, kg[0]).index,
+                readers(W, dw, apex, ka))
+            if ka in registered:
+                kept_counts[case] = mediators
         commuting = sum(n * g_values[v] for v, n in f_values.items())
         if (len(mediators) == commuting
                 and all(n == 1 for n in mediators.values())
@@ -502,7 +600,7 @@ def verify_limit_preservation(spec: SpectralCategory,
         kf = spec._key(f.dom), spec._key(f.cod), pf.index
         kg = spec._key(g.dom), spec._key(g.cod), pg.index
         result = _first_failure_by_key(
-            spec.objects, spec._key,
+            probes, itemgetter(1),
             partial(decide, pf, kf, pg, kg, pb.apex, ka, pl, pr))
         reports.append(_report(
             ConePreservationReport,

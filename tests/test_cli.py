@@ -525,6 +525,23 @@ def test_spec_builds_no_export_dict(monkeypatch, capsys):
     assert max(lengths) <= max(rows.values())
 
 
+@pytest.mark.parametrize("universe", ["s3-subgroups", "z4-chain"])
+def test_spec_asks_each_hom_set_at_most_once(universe, monkeypatch, capsys):
+    """The summary's sizes and the writer read the shared labels of each
+    hom set, so ``spec`` builds the classes of hom(A, B) at most once per
+    pair, for the division checks and the cone scans."""
+    asked, hom = Counter(), SpectralCategory.hom
+
+    def counted(self, A, B):
+        asked[A.id, B.id] += 1
+        return hom(self, A, B)
+
+    monkeypatch.setattr(SpectralCategory, "hom", counted)
+    assert main(["spec", "--universe", universe]) == 0
+    capsys.readouterr()
+    assert asked and max(asked.values()) == 1
+
+
 # the digests are those of the same jobs in perfbench/expected.json.  The
 # subgroup lattice of A5 feeds the first two; the last two pin the checked
 # counts of the focal conditions and of the limit-preservation cones.

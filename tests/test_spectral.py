@@ -662,9 +662,12 @@ def test_a_non_commuting_mediator_sends_the_probe_to_its_cones(monkeypatch,
                                                                name):
     """A probe passes uncounted cone by cone only when its mediator count
     has one entry per commuting cone.  A count with one more entry, a
-    non-commuting (p, q) counted once, makes every such probe scan its
-    cones instead; they all pass, with the counts of the per-probe loop.
-    On the true counts no probe scans its cones."""
+    non-commuting (p, q) counted once, makes every probe that reads it
+    scan its cones instead; they all pass, with the counts of the
+    per-probe loop.  A count is made once per case and read by every
+    probe decision of that case, each of which asks for its length once,
+    so the scans are the reads of the counts with an extra entry.  On the
+    true counts no probe scans its cones."""
     spec = _spec_over("se", name)
     cospans = registry.registered_cospans(name)[::7]
     scans, full_scan = [0], spectral._first_failure
@@ -679,7 +682,17 @@ def test_a_non_commuting_mediator_sends_the_probe_to_its_cones(monkeypatch,
            for r in verify_limit_preservation(spec, cospans)]
     assert got == want and scans[0] == 0
 
-    counts, extra = spectral._mediator_counts, [0]
+    counts, extra, reads = spectral._mediator_counts, [0], [0]
+
+    class WithExtra(Counter):
+        """A count with an extra entry, which notes each read of its
+        length once it is made."""
+
+        made = False
+
+        def __len__(self):
+            reads[0] += self.made
+            return super().__len__()
 
     def with_extra(W, L, R, pl, pr, left, right, readers):
         """The true counts, plus the first (p, q) they leave out.  Every
@@ -689,7 +702,9 @@ def test_a_non_commuting_mediator_sends_the_probe_to_its_cones(monkeypatch,
         pq = next(((p, q) for p in range(len(left)) for q in range(len(right))
                    if (p, q) not in got), None)
         if pq is not None:
+            got = WithExtra(got)
             got[pq] = 1
+            got.made = True
             extra[0] += 1
         return got
 
@@ -698,7 +713,7 @@ def test_a_non_commuting_mediator_sends_the_probe_to_its_cones(monkeypatch,
            for r in verify_limit_preservation(_spec_over("se", name), cospans)]
     assert got == want
     assert all(status == "pass" for _, status, _, _ in got)
-    assert scans[0] == extra[0] > 0
+    assert scans[0] == reads[0] >= extra[0] > 0
 
 
 def _five_element_apex_cospans():
@@ -768,9 +783,13 @@ def _objects_held(value, seen=None):
 
 
 def _exercise(spec, cospans):
-    """The export, the limit check, every composite and the division checks
-    of every registered object; the limit check must pass."""
+    """The export, the composition rows the writer reads, the limit check,
+    every composite and the division checks of every registered object;
+    the limit check must pass."""
     spec.to_json()
+    for A in spec.objects:
+        for B in spec.objects:
+            spec.composition_row(A, B)
     assert all(r.status == "pass"
                for r in verify_limit_preservation(spec, cospans))
     for c2, c1 in _composable_pairs(spec):
@@ -780,17 +799,24 @@ def _exercise(spec, cospans):
 
 
 def _assert_state_per_key(spec):
-    """The spec keeps its derived state per key number: every key of the
-    minimal M-subobjects, hom indices, readers and composition tables is a
-    key number or a tuple of key numbers, and the only objects the spec
-    holds, apart from its family M, are its registered objects."""
+    """The spec keeps its derived state per number: the minimal
+    M-subobjects per key number; hom sets and composition rows per
+    (domain number, key number); composition tables per (domain number,
+    key number, key number).  Key numbers and domain numbers each run from
+    0, every domain number is that of a kept minimal M-subobject, and the
+    only objects the spec holds, apart from its family M, are its
+    registered objects."""
     numbers = set(spec._key_ids.values()) | set(spec._keys.values())
     assert numbers == set(range(len(numbers)))
+    domains = set(spec._dom_ids.values())
+    assert domains == set(range(len(domains)))
+    assert domains == {amin.dom for amin in spec._amins.values()}
     assert set(spec._keys) == set(spec.objects)
-    for state in (spec._amins, spec._homs, spec._tables):
+    assert spec._amins and set(spec._amins) <= numbers
+    for state, keys in ((spec._homs, 1), (spec._rows, 1), (spec._tables, 2)):
         assert state
-        for key in state:
-            assert set(key if isinstance(key, tuple) else (key,)) <= numbers
+        for d, *ks in state:
+            assert d in domains and len(ks) == keys and set(ks) <= numbers
     held = _objects_held([v for name, v in vars(spec).items() if name != "M"])
     assert held == set(spec.objects)
 
@@ -814,13 +840,17 @@ def test_limit_check_numbers_no_apex_in_the_spec():
     """Pointed cospans with 5-element apexes, a content no registered object
     has: the four apexes are numbered by their one key, not stored as
     objects, so they add exactly one key number and one minimal
-    M-subobject to the spec."""
+    M-subobject to the spec, and no hom record."""
     spec = _spec_over(ISO_FAMILY, "pointed-le-4")
     spec.to_json()
     keys = len(spec._key_ids)
     _exercise(spec, _five_element_apex_cospans())
     _assert_state_per_key(spec)
     assert len(spec._key_ids) == keys + 1 and len(spec._amins) == keys + 1
+    # the readers of hom(W, apex) are kept by the check alone: the spec
+    # keeps no hom record into the apexes' key
+    registered = set(spec._keys.values())
+    assert all(k in registered for _, k in spec._homs)
 
 
 def test_limit_check_asks_for_no_hom_set_out_of_an_apex(monkeypatch):
@@ -1099,8 +1129,9 @@ class _CountingTables(dict):
 @pytest.mark.parametrize("name", ["s3-subgroups", "z4-chain", "pointed-le-4"])
 def test_each_key_triple_table_is_computed_once(name):
     """The export, every composite, the division checks and the limit
-    check all read one table per key triple, computed once; the export's
-    entries hold that very list."""
+    check all read one table per (domain number of A, key number of B, key
+    number of C), computed once; the export's entries and the composition
+    rows hold that very list."""
     spec = _spec_over("se", name)
     spec._tables = tables = _CountingTables()
     export = spec.to_json()
@@ -1110,17 +1141,26 @@ def test_each_key_triple_table_is_computed_once(name):
     for c2, c1 in _composable_pairs(spec):
         spec.compose(c2, c1)
     assert spec.to_json() == export
+    by_id = {A.id: A for A in spec.objects}
+    dom = {A.id: spec._dom(A) for A in spec.objects}
     key = {A.id: spec._key(A) for A in spec.objects}
-    triples = {(key[e["dom"]], key[e["mid"]], key[e["cod"]])
+    triples = {(dom[e["dom"]], key[e["mid"]], key[e["cod"]])
                for e in export["composition"]}
     assert set(tables.stored) == triples
     assert set(tables.stored.values()) == {1}
     for e in export["composition"]:
-        assert e["table"] is tables[key[e["dom"]], key[e["mid"]],
-                                    key[e["cod"]]]
+        table = tables[dom[e["dom"]], key[e["mid"]], key[e["cod"]]]
+        assert e["table"] is table
+        row = spec.composition_row(by_id[e["dom"]], by_id[e["mid"]])
+        assert row[spec.objects.index(by_id[e["cod"]])] is table
+    # the rows read the tables already made, and make none anew
+    assert set(tables.stored.values()) == {1}
     if name == "s3-subgroups":
         # the three order-2 subgroups share one key
         assert len(triples) < len(export["composition"])
+    if name == "z4-chain":
+        # Z4 and Z2 have one minimal M-subobject, Z2, but not one key
+        assert len(set(dom.values())) < len(set(key.values()))
 
 
 @pytest.mark.parametrize("name", ["s3-subgroups", "z4-chain", "pointed-le-4"])
@@ -1132,6 +1172,88 @@ def test_equal_tables_are_one_list(name):
     tables = list(spec._tables.values())
     distinct = {tuple(map(tuple, t)) for t in tables}
     assert len({id(t) for t in tables}) == len(distinct) < len(tables)
+
+
+def _amin_content(spec, A):
+    return catcore.content_key(spec.amin(A).object())
+
+
+@pytest.mark.parametrize("name,keys,contents", [("s4-subgroups", 13, 10),
+                                                ("order-le-24", 17, 12)])
+def test_records_keyed_on_the_minimal_subobject_match_the_oracle(
+        name, keys, contents):
+    """A fraction out of A is fixed by its restriction to amin(A), so the
+    spec keeps hom(A, B) per content of amin(A) and key of B.  For every
+    pair, the labels the spec returns are the map tables amin(A) -> B, and
+    every composition row is the tables of its triples.  Every table of a
+    triple whose first object shares its amin content, but not its key,
+    with another object is read cell by cell against the per-pair
+    oracle."""
+    universe = registry.universe(name)
+    spec = build_spec(MonoFamily(ALL_MONOS), universe)
+    spec.to_json()
+    assert len(set(map(spec._key, universe))) == keys
+    assert len({_amin_content(spec, A) for A in universe}) == contents
+    for A in universe:
+        for B in universe:
+            assert spec.hom_labels(A, B) == hom_tables(spec.amin(A).object(),
+                                                       B)
+            assert spec.composition_row(A, B) == [
+                spec.composition_table(A, B, C) for C in universe]
+    shared = [A for A in universe
+              if any(_amin_content(spec, A) == _amin_content(spec, X)
+                     and spec._key(A) != spec._key(X) for X in universe)]
+    assert shared
+    cells = 0
+    for A in shared:
+        for B in universe:
+            for C in universe:
+                table = spec.composition_table(A, B, C)
+                for c1, row in zip(spec.hom(A, B), table):
+                    assert row == [_restriction_compose(spec, c2, c1).index
+                                   for c2 in spec.hom(B, C)]
+                    cells += len(row)
+    assert cells
+
+
+def test_s4_keeps_130_hom_records_and_1690_tables():
+    """On s4-subgroups, 10 amin contents and 13 keys: once exported, the
+    spec keeps 130 hom records and 130 composition rows, rather than 169
+    per pair of keys, and 1,690 composition tables, rather than 2,197,
+    of which 258 are distinct."""
+    spec = build_spec(MonoFamily(ALL_MONOS), registry.universe("s4-subgroups"))
+    spec.to_json()
+    for A in spec.objects:
+        for B in spec.objects:
+            spec.composition_row(A, B)
+    assert len(spec._homs) == len(spec._rows) == 130
+    assert len(spec._tables) == 1690
+    assert len({id(t) for t in spec._tables.values()}) == len(
+        spec._distinct) == 258
+
+
+def test_amin_is_kept_and_hom_validates_no_subobject(monkeypatch):
+    """amin(A) of a registered object is one Subobject, validated once, so
+    asking every hom set again builds no Subobject; an object that is not
+    registered gets a new one each time."""
+    spec = _spec_over("se", "s3-subgroups")
+    objects = spec.objects
+    first = [spec.amin(A) for A in objects]
+    built = [0]
+    validate = Subobject.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        validate(self)
+
+    monkeypatch.setattr(Subobject, "__post_init__", counting)
+    assert all(len(spec.hom(A, B)) for A in objects for B in objects)
+    assert [spec.amin(A) for A in objects] == first
+    assert all(spec.amin(A) is sub for A, sub in zip(objects, first))
+    assert built[0] == 0
+    copy = catcore.FiniteObject(**{**objects[-1]._asdict(), "id": "S3'"})
+    assert spec.amin(copy) is not spec.amin(copy)
+    assert built[0] == 2
 
 
 def _gens(spec, A):
