@@ -674,7 +674,8 @@ def object_from_descriptor(desc: dict, backend: str | None = None,
                            size_bound: int | None = None) -> FiniteObject:
     """Build an object from a JSON descriptor.  A presentation is closed
     under composition only up to ``size_bound`` elements, by default the
-    backend's bound.
+    backend's bound, and a Cayley table of more rows is refused before it
+    is read.
 
     Formats::
 
@@ -697,6 +698,8 @@ def object_from_descriptor(desc: dict, backend: str | None = None,
         return pointed_set(name, size)
     if kind == "group":
         target = backend or GRP
+        if target not in BACKENDS:
+            raise InvalidObject(f"unknown backend {target!r}")
         if "presentation" in desc:
             pres = desc["presentation"]
             if not isinstance(pres, dict):
@@ -714,7 +717,12 @@ def object_from_descriptor(desc: dict, backend: str | None = None,
             return group_from_permutations(name, degree, perms, backend=target,
                                            size_bound=size_bound)
         if "cayley" in desc:
-            return group_from_cayley(name, desc["cayley"], backend=target)
+            table = desc["cayley"]
+            bound = size_bound or DEFAULT_SIZE_BOUNDS[target]
+            if isinstance(table, list) and len(table) > bound:
+                raise BoundExceeded(
+                    f"object {name} has size {len(table)} > bound {bound}")
+            return group_from_cayley(name, table, backend=target)
         raise InvalidObject(f"{name}: group descriptor needs 'presentation' or 'cayley'")
     raise InvalidObject(f"unknown descriptor kind {kind!r}")
 

@@ -6,14 +6,15 @@ localized category, and ``reproduce`` runs the built-in counterexample and
 theorem checks.  Output is deterministic: canonical orders everywhere and
 sorted JSON keys.  JSON is written as it is rendered, in pieces, never
 held as one string, and is byte for byte the text of
-``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.  The
-``spec`` export is written straight from the spec's shared composition rows
-and hom labels, with no export dict: one piece per (A, B) row of
-composition entries and one per A row of hom entries, each distinct table,
-table row and label rendered once.
-The entries of every other large list are rendered column by column, a few
-hundred at a time: strings, ints, arrays and dicts with one set of str keys
-by column rules, and every other value by json.dumps itself, re-indented.
+``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.  One rule
+makes the pieces: the ``spec`` export goes row by row, a dict with str keys
+goes key by key, and every other value is written whole by json.dumps,
+re-indented.  The export is written straight from the spec's shared
+composition rows and hom labels, with no export dict: one piece per (A, B)
+row of composition entries and one per A row of hom entries, each distinct
+table, table row and label rendered once.  The largest values written
+whole are the lists of the s4-subgroups ``summary``, about 200 KB
+together.
 Peak RSS of ``spec --universe s4-subgroups`` (24 MB of JSON) is about
 28 MB on CPython 3.11, x86-64; CI fails it above 40 MB.
 
@@ -29,9 +30,8 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from . import registry
 from .catcore import (
@@ -74,41 +74,11 @@ from .spectral import (
 EXIT_PIPE_CLOSED = 128 + 13
 
 # ---------------------------------------------------------------------------
-# JSON output: the text of json.dumps(obj, indent=2, sort_keys=True), built
-# column by column with str.join and % templates instead of the stdlib's
-# pure-Python indenting encoder
+# JSON output: the text of json.dumps(obj, indent=2, sort_keys=True), in
+# pieces
 # ---------------------------------------------------------------------------
 
 _INDENT = "  "
-#: items of a large list rendered as one column; each is still one piece
-_BLOCK = 256
-
-
-def _texts(values, level: int) -> list[str]:
-    """The text of each of ``values``, with its first line at indent
-    ``level``.
-
-    A column of one exact type is rendered as a whole: str and int by one
-    C-level map each (type, not isinstance: a bool is written true, not 1),
-    lists and tuples flattened into one column, and dicts that share one
-    nonempty tuple of str keys by one column per key.  Every other column
-    is written value by value by json.dumps."""
-    types = set(map(type, values))
-    if len(types) == 1:
-        kind, = types
-        if kind is str:
-            return list(map(encode_basestring_ascii, values))
-        if kind is int:
-            return list(map(repr, values))
-        if kind is list or kind is tuple:
-            return _array_texts(values, level)
-        if kind is dict:
-            keys = set(map(tuple, values))
-            if len(keys) == 1:
-                keys, = keys
-                if keys and all(type(k) is str for k in keys):
-                    return _dict_texts(values, tuple(sorted(keys)), level)
-    return [_value_text(v, level) for v in values]
 
 
 def _holds_record(o) -> bool:
@@ -120,11 +90,11 @@ def _holds_record(o) -> bool:
 
 
 def _value_text(o, level: int) -> str:
-    """json.dumps's text of a value that no column rule covers, with its
-    first line at indent ``level``.  json escapes every newline inside a
-    string, so each newline in a container's text starts a line, and the
-    text is indented by following each with the indent of ``level``.
-    json.dumps would write a record as an array: the writer refuses it."""
+    """json.dumps's text of o, with its first line at indent ``level``.
+    json escapes every newline inside a string, so each newline in a
+    container's text starts a line, and the text is indented by following
+    each with the indent of ``level``.  json.dumps would write a record as
+    an array: the writer refuses it."""
     if not isinstance(o, (dict, list, tuple)):
         return json.dumps(o)
     if _holds_record(o):
@@ -133,40 +103,20 @@ def _value_text(o, level: int) -> str:
         "\n", "\n" + _INDENT * level)
 
 
-def _dict_texts(dicts, keys: tuple[str, ...], level: int) -> list[str]:
-    """Dicts with the sorted str keys ``keys``: the values under each key
-    are one column, and each row of columns fills one ``%`` template."""
+def _ints_text(values, level: int) -> str:
+    """The text of a list of exact ints at indent ``level``, joined from
+    their reprs."""
+    if not values:
+        return "[]"
     inner = "\n" + _INDENT * (level + 1)
-    template = ("{" + inner + ("," + inner).join(
-                    encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-                    for k in keys)
-                + "\n" + _INDENT * level + "}")
-    columns = [_texts(list(map(itemgetter(k), dicts)), level + 1)
-               for k in keys]
-    return [template % row for row in zip(*columns)]
-
-
-def _array_texts(arrays, level: int) -> list[str]:
-    """Lists, or tuples: their items, flattened into one column, are
-    rendered together and regrouped, except that arrays of exact ints are
-    each joined from their items' reprs."""
-    inner = "\n" + _INDENT * (level + 1)
-    sep, close = "," + inner, "\n" + _INDENT * level + "]"
-    if set(map(type, chain.from_iterable(arrays))) <= {int}:
-        # rows of a table and maps: no text per item is held for the whole
-        # column
-        return ["[" + inner + sep.join(map(repr, a)) + close if a else "[]"
-                for a in arrays]
-    items = iter(_texts(list(chain.from_iterable(arrays)), level + 1))
-    return ["[" + inner + sep.join(islice(items, n)) + close if n else "[]"
-            for n in map(len, arrays)]
+    return ("[" + inner + ("," + inner).join(map(repr, values)) + "\n"
+            + _INDENT * level + "]")
 
 
 def _json_pieces(o):
-    """Yield the text of o in pieces: a dict with str keys piece by key, a
-    list of containers piece by item, a spec's export row by row
-    (:func:`_export_pieces`), every other value whole.  The items of a
-    list of containers are rendered as columns of ``_BLOCK`` items."""
+    """Yield the text of o in pieces: a spec's export row by row
+    (:func:`_export_pieces`), a nonempty dict with str keys key by key, and
+    every other value whole, as json.dumps writes it."""
     yield from _pieces(o, 0)
 
 
@@ -181,17 +131,8 @@ def _pieces(o, level: int):
             yield from _pieces(v, level + 1)
             sep = "," + inner
         yield "\n" + _INDENT * level + "}"
-    elif (type(o) in (list, tuple)
-          and any(isinstance(x, (dict, list, tuple)) for x in o)):
-        inner = "\n" + _INDENT * (level + 1)
-        sep = "[" + inner
-        for start in range(0, len(o), _BLOCK):
-            for text in _texts(o[start:start + _BLOCK], level + 1):
-                yield sep + text
-                sep = "," + inner
-        yield "\n" + _INDENT * level + "]"
     else:
-        yield _texts((o,), level)[0]
+        yield _value_text(o, level)
 
 
 def _list_pieces(rows, level: int):
@@ -218,7 +159,7 @@ def _export_pieces(spec: SpectralCategory, level: int):
            + "," + inner + '"homs": ')
     yield from _list_pieces(_hom_rows(spec, ids, level + 2), level + 1)
     yield ("," + inner + '"objects": '
-           + _texts([[A.id for A in spec.objects]], level + 1)[0]
+           + _value_text([A.id for A in spec.objects], level + 1)
            + "\n" + _INDENT * level + "}")
 
 
@@ -231,13 +172,12 @@ def _composition_rows(spec: SpectralCategory, ids: list[str], level: int):
     table, each kept by the identity of the shared list, which the spec
     keeps alive; the text of each distinct table row is rendered once.
     A row's text is then joined from those texts and the ids alone."""
-    n = ["\n" + _INDENT * (level + i) for i in range(4)]
+    n = ["\n" + _INDENT * (level + i) for i in range(3)]
     # each entry of a row but the first starts with the separator
     heads = ["{" + n[1] + '"cod": ' + c + "," + n[1] + '"dom": ' for c in ids]
     heads[1:] = ["," + n[0] + head for head in heads[1:]]
     open_table, table_sep = "[" + n[2], "," + n[2]
     close_table = n[1] + "]" + n[0] + "}"
-    open_row, row_sep, close_row = "[" + n[3], "," + n[3], n[2] + "]"
     row_texts: dict[tuple[int, ...], str] = {}
     tables: dict[int, str] = {}
     # a composition row -> the text of each of its tables
@@ -247,9 +187,7 @@ def _composition_rows(spec: SpectralCategory, ids: list[str], level: int):
         key = tuple(cells)
         text = row_texts.get(key)
         if text is None:
-            text = row_texts[key] = (
-                open_row + row_sep.join(map(repr, key)) + close_row
-                if key else "[]")
+            text = row_texts[key] = _ints_text(key, level + 2)
         return text
 
     def table_text(table):
@@ -291,7 +229,7 @@ def _hom_rows(spec: SpectralCategory, ids: list[str], level: int):
     def label_text(label):
         text = labels.get(label)
         if text is None:
-            text = labels[label] = _texts([label], level + 4)[0]
+            text = labels[label] = _ints_text(label, level + 4)
         return text
 
     objects = spec.objects
@@ -302,7 +240,7 @@ def _hom_rows(spec: SpectralCategory, ids: list[str], level: int):
         # its cod, which is B
         left = ("," + n[3] + '"rep_left": {' + n[4] + '"cod": ' + a + ","
                 + n[4] + '"dom": ' + dom + "," + n[4] + '"map": '
-                + _texts([amin.elems], level + 4)[0] + n[3] + "},"
+                + _ints_text(amin.elems, level + 4) + n[3] + "},"
                 + n[3] + '"rep_right": {' + n[4] + '"cod": ')
         entries = []
         for B, b in zip(objects, ids):

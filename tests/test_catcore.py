@@ -664,6 +664,12 @@ def test_bad_descriptor_rejected():
         object_from_descriptor({"kind": "group", "name": ""})
     with pytest.raises(InvalidObject):
         object_from_descriptor({"kind": "mystery", "name": "x"})
+    # the backend is checked before a size bound is looked up for it
+    for group in ({"cayley": [[0]]},
+                  {"presentation": {"degree": 1, "permutations": [[0]]}}):
+        with pytest.raises(InvalidObject):
+            object_from_descriptor({"kind": "group", "name": "x", **group},
+                                   "bogus")
 
 
 def test_zero_objects():

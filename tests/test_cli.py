@@ -199,6 +199,19 @@ def test_input_object_is_bounded_by_its_own_backend(tmp_path):
     assert json.loads(child.stderr)["error"] == "bound exceeded"
 
 
+def test_large_cayley_table_is_refused_before_it_is_read(tmp_path, capsys):
+    """A 61-row table over the default group bound (60) is refused by its
+    length alone: its rows, which give no element an inverse, are never
+    scanned."""
+    desc = tmp_path / "t61.json"
+    desc.write_text(json.dumps({"kind": "group", "name": "T61",
+                                "cayley": [[0] * 61] * 61}))
+    code, out, err = run(capsys, "classify", "--input", str(desc))
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "bound exceeded",
+                               "message": "object T61 has size 61 > bound 60"}
+
+
 def _presentation(name, degree):
     """The symmetric group on ``degree`` points, as a permutation
     presentation by an n-cycle and a transposition."""
@@ -580,18 +593,11 @@ def test_text_outputs_are_byte_identical(argv, digest, capsys):
 # streamed output
 # ---------------------------------------------------------------------------
 
-def _many_pieces():
-    payload = {"rows": [{"n": i, "name": f"r\u00e9{i}", "half": i / 2,
-                         "odd": bool(i % 2), "none": None}
-                        for i in range(8192)]}
-    assert sum(1 for _ in _json_pieces(payload)) > 8192
-    return payload
-
-
 @pytest.mark.parametrize("payload", [
     {},
     {"z": [1.5, None, True, "\u00e9", float("nan")], "a": {"y": [], "x": {}}},
-    _many_pieces(),
+    {"rows": [{"n": i, "name": f"r\u00e9{i}", "half": i / 2,
+               "odd": bool(i % 2), "none": None} for i in range(8192)]},
 ], ids=["empty", "mixed", "many-pieces"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_emit_writes_the_json_dumps_text(payload, to_file, tmp_path, capsys):
@@ -625,17 +631,17 @@ _KEYS = st.one_of(_TEXT, st.integers(), st.floats(), st.booleans(),
 _LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
                     st.integers(-2 ** 80, 2 ** 80), st.floats(), _TEXT)
 _UNSERIALIZABLE = st.sampled_from([object(), {1}, b"1", 1j])
-# keys a % template or a JSON string must escape
+# keys a JSON string must escape, and %-template look-alikes
 _ODD_KEYS = st.sampled_from(["%", "%s", "%%", "%(k)s", '"', "\\", "\u00e9",
                              "\U0001f600", "", "\n"]) | _TEXT
-# a column that mixes ints with bools, None and floats
+# a list that mixes ints with bools, None and floats
 _MIXED = st.lists(st.one_of(st.integers(), st.booleans(), st.none(),
                             st.floats()), max_size=8)
 
 
 def _rows(keys, inner):
-    """Lists of dicts with one key set: in one key order (a column the
-    writer fills one template for), or, mapped, in two orders."""
+    """Lists of dicts with one key set: in one key order, or, mapped, in
+    two orders."""
     rows = st.lists(st.fixed_dictionaries({k: inner for k in keys}),
                     max_size=5)
     return rows | rows.map(lambda ds: [dict(reversed(d.items())) if i % 2
@@ -656,7 +662,7 @@ _VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
     st.lists(inner | _UNSERIALIZABLE, max_size=3),
     st.dictionaries(st.one_of(st.integers(), st.floats()), inner,
                     max_size=3),
-    # columns
+    # lists of one shape
     st.lists(_ODD_KEYS, unique=True, max_size=4).flatmap(
         lambda keys: _rows(keys, inner)),
     st.lists(st.fixed_dictionaries({"v": _MIXED | inner}), max_size=4),
@@ -731,44 +737,21 @@ def _deep(depth):
 @example(obj=OrderedDict(b=_shared(_TABLE), a=_TABLE))
 @example(obj={2: _shared(_TABLE), 1: [{"table": _TABLE}] * 2})
 def test_writer_text_is_the_json_dumps_text(obj):
-    """Every column the writer renders as a whole (exact str, exact int,
-    lists, dicts with one nonempty tuple of str keys) and every value it
-    hands to json.dumps gives the text of json.dumps."""
+    """Every value the writer streams key by key and every value it hands
+    whole to json.dumps gives the text of json.dumps."""
     assert _written(obj) == _dumps(obj)
 
 
 def test_writer_refuses_a_record():
     """A record is a tuple subclass; json.dumps would write it as a list,
     the writer refuses it like any other object: alone, in a list, and
-    inside the values its column rules leave to json.dumps."""
+    nested in lists and dicts."""
     m = speccat.identity(speccat.cyclic_group(2))
     for payload in ({"m": m}, {"m": [m]}, {"m": [{"a": m}, {"a": m}]},
                     {"m": [[m, m]]}, {"m": {1: m}}, {"m": [None, {"a": [m]}]},
                     {"m": OrderedDict(a=m)}, {"m": [True, m]}):
         with pytest.raises(TypeError):
             list(_json_pieces(payload))
-
-
-def test_writer_streams_one_composition_table_per_piece():
-    """A composition-shaped export of 10,000 tables is written one table at
-    a time: many pieces, none longer than a table's own text."""
-    objects = [f"X{i}" for i in range(12)]
-    tables = [{"dom": objects[i % 12], "mid": objects[i // 12 % 12],
-               "cod": objects[i // 144 % 12],
-               "table": [[(i + r * c) % 7 for c in range(i % 5 + 1)]
-                         for r in range(i % 3 + 1)]}
-              for i in range(10_000)]
-    payload = {"command": "spec",
-               "export": {"objects": objects, "composition": tables}}
-    pieces = list(_json_pieces(payload))
-    assert "".join(pieces) == json.dumps(payload, indent=2, sort_keys=True)
-    assert len(pieces) > len(tables)
-    # a table's text as it stands in the document: indented three levels,
-    # after its separator
-    in_document = [",\n      " + json.dumps(t, indent=2, sort_keys=True)
-                   .replace("\n", "\n      ") for t in tables]
-    assert max(map(len, pieces)) <= max(map(len, in_document))
-    assert set(in_document[1:]) <= set(pieces)
 
 
 @pytest.mark.parametrize("lines", [[], ["one"], ["one", "two"]])
