@@ -729,7 +729,10 @@ def object_from_descriptor(desc: dict, backend: str | None = None,
 
 def load_objects(text: str, backend: str | None = None,
                  size_bound: int | None = None) -> list[FiniteObject]:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise InvalidObject("input JSON nests too deeply to be read") from None
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):

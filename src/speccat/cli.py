@@ -293,8 +293,12 @@ def _resolve_universe(args: argparse.Namespace) -> list[FiniteObject]:
         objects = []
         for path in args.input:
             with open(path, encoding="utf-8") as fh:
-                objects.extend(load_objects(fh.read(), args.backend,
-                                            args.bound_size))
+                try:
+                    text = fh.read()
+                except UnicodeDecodeError as exc:
+                    raise InvalidObject(
+                        f"{path} is not UTF-8 text: {exc}") from None
+            objects.extend(load_objects(text, args.backend, args.bound_size))
         # a universe lives in one backend (no morphism joins two): refused
         # before any hom search
         backends = sorted({repr(A.backend) for A in objects})

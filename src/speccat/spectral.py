@@ -23,7 +23,6 @@ from .errors import ConsistencyError, PreconditionViolation
 from .limits import PullbackResult, pullback
 from .monoclasses import (
     MonoFamily,
-    _first_failure,
     _first_failure_by_key,
     _report,
     s_class_report,
@@ -462,7 +461,7 @@ def _mediator_counts(W: FiniteObject, L: FiniteObject, R: FiniteObject,
     read off the hom tables with no class or morphism built per h:
     ``readers`` holds, for each hom amin(W) -> apex, the positions in
     amin(apex) of its values at the generators of amin(W), from
-    :meth:`SpectralCategory._hom`, and pl.h takes pl at those positions
+    :meth:`SpectralCategory._readers`, and pl.h takes pl at those positions
     there, as in :meth:`SpectralCategory._table`.  ``left`` and ``right``
     index the classes of hom(W, L) and hom(W, R) by their values at those
     generators."""
@@ -494,43 +493,32 @@ def verify_limit_preservation(spec: SpectralCategory,
     set out of an apex is asked for, and no morphism is built for the
     label.  The spec numbers an apex by its key in M, as it numbers a
     registered object, so amin(apex) is found once per key; an apex with
-    the key of a registered object finds none anew.  The mediator readers
-    of hom(amin(W), apex) are read from the spec's hom record when the
-    apex has the key of a registered object; otherwise they are made once
-    per (probe domain, apex key) and kept for this call alone, with no
-    labels, index or columns.
+    the key of a registered object finds none anew.  The spec keeps no hom
+    record into an apex.
 
     Every hom set, composite column and mediator count out of a probe W
     depends on W only through amin(W), so the probes are numbered once, by
     their domain numbers (:meth:`SpectralCategory._dom`): each cospan
     decides one probe per domain number and counts its cones again for
-    every later probe with that number.  A mediator count depends on the
-    probe's domain number, the keys of the apex and of the two legs'
-    domains, and the two restricted projections.  When the apex has the
-    key of a registered object it is counted once per such case over all
-    the cospans, so the kept counts are bounded by the hom sets between
-    registered keys; an apex of any other content is counted per decision,
-    since its counts, which can be as many as its hom sets are large,
-    would be kept for the whole call.
+    every later probe with that number.  A decision counts the mediators
+    of every class of hom(W, apex) once, then scans the commuting cones in
+    the order (p, q): p runs over the composite column of the image of f,
+    the q with the same composite come from the positions of each value in
+    the column of the image of g, and the first cone whose mediator count
+    is not 1 is the witness, whose classes are built only then.  So a
+    failing cospan fails at its first failing cone, in probe order.
 
-    A probe passes without a visit to its cones when the mediator count
-    has exactly one entry per commuting cone: every entry commutes, counts
-    1, and there are as many entries as commuting cones.  Otherwise its
-    cones are scanned in the order (p, q), so a failing cospan fails at its
-    first failing cone, in probe order, which is its witness.  Within one
-    call the composite columns are kept by integer keys, built once each."""
+    The call keeps two memos and nothing per cospan: the composite column
+    of each class with the positions of each value in it, by (probe
+    domain, class key), and the mediator readers of hom(W, apex), by
+    (probe domain, apex key)."""
     reports = []
     probes = [(W, spec._dom(W)) for W in spec.objects]
-    registered = set(spec._keys.values())
     # (probe domain, class key) -> the composite column of the class and
-    # the count of each value in it
-    columns: dict[tuple, tuple[list[int], Counter]] = {}
-    # (probe domain, apex key) -> the readers of hom(W, apex), for an apex
-    # key that no registered object has
+    # the positions of each value in it
+    columns: dict[tuple, tuple[list[int], dict[int, list[int]]]] = {}
+    # (probe domain, apex key) -> the readers of hom(W, apex)
     apex_readers: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    # (probe domain, apex key, left key, right key, pl, pr) -> the
-    # mediator count, for an apex key that a registered object has
-    kept_counts: dict[tuple, Counter] = {}
 
     def column(c: SpecClass, kc: tuple, W: FiniteObject, dw: int):
         """Indices of c.p for the classes p of hom(W, c.src), in order: the
@@ -540,55 +528,34 @@ def verify_limit_preservation(spec: SpectralCategory,
         if hit is None:
             col = [row[c.index]
                    for row in spec._table(W, c.src, c.dst, dw, *kc[:2])]
-            hit = columns[dw, kc] = col, Counter(col)
+            at: dict[int, list[int]] = {}
+            for i, v in enumerate(col):
+                at.setdefault(v, []).append(i)
+            hit = columns[dw, kc] = col, at
         return hit
-
-    def readers(W: FiniteObject, dw: int, apex: FiniteObject, ka: int):
-        """The mediator readers of hom(W, apex), from the spec's record or
-        from this call's."""
-        if ka in registered:
-            return spec._hom(W, apex, dw, ka).readers
-        hit = apex_readers.get((dw, ka))
-        if hit is None:
-            hit = apex_readers[dw, ka] = spec._readers(W, apex, ka)[1]
-        return hit
-
-    def cones(pf, pg, pf_p, pg_q, mediators, W):
-        """One item per commuting cone (p, q) out of W over the image
-        cospan: None when it has exactly one mediator, the witness when it
-        does not."""
-        # the q with each composite, in hom order: the commuting pairs
-        qs_at: dict[int, list[SpecClass]] = {}
-        for q in spec.hom(W, pg.src):
-            qs_at.setdefault(pg_q[q.index], []).append(q)
-        for p in spec.hom(W, pf.src):
-            for q in qs_at.get(pf_p[p.index], ()):
-                n = mediators[p.index, q.index]
-                yield None if n == 1 else _jsonable(
-                    probe=W.id, p=p, q=q, mediators=n)
 
     def decide(pf, kf, pg, kg, apex, ka, pl, pr, probe):
         """(checked, witness) of the cones out of W over the image cospan."""
         W, dw = probe
-        pf_p, f_values = column(pf, kf, W, dw)
-        pg_q, g_values = column(pg, kg, W, dw)
+        readers = apex_readers.get((dw, ka))
+        if readers is None:
+            readers = apex_readers[dw, ka] = spec._readers(W, apex, ka)[1]
         # the projections go to the domains of the legs
-        case = dw, ka, kf[0], kg[0], pl, pr
-        mediators = kept_counts.get(case)
-        if mediators is None:
-            mediators = _mediator_counts(
-                W, pf.src, pg.src, pl, pr,
-                spec._hom(W, pf.src, dw, kf[0]).index,
-                spec._hom(W, pg.src, dw, kg[0]).index,
-                readers(W, dw, apex, ka))
-            if ka in registered:
-                kept_counts[case] = mediators
-        commuting = sum(n * g_values[v] for v, n in f_values.items())
-        if (len(mediators) == commuting
-                and all(n == 1 for n in mediators.values())
-                and all(pf_p[p] == pg_q[q] for p, q in mediators)):
-            return commuting, None
-        return _first_failure(cones(pf, pg, pf_p, pg_q, mediators, W))
+        mediators = _mediator_counts(
+            W, pf.src, pg.src, pl, pr,
+            spec._hom(W, pf.src, dw, kf[0]).index,
+            spec._hom(W, pg.src, dw, kg[0]).index, readers)
+        qs_at = column(pg, kg, W, dw)[1]
+        checked = 0
+        for p, v in enumerate(column(pf, kf, W, dw)[0]):
+            for q in qs_at.get(v, ()):
+                checked += 1
+                n = mediators[p, q]
+                if n != 1:
+                    return checked, _jsonable(
+                        probe=W.id, p=spec.hom(W, pf.src)[p],
+                        q=spec.hom(W, pg.src)[q], mediators=n)
+        return checked, None
 
     for f, g in cospans:
         pb: PullbackResult = pullback(f, g)

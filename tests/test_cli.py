@@ -168,6 +168,22 @@ def test_malformed_input_file(tmp_path, capsys):
     assert payload["error"] == "malformed JSON" and "line" in payload
 
 
+@pytest.mark.parametrize("content,error", [
+    (b"\xff\xfe", "is not UTF-8 text"),
+    (b"[" * 100_000 + b"]" * 100_000, "nests too deeply"),
+], ids=["not-utf-8", "nested-100000-deep"])
+def test_unreadable_input_file_is_an_input_error(tmp_path, capsys, content,
+                                                 error):
+    """A file that is not UTF-8, or JSON nested deeper than the parser
+    recurses, exits 2 with one JSON line on stderr, not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, "classify", "--input", str(bad))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidObject" and error in payload["message"]
+
+
 def test_missing_input_file(capsys):
     code, _, err = run(capsys, "classify", "--input", "/nope/missing.json")
     assert code == 2

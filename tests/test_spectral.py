@@ -660,39 +660,13 @@ def test_keyed_probes_fail_where_the_per_probe_loop_fails(monkeypatch, size):
 @pytest.mark.parametrize("name", ["s3-subgroups", "s4-subgroups"])
 def test_a_non_commuting_mediator_sends_the_probe_to_its_cones(monkeypatch,
                                                                name):
-    """A probe passes uncounted cone by cone only when its mediator count
-    has one entry per commuting cone.  A count with one more entry, a
-    non-commuting (p, q) counted once, makes every probe that reads it
-    scan its cones instead; they all pass, with the counts of the
-    per-probe loop.  A count is made once per case and read by every
-    probe decision of that case, each of which asks for its length once,
-    so the scans are the reads of the counts with an extra entry.  On the
-    true counts no probe scans its cones."""
-    spec = _spec_over("se", name)
+    """A mediator count with one more entry, a non-commuting (p, q) counted
+    once, changes no report: only the commuting cones read the count, in
+    the order (p, q), so every cospan passes with the counts of the
+    per-probe loop."""
     cospans = registry.registered_cospans(name)[::7]
-    scans, full_scan = [0], spectral._first_failure
-
-    def counted_scan(cases):
-        scans[0] += 1
-        return full_scan(cases)
-
-    monkeypatch.setattr(spectral, "_first_failure", counted_scan)
     want = _per_probe_limit_preservation(_spec_over("se", name), cospans)
-    got = [(r.cospan, r.status, r.cones_checked, r.witness)
-           for r in verify_limit_preservation(spec, cospans)]
-    assert got == want and scans[0] == 0
-
-    counts, extra, reads = spectral._mediator_counts, [0], [0]
-
-    class WithExtra(Counter):
-        """A count with an extra entry, which notes each read of its
-        length once it is made."""
-
-        made = False
-
-        def __len__(self):
-            reads[0] += self.made
-            return super().__len__()
+    counts, extra = spectral._mediator_counts, [0]
 
     def with_extra(W, L, R, pl, pr, left, right, readers):
         """The true counts, plus the first (p, q) they leave out.  Every
@@ -702,18 +676,83 @@ def test_a_non_commuting_mediator_sends_the_probe_to_its_cones(monkeypatch,
         pq = next(((p, q) for p in range(len(left)) for q in range(len(right))
                    if (p, q) not in got), None)
         if pq is not None:
-            got = WithExtra(got)
             got[pq] = 1
-            got.made = True
             extra[0] += 1
         return got
 
     monkeypatch.setattr(spectral, "_mediator_counts", with_extra)
     got = [(r.cospan, r.status, r.cones_checked, r.witness)
            for r in verify_limit_preservation(_spec_over("se", name), cospans)]
-    assert got == want
+    assert got == want and extra[0] > 0
     assert all(status == "pass" for _, status, _, _ in got)
-    assert scans[0] == reads[0] >= extra[0] > 0
+
+
+def _reports(spec, cospans):
+    return [(r.cospan, r.status, r.cones_checked, r.witness)
+            for r in verify_limit_preservation(spec, cospans)]
+
+
+@pytest.mark.parametrize("family,name", [("se", "s3-subgroups"),
+                                         (ISO_FAMILY, "pointed-le-4")])
+def test_one_call_reports_as_one_call_per_cospan(family, name):
+    """The composite columns and apex readers are kept for one call, so a
+    call over many cospans gives the reports of one call per cospan: all
+    21 cospans of s3-subgroups, and a sample of the pointed-le-4 hom
+    cospans with apexes of every size."""
+    cospans = (registry.registered_cospans(name) if name == "s3-subgroups"
+               else [(f, g) for f, g, _ in _pointed_hom_cospans()[::61]])
+    got = _reports(_spec_over(family, name), cospans)
+    alone = _spec_over(family, name)
+    assert got == [r for c in cospans for r in _reports(alone, [c])]
+    assert all(status == "pass" for _, status, _, _ in got)
+
+
+def test_an_apex_that_repeats_a_pair_fails_the_check(monkeypatch):
+    """A broken pullback whose apex holds one non-basepoint pair twice:
+    the cone through that pair has two mediators, and every cospan whose
+    apex has such a pair fails with that count."""
+    def repeating(f, g):
+        pb = pullback(f, g)
+        if len(pb.pairs) < 2:
+            return pb
+        pairs = pb.pairs + pb.pairs[1:2]
+        apex = FiniteObject(id=pb.apex.id + "+", backend=pb.apex.backend,
+                            size=len(pairs))
+        return pb._replace(
+            apex=apex, pairs=pairs,
+            proj_left=ConcreteMorphism(apex, f.dom, tuple(l for l, _ in pairs)),
+            proj_right=ConcreteMorphism(apex, g.dom,
+                                        tuple(r for _, r in pairs)))
+
+    monkeypatch.setattr(spectral, "pullback", repeating)
+    cospans = _small_pointed_hom_cospans()
+    reports = verify_limit_preservation(
+        _spec_over(ISO_FAMILY, "pointed-le-4"), cospans)
+    sizes = [pullback(f, g).apex.size for f, g in cospans]
+    assert any(size > 1 for size in sizes)
+    for size, r in zip(sizes, reports):
+        if size > 1:
+            assert r.status == "fail" and r.witness["mediators"] == 2
+        else:
+            assert r.status == "pass"
+
+
+def test_readers_that_drop_a_class_fail_the_check(monkeypatch):
+    """Readers of hom(W, apex) with the last class left out: the cone that
+    class mediates has no mediator, so every cospan fails with a count
+    of 0."""
+    spec = _spec_over(ISO_FAMILY, "pointed-le-4")
+    readers = spec._readers
+
+    def dropping(A, B, kb):
+        labels, got = readers(A, B, kb)
+        return labels, got if B in spec._keys else got[:-1]
+
+    monkeypatch.setattr(spec, "_readers", dropping)
+    reports = verify_limit_preservation(spec, _small_pointed_hom_cospans())
+    assert reports
+    assert all(r.status == "fail" and r.witness["mediators"] == 0
+               for r in reports)
 
 
 def _five_element_apex_cospans():
